@@ -23,149 +23,16 @@ del _os, _threads
 
 __version__ = "0.1.0"
 
-from .analysis import (  # noqa: E402
-    ERROR_CEILING,
-    ERROR_FLOOR,
-    ConvergenceRecord,
-    ConvergenceSweep,
-    GffRow,
-    RateFit,
-    fit_abs_error_rate,
-    gff_table,
-    riemann_gap,
-    sweep_centered,
-    sweep_open,
-)
-from .chains import (  # noqa: E402
-    AsymptoticCoefficients,
-    asymptotic_coefficients_centered,
-    asymptotic_coefficients_open,
-    centered_chain_correlation,
-    centered_chain_correlation_limit,
-    centered_chain_correlation_matrix,
-    centered_chain_relative_error,
-    open_chain_correlation,
-    open_chain_correlation_limit,
-    open_chain_correlation_matrix,
-    open_chain_covariance,
-    open_chain_limit_envelope_error,
-    open_chain_relative_error,
-    rel_error_coefficient_centered,
-    rel_error_coefficient_open,
-)
-from .circulant import (  # noqa: E402
-    CycleCorrelation,
-    cycle_correlation_limit,
-    cycle_correlation_sequence,
-    cycle_inverse_sum,
-    cycle_inverse_sum_imag,
-    limit_integral,
-    precision_eigenvalues,
-    riemann_sum,
-)
-from .errors import (  # noqa: E402
-    DomainError,
-    GgchainError,
-    InsufficientDataError,
-    NotPositiveDefiniteError,
-    SelfCheckError,
-)
-from .model import (  # noqa: E402
-    DecayParams,
-    GffParams,
-    GraphKind,
-    GraphSpec,
-    SymCirculant,
-    SymTridiagonal,
-    check_tau,
-    decay_base,
-    decay_params,
-    gff_decay_rate,
-    partial_correlation_matrix,
-    precision_matrix,
-    sqrt_one_minus_4tau2,
-    tau_from_gff,
-)
-from .oracle import (  # noqa: E402
-    NORMAL_METHOD,
-    CorrelationResult,
-    SampleBatch,
-    correlation_transform,
-    fisher_z_discrepancies,
-    invert_dense_spd,
-    invert_tridiagonal,
-    model_correlation,
-    sample,
-)
+# Each module's __all__ is the single list of its public names.
+from . import analysis, chains, circulant, errors, model, oracle  # noqa: E402
+from .analysis import *  # noqa: E402,F403
+from .chains import *  # noqa: E402,F403
+from .circulant import *  # noqa: E402,F403
+from .errors import *  # noqa: E402,F403
+from .model import *  # noqa: E402,F403
+from .oracle import *  # noqa: E402,F403
 
-__all__ = [
-    "__version__",
-    # errors
-    "GgchainError",
-    "DomainError",
-    "NotPositiveDefiniteError",
-    "InsufficientDataError",
-    "SelfCheckError",
-    # model
-    "GraphKind",
-    "GraphSpec",
-    "DecayParams",
-    "GffParams",
-    "SymTridiagonal",
-    "SymCirculant",
-    "check_tau",
-    "sqrt_one_minus_4tau2",
-    "decay_params",
-    "decay_base",
-    "tau_from_gff",
-    "gff_decay_rate",
-    "partial_correlation_matrix",
-    "precision_matrix",
-    # chains
-    "AsymptoticCoefficients",
-    "open_chain_covariance",
-    "open_chain_correlation",
-    "open_chain_correlation_limit",
-    "open_chain_relative_error",
-    "open_chain_limit_envelope_error",
-    "open_chain_correlation_matrix",
-    "centered_chain_correlation",
-    "centered_chain_correlation_limit",
-    "centered_chain_relative_error",
-    "centered_chain_correlation_matrix",
-    "rel_error_coefficient_open",
-    "rel_error_coefficient_centered",
-    "asymptotic_coefficients_open",
-    "asymptotic_coefficients_centered",
-    # circulant
-    "CycleCorrelation",
-    "precision_eigenvalues",
-    "cycle_inverse_sum",
-    "cycle_inverse_sum_imag",
-    "cycle_correlation_sequence",
-    "riemann_sum",
-    "limit_integral",
-    "cycle_correlation_limit",
-    # oracle
-    "CorrelationResult",
-    "SampleBatch",
-    "invert_tridiagonal",
-    "invert_dense_spd",
-    "correlation_transform",
-    "model_correlation",
-    "sample",
-    "fisher_z_discrepancies",
-    "NORMAL_METHOD",
-    # analysis
-    "ConvergenceRecord",
-    "ConvergenceSweep",
-    "RateFit",
-    "GffRow",
-    "ERROR_FLOOR",
-    "ERROR_CEILING",
-    "sweep_centered",
-    "sweep_open",
-    "fit_abs_error_rate",
-    "riemann_gap",
-    "gff_table",
-]
+__all__ = ["__version__"]
+for _module in (errors, model, chains, circulant, oracle, analysis):
+    __all__ += _module.__all__
+del _module

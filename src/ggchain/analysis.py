@@ -26,7 +26,7 @@ from .chains import (
 )
 from .circulant import limit_integral, riemann_sum
 from .errors import DomainError, InsufficientDataError
-from .model import GffParams, GraphKind, check_tau, decay_params, gff_decay_rate, tau_from_gff
+from .model import GffParams, GraphKind, as_index, check_tau, decay_params, gff_decay_rate, tau_from_gff
 
 __all__ = [
     "ConvergenceRecord",
@@ -35,8 +35,7 @@ __all__ = [
     "GffRow",
     "ERROR_FLOOR",
     "ERROR_CEILING",
-    "sweep_centered",
-    "sweep_open",
+    "sweep",
     "fit_abs_error_rate",
     "riemann_gap",
     "gff_table",
@@ -106,26 +105,44 @@ def _scaled(rel: float, n: int, rate: float) -> float:
     return math.copysign(math.exp(math.log(abs(rel)) + 2.0 * (n + 1) * rate), rel)
 
 
-def _check_window(i: int, j: int, n_min, n_max, lower: int):
-    if isinstance(n_min, bool) or not isinstance(n_min, int):
-        raise DomainError(f"n_min must be an integer, got {n_min!r}")
-    if isinstance(n_max, bool) or not isinstance(n_max, int):
-        raise DomainError(f"n_max must be an integer, got {n_max!r}")
+# correlation, limit and relative-error kernels of each chain
+_KERNELS = {
+    GraphKind.OPEN_CHAIN: (
+        open_chain_correlation,
+        open_chain_correlation_limit,
+        open_chain_relative_error,
+    ),
+    GraphKind.CENTERED_CHAIN: (
+        centered_chain_correlation,
+        centered_chain_correlation_limit,
+        centered_chain_relative_error,
+    ),
+}
+
+
+def sweep(kind: GraphKind, i: int, j: int, tau: float, n_min: int, n_max: int) -> ConvergenceSweep:
+    """Records for sizes n_min..n_max at one index pair of a chain.
+
+    The size is the length of the open chain (indices >= 1) and the half-width
+    of the centered chain.  The cycle has no asymptotic expansion to sweep
+    against and is rejected.
+    """
+    if kind is GraphKind.CYCLE:
+        raise DomainError("no asymptotic expansion available for cycle")
+    correlation, limit_of, relative_error = _KERNELS[kind]
+    p = decay_params(tau)
+    limit = limit_of(i, j, tau)
+    n_min = as_index(n_min, "n_min")
+    n_max = as_index(n_max, "n_max")
+    lower = max(abs(i), abs(j)) + 1
     if n_min < lower:
         raise DomainError(f"n_min must be >= {lower} for pair ({i}, {j}), got {n_min}")
     if n_max < n_min:
         raise DomainError(f"n_max must be >= n_min, got {n_max} < {n_min}")
-
-
-def sweep_centered(i: int, j: int, tau: float, n_min: int, n_max: int) -> ConvergenceSweep:
-    """Centered-chain records for half-widths n_min..n_max at one index pair."""
-    p = decay_params(tau)
-    _check_window(i, j, n_min, n_max, max(abs(i), abs(j)) + 1)
     records = []
-    limit = centered_chain_correlation_limit(i, j, tau)
     for n in range(n_min, n_max + 1):
-        exact = centered_chain_correlation(n, i, j, tau)
-        rel = centered_chain_relative_error(n, i, j, tau)
+        exact = correlation(n, i, j, tau)
+        rel = relative_error(n, i, j, tau)
         records.append(
             ConvergenceRecord(
                 n=n,
@@ -136,35 +153,7 @@ def sweep_centered(i: int, j: int, tau: float, n_min: int, n_max: int) -> Conver
                 scaled_rel=_scaled(rel, n, p.rate),
             )
         )
-    return ConvergenceSweep(
-        kind=GraphKind.CENTERED_CHAIN, i=i, j=j, tau=p.tau, rate=p.rate, records=tuple(records)
-    )
-
-
-def sweep_open(i: int, j: int, tau: float, n_min: int, n_max: int) -> ConvergenceSweep:
-    """Open-chain records for lengths n_min..n_max at one index pair."""
-    p = decay_params(tau)
-    if i < 1 or j < 1:
-        raise DomainError(f"indices must be >= 1, got ({i}, {j})")
-    _check_window(i, j, n_min, n_max, max(i, j) + 1)
-    records = []
-    limit = open_chain_correlation_limit(i, j, tau)
-    for n in range(n_min, n_max + 1):
-        exact = open_chain_correlation(n, i, j, tau)
-        rel = open_chain_relative_error(n, i, j, tau)
-        records.append(
-            ConvergenceRecord(
-                n=n,
-                exact=exact,
-                limit=limit,
-                abs_err=limit * rel,
-                rel_err=rel,
-                scaled_rel=_scaled(rel, n, p.rate),
-            )
-        )
-    return ConvergenceSweep(
-        kind=GraphKind.OPEN_CHAIN, i=i, j=j, tau=p.tau, rate=p.rate, records=tuple(records)
-    )
+    return ConvergenceSweep(kind=kind, i=i, j=j, tau=p.tau, rate=p.rate, records=tuple(records))
 
 
 def fit_abs_error_rate(sweep: ConvergenceSweep) -> RateFit:

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .model import DecayParams, check_tau, decay_params, sqrt_one_minus_4tau2
+from .model import DecayParams, as_index, check_tau, decay_params, sqrt_one_minus_4tau2
 
 __all__ = [
     "AsymptoticCoefficients",
@@ -61,16 +61,10 @@ _LN2 = math.log(2.0)
 _EXP_GUARD = 700.0
 
 
-def _as_index(value, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise DomainError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 def _check_open(n, i, j) -> tuple[int, int, int]:
-    n = _as_index(n, "n")
-    i = _as_index(i, "i")
-    j = _as_index(j, "j")
+    n = as_index(n, "n")
+    i = as_index(i, "i")
+    j = as_index(j, "j")
     if n < 1:
         raise DomainError(f"chain length must be >= 1, got {n}")
     if not (1 <= i <= n and 1 <= j <= n):
@@ -79,17 +73,17 @@ def _check_open(n, i, j) -> tuple[int, int, int]:
 
 
 def _check_positive_pair(i, j) -> tuple[int, int]:
-    i = _as_index(i, "i")
-    j = _as_index(j, "j")
+    i = as_index(i, "i")
+    j = as_index(j, "j")
     if i < 1 or j < 1:
         raise DomainError(f"indices must be >= 1, got ({i}, {j})")
     return min(i, j), max(i, j)
 
 
 def _check_centered(n, i, j) -> tuple[int, int, int]:
-    n = _as_index(n, "n")
-    i = _as_index(i, "i")
-    j = _as_index(j, "j")
+    n = as_index(n, "n")
+    i = as_index(i, "i")
+    j = as_index(j, "j")
     if n < 1:
         raise DomainError(f"half-width must be >= 1, got {n}")
     if not (-n <= i <= n and -n <= j <= n):
@@ -205,8 +199,8 @@ def centered_chain_correlation(n, i, j, tau: float) -> float:
 
 def centered_chain_correlation_limit(i, j, tau: float) -> float:
     """Infinite-width limit of the centered-chain correlation: base**|j-i|."""
-    i = _as_index(i, "i")
-    j = _as_index(j, "j")
+    i = as_index(i, "i")
+    j = as_index(j, "j")
     p = decay_params(tau)
     return p.base ** abs(j - i)
 
@@ -249,8 +243,8 @@ def rel_error_coefficient_centered(i, j, tau: float) -> float:
     with c = -(sinh(2 max(i,j) rate) - sinh(2 min(i,j) rate)) taken over the
     signed indices.  Zero when i = j.
     """
-    i = _as_index(i, "i")
-    j = _as_index(j, "j")
+    i = as_index(i, "i")
+    j = as_index(j, "j")
     if i == j:
         return 0.0
     p = decay_params(tau)
@@ -299,7 +293,7 @@ def open_chain_correlation_matrix(n, tau: float) -> np.ndarray:
     tau = 0 yields the identity; otherwise entries come from the scalar
     kernel, so they match :func:`open_chain_correlation` bit for bit.
     """
-    n = _as_index(n, "n")
+    n = as_index(n, "n")
     if n < 1:
         raise DomainError(f"chain length must be >= 1, got {n}")
     tau = check_tau(tau)
@@ -321,7 +315,7 @@ def centered_chain_correlation_matrix(n, tau: float) -> np.ndarray:
     Rows and columns are ordered by node index; entry (a, b) corresponds to
     nodes a-n and b-n.  Identical to the open-chain matrix of length 2n+1.
     """
-    n = _as_index(n, "n")
+    n = as_index(n, "n")
     if n < 1:
         raise DomainError(f"half-width must be >= 1, got {n}")
     return open_chain_correlation_matrix(2 * n + 1, tau)

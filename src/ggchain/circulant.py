@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .model import check_tau, decay_base, sqrt_one_minus_4tau2
+from .model import as_index, check_tau, decay_base, sqrt_one_minus_4tau2
 
 __all__ = [
     "CycleCorrelation",
@@ -48,18 +48,14 @@ _TWO_PI = 2.0 * math.pi
 
 
 def _check_size(n) -> int:
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise DomainError(f"cycle size must be an integer, got {n!r}")
-    n = int(n)
+    n = as_index(n, "cycle size")
     if n < 3:
         raise DomainError(f"cycle size must be >= 3, got {n}")
     return n
 
 
 def _check_lag(n: int, k) -> int:
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
-        raise DomainError(f"lag must be an integer, got {k!r}")
-    k = int(k)
+    k = as_index(k, "lag")
     if not 0 <= k < n:
         raise DomainError(f"lag must lie in 0..{n - 1}, got {k}")
     return k
@@ -193,9 +189,7 @@ def limit_integral(k, tau: float) -> float:
     Closed form by residues: 2 pi base**k / sqrt(1 - 4 tau^2).  The tau = 0
     limit is returned rather than rejected: 2 pi at lag 0, zero otherwise.
     """
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
-        raise DomainError(f"lag must be an integer, got {k!r}")
-    k = int(k)
+    k = as_index(k, "lag")
     if k < 0:
         raise DomainError(f"lag must be >= 0, got {k}")
     tau = check_tau(tau)
@@ -204,9 +198,7 @@ def limit_integral(k, tau: float) -> float:
 
 def cycle_correlation_limit(k, tau: float) -> float:
     """Large-n limit of the lag-k cycle correlation: base**k."""
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
-        raise DomainError(f"lag must be an integer, got {k!r}")
-    k = int(k)
+    k = as_index(k, "lag")
     if k < 0:
         raise DomainError(f"lag must be >= 0, got {k}")
     tau = check_tau(tau, positive=True)

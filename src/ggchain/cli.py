@@ -5,8 +5,8 @@ Every command emits CSV (default) or a JSON envelope ``{"metadata": ...,
 digits; JSON carries full round-trip precision.  With ``--deterministic`` the
 envelope omits the timestamp, making reruns byte-identical.
 
-Exit codes: 0 ok, 2 domain error, 3 self-check failure, 4 insufficient data,
-5 statistical failure.
+Exit codes: 0 ok, 2 domain error (including a non-finite value in JSON
+output), 3 self-check failure, 4 insufficient data, 5 statistical failure.
 """
 
 import argparse
@@ -18,13 +18,9 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .analysis import fit_abs_error_rate, sweep_centered, sweep_open
+from .analysis import fit_abs_error_rate, sweep
 from .chains import centered_chain_correlation_matrix, open_chain_correlation_matrix
-from .circulant import (
-    cycle_correlation_sequence,
-    limit_integral,
-    riemann_sum,
-)
+from .circulant import _check_lag, cycle_correlation_sequence, limit_integral, riemann_sum
 from .errors import DomainError, InsufficientDataError, SelfCheckError
 from .model import (
     GffParams,
@@ -43,37 +39,45 @@ Z_SCORE_LIMIT = 4.0
 
 
 def _fmt(value) -> str:
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return str(int(value))
     if isinstance(value, (float, np.floating)):
         return format(float(value), ".9g")
     return str(value)
 
 
-def _print_csv(columns, rows) -> None:
-    print(",".join(columns))
-    for row in rows:
-        print(",".join(_fmt(v) for v in row))
+def _dumps(obj, indent=None) -> str:
+    try:
+        return json.dumps(obj, indent=indent, allow_nan=False, default=np.ndarray.tolist)
+    except ValueError as exc:
+        raise DomainError(f"non-finite value in JSON output ({exc})") from exc
 
 
-def _print_json(args, command: str, parameters: dict, payload, metadata=None) -> None:
-    meta = {"command": command, "parameters": parameters, "version": __version__}
-    if metadata:
-        meta.update(metadata)
-    if not args.deterministic:
-        meta["timestamp"] = datetime.now(timezone.utc).isoformat()
-    print(json.dumps({"metadata": meta, "payload": payload}, indent=2))
+def _csv_row(row) -> str:
+    return ",".join(map(_fmt, row))
 
 
-def _emit(args, command, parameters, columns, rows, metadata=None) -> None:
+def _write(args, command, parameters, columns, rows, *, payload=None, metadata=None, note=None) -> None:
+    """Write a command's result: a CSV table, or the JSON envelope.
+
+    The JSON payload is ``payload`` if given, else one object per row; numpy
+    arrays in it are written as nested lists.  ``metadata`` extends the
+    envelope's metadata.  ``note`` is one more CSV row, written to stderr after
+    the table.
+    """
     if args.format == "json":
-        payload = [
-            {c: (int(v) if isinstance(v, (int, np.integer)) else float(v)) for c, v in zip(columns, row)}
-            for row in rows
-        ]
-        _print_json(args, command, parameters, payload, metadata)
-    else:
-        _print_csv(columns, rows)
+        meta = {"command": command, "parameters": parameters, "version": __version__}
+        if metadata:
+            meta.update(metadata)
+        if not args.deterministic:
+            meta["timestamp"] = datetime.now(timezone.utc).isoformat()
+        if payload is None:
+            payload = [dict(zip(columns, row)) for row in rows]
+        print(_dumps({"metadata": meta, "payload": payload}, indent=2))
+        return
+    print(_csv_row(columns))
+    for row in rows:
+        print(_csv_row(row))
+    if note is not None:
+        print(_csv_row(note), file=sys.stderr)
 
 
 def _graph(kind: str, n: int) -> GraphSpec:
@@ -107,7 +111,7 @@ def cmd_decay(args) -> int:
     columns = ["tau", "rate", "base", "gff_rate"]
     rows = [(p.tau, p.rate, p.base, gff_rate)]
     params = {"tau": args.tau, "mass": args.mass, "beta": args.beta}
-    _emit(args, "decay", params, columns, rows)
+    _write(args, "decay", params, columns, rows)
     return 0
 
 
@@ -139,31 +143,25 @@ def cmd_corr(args) -> int:
 
     labels = list(graph.indices)
     params = {"graph": args.graph, "n": args.n, "tau": args.tau, "method": args.method}
-    metadata = {} if deviation is None else {"max_abs_deviation": deviation}
-    if args.format == "json":
-        payload = {"indices": labels, "matrix": [[float(v) for v in row] for row in matrix]}
-        _print_json(args, "corr", params, payload, metadata)
-    else:
-        _print_csv(
-            ["i"] + [str(x) for x in labels],
-            [(label, *matrix[pos]) for pos, label in enumerate(labels)],
-        )
-        if deviation is not None:
-            print(f"max_abs_deviation,{_fmt(deviation)}", file=sys.stderr)
+    _write(
+        args,
+        "corr",
+        params,
+        ["i"] + [str(x) for x in labels],
+        ((label, *matrix[pos]) for pos, label in enumerate(labels)),
+        payload={"indices": labels, "matrix": matrix},
+        metadata=None if deviation is None else {"max_abs_deviation": deviation},
+        note=None if deviation is None else ("max_abs_deviation", deviation),
+    )
     return 0
 
 
 def cmd_converge(args) -> int:
-    if args.graph == "cycle":
-        raise DomainError("no asymptotic expansion available for cycle")
-    if args.graph == "open":
-        sweep = sweep_open(args.i, args.j, args.tau, args.n_min, args.n_max)
-    else:
-        sweep = sweep_centered(args.i, args.j, args.tau, args.n_min, args.n_max)
+    result = sweep(GraphKind(args.graph), args.i, args.j, args.tau, args.n_min, args.n_max)
 
     fit_info = None
     if args.fit:
-        fit = fit_abs_error_rate(sweep)
+        fit = fit_abs_error_rate(result)
         fit_info = {
             "slope": fit.slope,
             "intercept": fit.intercept,
@@ -174,7 +172,7 @@ def cmd_converge(args) -> int:
         }
 
     columns = ["n", "exact", "limit", "abs_err", "rel_err", "scaled_rel"]
-    rows = [(r.n, r.exact, r.limit, r.abs_err, r.rel_err, r.scaled_rel) for r in sweep]
+    rows = [(r.n, r.exact, r.limit, r.abs_err, r.rel_err, r.scaled_rel) for r in result]
     params = {
         "graph": args.graph,
         "i": args.i,
@@ -184,42 +182,32 @@ def cmd_converge(args) -> int:
         "n_max": args.n_max,
         "fit": args.fit,
     }
-    if args.format == "json":
-        payload = {
-            "records": [dict(zip(columns, (int(r.n), r.exact, r.limit, r.abs_err, r.rel_err, r.scaled_rel))) for r in sweep],
-            "fit": fit_info,
-        }
-        _print_json(args, "converge", params, payload)
-    else:
-        _print_csv(columns, rows)
-        if fit_info is not None:
-            print(json.dumps(fit_info), file=sys.stderr)
+    _write(
+        args,
+        "converge",
+        params,
+        columns,
+        rows,
+        payload={"records": [dict(zip(columns, row)) for row in rows], "fit": fit_info},
+        note=None if fit_info is None else (_dumps(fit_info),),
+    )
     return 0
 
 
 def cmd_circulant(args) -> int:
     graph = _graph("cycle", args.n)
-    lags = [args.k] if args.k is not None else list(range(graph.n))
+    lags = [_check_lag(graph.n, args.k)] if args.k is not None else range(graph.n)
     params = {"n": args.n, "tau": args.tau, "k": args.k, "riemann": args.riemann}
     if args.riemann:
         columns = ["k", "riemann_sum", "integral", "gap"]
-        rows = []
-        for k in lags:
-            s = riemann_sum(graph.n, k, args.tau)
-            integral = limit_integral(k, args.tau)
-            rows.append((k, s, integral, s - integral))
+        pairs = [(riemann_sum(graph.n, k, args.tau), limit_integral(k, args.tau)) for k in lags]
     else:
         seq = cycle_correlation_sequence(graph.n, args.tau)
         base = decay_base(args.tau)
         columns = ["k", "correlation", "limit", "gap"]
-        rows = []
-        for k in lags:
-            if not 0 <= k < graph.n:
-                raise DomainError(f"lag must lie in 0..{graph.n - 1}, got {k}")
-            corr = float(seq.correlations[k])
-            power = base**k
-            rows.append((k, corr, power, corr - power))
-    _emit(args, "circulant", params, columns, rows)
+        pairs = [(float(seq.correlations[k]), base**k) for k in lags]
+    rows = [(k, value, limit, value - limit) for k, (value, limit) in zip(lags, pairs)]
+    _write(args, "circulant", params, columns, rows)
     return 0
 
 
@@ -254,7 +242,7 @@ def cmd_sample(args) -> int:
         "max_z_score": max_z,
         "z_score_limit": Z_SCORE_LIMIT,
     }
-    _emit(args, "sample", params, columns, rows, metadata)
+    _write(args, "sample", params, columns, rows, metadata=metadata)
     return 0 if max_z <= Z_SCORE_LIMIT else 5
 
 

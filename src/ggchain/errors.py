@@ -1,5 +1,13 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "GgchainError",
+    "DomainError",
+    "NotPositiveDefiniteError",
+    "InsufficientDataError",
+    "SelfCheckError",
+]
+
 
 class GgchainError(Exception):
     """Base class for every error raised by this package."""

@@ -51,6 +51,17 @@ def check_tau(tau: float, *, positive: bool = False) -> float:
     return tau
 
 
+def as_index(value, name: str) -> int:
+    """Validate an integer argument and return it as a plain ``int``.
+
+    Accepts Python and numpy integers; rejects ``bool`` and everything else,
+    including integral floats.  Range checks are left to the caller.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def sqrt_one_minus_4tau2(tau: float) -> float:
     """sqrt(1 - 4 tau^2), evaluated as sqrt((1-2t)(1+2t)) to avoid cancellation near 1/2."""
     return math.sqrt((1.0 - 2.0 * tau) * (1.0 + 2.0 * tau))
@@ -77,8 +88,7 @@ class GraphSpec:
     n: int
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or isinstance(self.n, bool):
-            raise DomainError(f"graph size must be an integer, got {self.n!r}")
+        object.__setattr__(self, "n", as_index(self.n, "graph size"))
         if self.n < 1:
             raise DomainError(f"graph size must be positive, got {self.n}")
         if self.kind is GraphKind.CYCLE and self.n < 3:
@@ -193,8 +203,9 @@ class SymTridiagonal:
     n: int
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
-            raise DomainError(f"matrix size must be a positive integer, got {self.n!r}")
+        object.__setattr__(self, "n", as_index(self.n, "matrix size"))
+        if self.n < 1:
+            raise DomainError(f"matrix size must be positive, got {self.n}")
 
     def dense(self) -> np.ndarray:
         out = np.zeros((self.n, self.n))

@@ -26,7 +26,7 @@ from scipy.linalg import cho_factor, cho_solve, solve_triangular
 from scipy.special import ndtri
 
 from .errors import DomainError, NotPositiveDefiniteError
-from .model import GraphKind, GraphSpec, check_tau, precision_matrix
+from .model import GraphKind, GraphSpec, as_index, check_tau, precision_matrix
 
 __all__ = [
     "CorrelationResult",
@@ -82,9 +82,7 @@ def invert_tridiagonal(diag: float, off: float, n: int) -> np.ndarray:
     substitutes.  Raises :class:`NotPositiveDefiniteError` on the first
     nonpositive pivot.  The result is symmetrised before returning.
     """
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise DomainError(f"size must be an integer, got {n!r}")
-    n = int(n)
+    n = as_index(n, "size")
     if n < 1:
         raise DomainError(f"size must be >= 1, got {n}")
     diag = float(diag)
@@ -162,14 +160,10 @@ def sample(graph: GraphSpec, tau: float, count: int, seed: int) -> SampleBatch:
     fixed as well.
     """
     tau = check_tau(tau)
-    if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
-        raise DomainError(f"count must be an integer, got {count!r}")
-    count = int(count)
+    count = as_index(count, "count")
     if count < 2:
         raise DomainError(f"count must be >= 2, got {count}")
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
-        raise DomainError(f"seed must be an integer, got {seed!r}")
-    seed = int(seed)
+    seed = as_index(seed, "seed")
     if not 0 <= seed < 2**64:
         raise DomainError(f"seed must fit in 64 bits, got {seed}")
 

@@ -94,7 +94,7 @@ def test_criterion_03_strict_bounds_centered():
 
 def test_criterion_04_absolute_error_order():
     """log|error| vs n is linear with slope -2 rate (tau 0.45, pair (0,1))."""
-    sweep = gg.sweep_centered(0, 1, 0.45, 5, 40)
+    sweep = gg.sweep(gg.GraphKind.CENTERED_CHAIN, 0, 1, 0.45, 5, 40)
     fit = gg.fit_abs_error_rate(sweep)
     assert fit.relative_slope_error <= SLOPE_TOL
     assert fit.r_squared >= R2_MIN

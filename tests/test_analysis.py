@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+import ggchain as gg
 from ggchain import (
     DomainError,
     GraphKind,
@@ -14,15 +15,13 @@ from ggchain import (
     rel_error_coefficient_centered,
     rel_error_coefficient_open,
     riemann_gap,
-    sweep_centered,
-    sweep_open,
 )
 from ggchain.analysis import ConvergenceSweep
 
 
 class TestSweepCentered:
     def test_diagonal_pair_is_exactly_zero(self):
-        sweep = sweep_centered(2, 2, 0.45, 5, 15)
+        sweep = gg.sweep(GraphKind.CENTERED_CHAIN, 2, 2, 0.45, 5, 15)
         for record in sweep:
             assert record.abs_err == 0.0
             assert record.rel_err == 0.0
@@ -33,7 +32,7 @@ class TestSweepCentered:
     def test_error_signs(self, pair, tau):
         """Finite values sit strictly below the limit at every size."""
         i, j = pair
-        for record in sweep_centered(i, j, tau, max(abs(i), abs(j)) + 1, 40):
+        for record in gg.sweep(GraphKind.CENTERED_CHAIN, i, j, tau, max(abs(i), abs(j)) + 1, 40):
             assert record.abs_err < 0.0
             assert record.rel_err < 0.0
             assert record.scaled_rel < 0.0
@@ -41,14 +40,14 @@ class TestSweepCentered:
     def test_monotone_convergence(self):
         """|abs_err| strictly decreases over the tested size range."""
         for tau in (0.25, 0.45):
-            errs = [abs(r.abs_err) for r in sweep_centered(0, 1, tau, 2, 60)]
+            errs = [abs(r.abs_err) for r in gg.sweep(GraphKind.CENTERED_CHAIN, 0, 1, tau, 2, 60)]
             assert all(a > b for a, b in zip(errs, errs[1:]))
 
     def test_scaled_rel_converges_to_coefficient(self):
         """The scaled relative error approaches the closed-form coefficient."""
         tau = 0.45
         coeff = rel_error_coefficient_centered(0, 1, tau)
-        sweep = sweep_centered(0, 1, tau, 5, 30)
+        sweep = gg.sweep(GraphKind.CENTERED_CHAIN, 0, 1, tau, 5, 30)
         assert sweep.records[-1].scaled_rel == pytest.approx(coeff, rel=1e-2)
 
     def test_scaled_rel_cauchy_like(self):
@@ -56,46 +55,46 @@ class TestSweepCentered:
         tau = 0.45
         for i, j in [(0, 1), (1, 3), (-2, 2)]:
             coeff = rel_error_coefficient_centered(i, j, tau)
-            sweep = sweep_centered(i, j, tau, max(abs(i), abs(j)) + 1, 32)
+            sweep = gg.sweep(GraphKind.CENTERED_CHAIN, i, j, tau, max(abs(i), abs(j)) + 1, 32)
             by_n = {r.n: r.scaled_rel for r in sweep}
             for n in (8, 12, 16):
                 assert abs(by_n[2 * n] - coeff) < abs(by_n[n] - coeff)
 
     def test_window_validation(self):
         with pytest.raises(DomainError):
-            sweep_centered(0, 3, 0.4, 3, 10)
+            gg.sweep(GraphKind.CENTERED_CHAIN, 0, 3, 0.4, 3, 10)
         with pytest.raises(DomainError):
-            sweep_centered(0, 1, 0.4, 5, 4)
+            gg.sweep(GraphKind.CENTERED_CHAIN, 0, 1, 0.4, 5, 4)
 
     def test_record_fields_consistent(self):
-        for record in sweep_centered(0, 2, 0.4, 4, 12):
+        for record in gg.sweep(GraphKind.CENTERED_CHAIN, 0, 2, 0.4, 4, 12):
             assert record.abs_err == pytest.approx(record.exact - record.limit, abs=1e-15)
 
 
 class TestSweepOpen:
     def test_scaled_rel_reaches_minus_six(self):
         """(1,2) at tau = 0.4 has leading coefficient -6."""
-        sweep = sweep_open(1, 2, 0.4, 3, 20)
+        sweep = gg.sweep(GraphKind.OPEN_CHAIN, 1, 2, 0.4, 3, 20)
         assert sweep.records[-1].scaled_rel == pytest.approx(-6.0, rel=1e-3)
 
     def test_values_below_limit(self):
-        for record in sweep_open(1, 2, 0.4, 3, 40):
+        for record in gg.sweep(GraphKind.OPEN_CHAIN, 1, 2, 0.4, 3, 40):
             assert record.exact <= record.limit
             assert record.rel_err < 0.0
 
     def test_diagonal_zeros(self):
-        for record in sweep_open(3, 3, 0.4, 4, 10):
+        for record in gg.sweep(GraphKind.OPEN_CHAIN, 3, 3, 0.4, 4, 10):
             assert record.abs_err == 0.0 and record.rel_err == 0.0
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            sweep_open(0, 1, 0.4, 5, 10)
+            gg.sweep(GraphKind.OPEN_CHAIN, 0, 1, 0.4, 5, 10)
 
 
 class TestFitAbsErrorRate:
     def test_recovers_decay_rate(self):
         """Slope of log|abs_err| vs n lands within 2% of -2 rate, r^2 high."""
-        sweep = sweep_centered(0, 1, 0.45, 5, 40)
+        sweep = gg.sweep(GraphKind.CENTERED_CHAIN, 0, 1, 0.45, 5, 40)
         fit = fit_abs_error_rate(sweep)
         assert fit.expected_slope == pytest.approx(-2.0 * decay_params(0.45).rate, rel=1e-15)
         assert fit.relative_slope_error <= 0.02
@@ -103,22 +102,22 @@ class TestFitAbsErrorRate:
         assert fit.n_points >= 5
 
     def test_open_chain_fit(self):
-        fit = fit_abs_error_rate(sweep_open(1, 2, 0.4, 3, 30))
+        fit = fit_abs_error_rate(gg.sweep(GraphKind.OPEN_CHAIN, 1, 2, 0.4, 3, 30))
         assert fit.relative_slope_error <= 0.02
         assert fit.r_squared >= 0.999
 
     def test_diagonal_insufficient(self):
         with pytest.raises(InsufficientDataError):
-            fit_abs_error_rate(sweep_centered(1, 1, 0.45, 5, 40))
+            fit_abs_error_rate(gg.sweep(GraphKind.CENTERED_CHAIN, 1, 1, 0.45, 5, 40))
 
     def test_fast_decay_insufficient(self):
         """At tau = 0.05 nearly every error sits under the noise floor."""
         with pytest.raises(InsufficientDataError):
-            fit_abs_error_rate(sweep_centered(0, 1, 0.05, 5, 40))
+            fit_abs_error_rate(gg.sweep(GraphKind.CENTERED_CHAIN, 0, 1, 0.05, 5, 40))
 
     def test_cycle_data_rejected(self):
         """No error law exists for the cycle; fitting one is a contract breach."""
-        donor = sweep_centered(0, 1, 0.45, 5, 40)
+        donor = gg.sweep(GraphKind.CENTERED_CHAIN, 0, 1, 0.45, 5, 40)
         fake = ConvergenceSweep(
             kind=GraphKind.CYCLE, i=0, j=1, tau=0.45, rate=donor.rate, records=donor.records
         )

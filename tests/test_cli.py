@@ -206,6 +206,20 @@ class TestCirculant:
         code, _, _ = run_cli(capsys, "circulant", "--n", "2", "--tau", "0.4")
         assert code == 2
 
+    @pytest.mark.parametrize("k", ["20000", "-1"])
+    def test_lag_checked_before_sequence(self, capsys, monkeypatch, k):
+        """An out-of-range --k fails before the O(n^2) sequence is computed."""
+        import ggchain.cli as cli_mod
+
+        def not_called(n, tau):
+            raise AssertionError("cycle_correlation_sequence ran before --k was checked")
+
+        monkeypatch.setattr(cli_mod, "cycle_correlation_sequence", not_called)
+        code, out, err = run_cli(capsys, "circulant", "--n", "20000", "--tau", "0.4", "--k", k)
+        assert code == 2
+        assert out == ""
+        assert err == f"ggchain: domain error: lag must lie in 0..19999, got {k}\n"
+
 
 class TestSample:
     def test_accepts_and_reports(self, capsys):
@@ -272,6 +286,15 @@ class TestJsonEnvelopes:
         doc = json.loads(out)
         assert len(doc["payload"]) == 8
         assert doc["payload"][0]["correlation"] == 1.0
+
+
+    def test_non_finite_value_rejected(self, capsys):
+        """A subnormal tau overflows the rate to inf, which JSON cannot carry."""
+        code, out, err = run_cli(capsys, "decay", "--tau", "1e-320", "--format", "json")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("ggchain: domain error: non-finite value in JSON output")
+        assert "Traceback" not in err
 
 
 class TestEntryPoint:

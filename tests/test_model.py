@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import ggchain as gg
 from ggchain import (
     DomainError,
     GffParams,
@@ -22,6 +23,38 @@ from ggchain import (
 )
 
 TAU_GRID = np.arange(0.01, 0.50, 0.005)
+
+OPEN5 = GraphSpec(GraphKind.OPEN_CHAIN, 5)
+
+# every integer argument of the package, as a function of a value for which
+# 5 is in range
+INTEGER_ARGUMENTS = {
+    "as_index": lambda v: gg.model.as_index(v, "n"),
+    "GraphSpec.n": lambda v: GraphSpec(GraphKind.OPEN_CHAIN, v),
+    "SymTridiagonal.n": lambda v: SymTridiagonal(1.0, -0.4, v),
+    "open_chain_correlation_matrix.n": lambda v: gg.open_chain_correlation_matrix(v, 0.4),
+    "precision_eigenvalues.n": lambda v: gg.precision_eigenvalues(v, 0.4),
+    "cycle_inverse_sum.k": lambda v: gg.cycle_inverse_sum(8, v, 0.4),
+    "limit_integral.k": lambda v: gg.limit_integral(v, 0.4),
+    "cycle_correlation_limit.k": lambda v: gg.cycle_correlation_limit(v, 0.4),
+    "invert_tridiagonal.n": lambda v: gg.invert_tridiagonal(1.0, -0.4, v),
+    "sample.count": lambda v: gg.sample(OPEN5, 0.4, v, 1),
+    "sample.seed": lambda v: gg.sample(OPEN5, 0.4, 100, v),
+    "sweep.n_min": lambda v: gg.sweep(GraphKind.OPEN_CHAIN, 1, 2, 0.4, v, 20),
+    "sweep.n_max": lambda v: gg.sweep(GraphKind.OPEN_CHAIN, 1, 2, 0.4, 3, v),
+}
+
+
+@pytest.mark.parametrize("value", [np.int64(5), True, 5.0], ids=["int64", "bool", "float"])
+@pytest.mark.parametrize("entry", INTEGER_ARGUMENTS)
+def test_integer_arguments_agree(entry, value):
+    """numpy integers are accepted everywhere; bool and integral floats nowhere."""
+    call = INTEGER_ARGUMENTS[entry]
+    if isinstance(value, np.integer):
+        call(value)
+    else:
+        with pytest.raises(DomainError):
+            call(value)
 
 
 class TestDecayParams:
