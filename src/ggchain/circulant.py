@@ -1,37 +1,39 @@
-"""Spectral inversion of the cycle model and its large-n limit.
+"""Cycle model: method-of-images kernel, spectral inversion as its oracle.
 
-The cycle precision matrix is circulant, so the Fourier basis diagonalises it
-with eigenvalues ``mu_k = 1 - 2 tau cos(2 pi k / n)``, all positive for
-``tau < 1/2``.  Its inverse is circulant as well; ``n`` times the inverse has
-first row
+The cycle precision matrix is circulant, and so is its inverse.  The kernel,
+:func:`cycle_correlation_sequence`, wraps the infinite-chain covariance
+``base**|k| / s`` (``s = sqrt(1 - 4 tau^2)``, ``base`` the per-step decay
+factor) around the ring; summing the images ``k + m n`` gives in O(n) work
 
-    q_k = sum_j cos(2 pi j k / n) / mu_j,
+    cov_k = (base**k + base**(n-k)) / ((1 - base**n) s),
 
-the real part of the complex exponential sum (the sine part vanishes by the
-j <-> n-j symmetry of the eigenvalues and is exposed separately so that the
-cancellation can be checked numerically).  Covariances are ``q_k / n`` and
-correlations ``q_k / q_0``.
+so correlations ``(base**k + base**(n-k)) / (1 + base**n)`` tend to
+``base**k`` from above as n grows.
 
-Scaling the sum by the grid step turns it into a left Riemann sum of
-``1 / (1 - 2 tau cos x)`` weighted by ``exp(-i k x)`` over one period; the
-limiting integral evaluates by residues to ``2 pi base**k / sqrt(1 - 4 tau^2)``
-with ``base`` the per-step decay factor, so correlations tend to ``base**k``.
+The independent oracle is spectral.  The Fourier basis diagonalises the
+precision matrix with eigenvalues ``mu_k = 1 - 2 tau cos(2 pi k / n)``, all
+positive for ``tau < 1/2``, and ``n`` times the inverse has first row
+``q_k = sum_j cos(2 pi j k / n) / mu_j``, the real part of the complex
+exponential sum (the sine part vanishes by the j <-> n-j symmetry of the
+eigenvalues and is exposed separately so that the cancellation can be
+checked numerically).  Scaling the sum by the grid step turns it into a left
+Riemann sum of ``1 / (1 - 2 tau cos x)`` weighted by ``exp(-i k x)`` over one
+period; the limiting integral evaluates by residues to ``2 pi base**k / s``.
 
-Implementation notes.  Angles are reduced modulo n in integer arithmetic and
-looked up in tables built on half the grid and mirrored, which makes the
-tables exactly symmetric (cosine) and antisymmetric (sine); eigenvalues and
-correlation vectors then inherit their symmetries bit-exactly.  Sums run
-through numpy's pairwise reduction.  Each lag is summed independently, so a
-caller may split lags across workers without changing any result.
+Angles are reduced modulo n in integer arithmetic and looked up in tables
+built on half the grid and mirrored, which makes the tables exactly symmetric
+(cosine) and antisymmetric (sine); eigenvalues inherit their symmetries
+bit-exactly.  Sums run through numpy's pairwise reduction.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
-from .model import as_index, check_tau, decay_base, sqrt_one_minus_4tau2
+from .model import as_index, check_tau, decay_base, decay_params, sqrt_one_minus_4tau2
 
 __all__ = [
     "CycleCorrelation",
@@ -61,11 +63,14 @@ def _check_lag(n: int, k) -> int:
     return k
 
 
+@functools.lru_cache(maxsize=1)
 def _angle_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     """cos and sin of 2 pi r / n for r = 0..n-1, mirrored from the half grid.
 
     Mirroring forces c[n-r] == c[r] and s[n-r] == -s[r] bit-exactly (and
     s[n/2] == 0 for even n), which downstream symmetry arguments rely on.
+    Cached for the last n (:func:`riemann_sum` walks every lag of one grid),
+    so the shared arrays are read-only.
     """
     half = n // 2
     r = np.arange(half + 1)
@@ -80,6 +85,8 @@ def _angle_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     tail = np.arange(half + 1, n)
     c[half + 1 :] = cos_half[n - tail]
     s[half + 1 :] = -sin_half[n - tail]
+    c.setflags(write=False)
+    s.setflags(write=False)
     return c, s
 
 
@@ -130,10 +137,10 @@ def cycle_inverse_sum_imag(n, k, tau: float) -> float:
 class CycleCorrelation:
     """Full lag-indexed description of the cycle model of size n.
 
-    ``inverse_sums`` holds q_k (n times the covariances), ``covariances``
-    q_k / n and ``correlations`` q_k / q_0.  Lags k and n-k coincide
-    bit-exactly; correlations start at exactly 1 and stay in (0, 1) for
-    nonzero lag when tau > 0.
+    ``inverse_sums`` holds n times the ``covariances`` (the first row of the
+    inverse precision matrix), ``correlations`` that row over its lag-0 entry.
+    Lags k and n-k coincide bit-exactly; correlations start at exactly 1 and
+    stay in (0, 1) for nonzero lag when tau > 0, until they underflow.
     """
 
     n: int
@@ -146,31 +153,22 @@ class CycleCorrelation:
 def cycle_correlation_sequence(n, tau: float) -> CycleCorrelation:
     """Covariance and correlation vectors of the cycle model at every lag.
 
-    Lags up to n//2 are summed directly; the upper half is mirrored, which is
-    exact by the lag symmetry of the sums.  Work is O(n^2) overall but chunked
-    so that intermediate index tables stay small.
+    Images form: the numerator ``base**k + base**(n-k)`` is symmetric in
+    k <-> n-k and a sum of positive powers, so lags mirror bit-exactly and no
+    entry cancels to zero.  ``1 - base**n`` is ``-expm1(-n rate)``, which
+    keeps full relative precision as tau approaches 1/2.  At tau = 0 the nodes are
+    independent and the exact unit vector is returned.
     """
     n = _check_size(n)
     tau = check_tau(tau)
-    c, _ = _angle_tables(n)
-    weights = 1.0 / (1.0 - 2.0 * tau * c)
-    half = n // 2
-    q = np.empty(n)
-    j = np.arange(n, dtype=np.int64)
-    chunk = max(1, (1 << 22) // n)
-    for start in range(0, half + 1, chunk):
-        ks = np.arange(start, min(start + chunk, half + 1), dtype=np.int64)
-        idx = (ks[:, None] * j[None, :]) % n
-        q[start : start + ks.size] = (c[idx] * weights).sum(axis=1)
-    tail = np.arange(half + 1, n)
-    q[half + 1 :] = q[n - tail]
-    return CycleCorrelation(
-        n=n,
-        tau=tau,
-        inverse_sums=q,
-        covariances=q / n,
-        correlations=q / q[0],
-    )
+    if tau == 0.0:
+        cov = np.eye(1, n)[0]
+        return CycleCorrelation(n=n, tau=tau, inverse_sums=n * cov, covariances=cov, correlations=cov.copy())
+    p = decay_params(tau)
+    k = np.arange(n)
+    num = p.base**k + p.base ** (n - k)
+    cov = num / (-math.expm1(-n * p.rate) * sqrt_one_minus_4tau2(tau))
+    return CycleCorrelation(n=n, tau=tau, inverse_sums=n * cov, covariances=cov, correlations=num / num[0])
 
 
 def riemann_sum(n, k, tau: float) -> float:

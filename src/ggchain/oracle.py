@@ -14,7 +14,8 @@ from a counter-based generator (Philox) through the inverse normal CDF, one
 uniform per variate, so the variate used for draw d, coordinate c is the
 stream word ``d * dim + c``.  The mapping is part of the output contract:
 identical seeds give bit-identical batches, and any parallel generation
-scheme must reproduce the same word addressing.
+scheme must reproduce the same word addressing.  scipy is imported at call
+time by its only two users, so importing ggchain does not load it.
 """
 
 import math
@@ -22,8 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Generator, Philox
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
-from scipy.special import ndtri
 
 from .errors import DomainError, NotPositiveDefiniteError
 from .model import GraphKind, GraphSpec, as_index, check_tau, precision_matrix
@@ -107,6 +106,7 @@ def invert_tridiagonal(diag: float, off: float, n: int) -> np.ndarray:
 
 def invert_dense_spd(matrix: np.ndarray) -> np.ndarray:
     """Inverse of a dense symmetric positive definite matrix via Cholesky."""
+    from scipy.linalg import cho_factor, cho_solve
     a = np.array(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DomainError(f"matrix must be square, got shape {a.shape}")
@@ -159,6 +159,8 @@ def sample(graph: GraphSpec, tau: float, count: int, seed: int) -> SampleBatch:
     accumulated with numpy's pairwise reductions, so the reduction order is
     fixed as well.
     """
+    from scipy.linalg import solve_triangular
+    from scipy.special import ndtri
     tau = check_tau(tau)
     count = as_index(count, "count")
     if count < 2:

@@ -1,7 +1,11 @@
-"""Cycle spectral inversion against hand values and dense inversion."""
+"""Cycle kernel and spectral oracle against hand values, mpmath and dense inversion."""
 
+import functools
 import math
+import sys
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -20,8 +24,24 @@ from ggchain import (
     precision_matrix,
     riemann_sum,
 )
+from ggchain.circulant import _angle_tables
 
 TAU_GRID = (0.05, 0.25, 0.45, 0.49)
+
+
+@functools.lru_cache(maxsize=None)
+def images_reference(n: int, tau: float) -> tuple[list, list]:
+    """Correlations and covariances at every lag in 60-digit arithmetic.
+
+    ``tau`` enters as its exact binary value, so the only error left in a
+    comparison is the kernel's own.
+    """
+    with mpmath.workdps(60):
+        t = mpmath.mpf(tau)
+        s = mpmath.sqrt(1 - 4 * t * t)
+        b = 2 * t / (1 + s)
+        num = [b**k + b ** (n - k) for k in range(n)]
+        return [x / (1 + b**n) for x in num], [x / ((1 - b**n) * s) for x in num]
 
 
 def dense_cycle_correlation(n: int, tau: float) -> np.ndarray:
@@ -113,8 +133,10 @@ class TestCorrelationSequence:
         assert seq.covariances[0] == pytest.approx(15.0 / 7.0, rel=1e-13)
 
     def test_tau_zero(self):
+        """Independent nodes: exactly the unit vector, with unit variance."""
         seq = cycle_correlation_sequence(5, 0.0)
-        np.testing.assert_allclose(seq.correlations, [1, 0, 0, 0, 0], atol=1e-13)
+        np.testing.assert_array_equal(seq.correlations, [1, 0, 0, 0, 0])
+        np.testing.assert_array_equal(seq.covariances, [1, 0, 0, 0, 0])
 
     def test_unit_lag_zero(self):
         assert cycle_correlation_sequence(9, 0.44).correlations[0] == 1.0
@@ -136,6 +158,46 @@ class TestCorrelationSequence:
             assert seq.correlations[k] == seq.correlations[n - k]
             assert 0.0 < seq.correlations[k] < 1.0
 
+    @pytest.mark.parametrize("n", [4, 5, 64, 101, 200, 1000])
+    @pytest.mark.parametrize("tau", (0.05, 0.25, 0.4, 0.45, 0.49))
+    def test_mirror_exact_and_in_unit_interval(self, n, tau):
+        """Mirror symmetry is exact; every entry whose true value is a normal
+        double lies in (0, 1), and the rest (true value < 2.2e-308) in [0, 1).
+        Regression: the spectral sum returned exactly 0.0 at 2 lags of (200, 0.4)."""
+        corr = cycle_correlation_sequence(n, tau).correlations
+        np.testing.assert_array_equal(corr[1:], corr[1:][::-1])
+        normal = np.array([x >= sys.float_info.min for x in images_reference(n, tau)[0]])
+        assert np.all(corr[1:][normal[1:]] > 0.0)
+        assert np.all(corr[1:] >= 0.0)
+        assert np.all(corr[1:] < 1.0)
+
+    def test_smallest_entry_far_tail(self):
+        """Regression: at (1000, 0.25) the smallest entry is 2 b**500 / (1 + b**1000)
+        (about 2.1e-286); the spectral sum returned rounding noise, 2.4e-18."""
+        corr = cycle_correlation_sequence(1000, 0.25).correlations
+        assert corr.argmin() == 500
+        assert corr.min() == pytest.approx(float(images_reference(1000, 0.25)[0][500]), rel=1e-12)
+
+    @pytest.mark.parametrize("n", [3, 4, 7, 64, 200, 1000])
+    @pytest.mark.parametrize("tau", (0.05, 0.25, 0.4, 0.45, 0.49, 0.5 - 2.0**-40))
+    def test_against_mpmath(self, n, tau):
+        """Correlations and covariances within 1e-12 relative of the 60-digit
+        images form wherever the true value is >= 1e-300."""
+        seq = cycle_correlation_sequence(n, tau)
+        for got, want in zip((seq.correlations, seq.covariances), images_reference(n, tau)):
+            for k in range(n):
+                if want[k] >= 1e-300:
+                    assert abs(got[k] / want[k] - 1) <= 1e-12, (k, got[k], want[k])
+
+    @pytest.mark.parametrize("n", [5, 8])
+    def test_exact_at_dyadic_base(self, n):
+        """At tau = 0.4 the base is exactly 1/2, and every correlation is the
+        correctly rounded value of the rational images form."""
+        assert decay_base(0.4) == 0.5
+        b = Fraction(1, 2)
+        expected = [float((b**k + b ** (n - k)) / (1 + b**n)) for k in range(n)]
+        assert cycle_correlation_sequence(n, 0.4).correlations.tolist() == expected
+
     def test_matches_scalar_sums(self):
         seq = cycle_correlation_sequence(11, 0.3)
         for k in range(11):
@@ -150,6 +212,14 @@ class TestCorrelationSequence:
             cov = SymCirculant(tuple(seq.covariances)).dense()
             residual = np.max(np.abs(prec @ cov - np.eye(n)))
             assert residual <= 1e-10
+
+
+class TestAngleTables:
+    def test_read_only(self):
+        """The cached tables are shared by every caller, so writes must fail."""
+        for table in _angle_tables(12):
+            with pytest.raises(ValueError):
+                table[0] = 0.0
 
 
 class TestRiemannSum:
@@ -213,6 +283,21 @@ class TestCycleLimit:
         nearer = cycle_correlation_sequence(128, tau).correlations
         for k in range(1, 6):
             assert abs(nearer[k] - lim[k]) < abs(near[k] - lim[k])
+
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_error_law(self, n):
+        """corr_n(k) / b**k - 1 = (b**(n-2k) - b**n) / (1 + b**n) > 0: the cycle
+        approaches its limit from above.  Held to 1e-9 relative, or to 4 ulps of
+        1 where the law sits below double resolution (n = 128: about 3e-12)."""
+        tau = 0.49
+        b = decay_base(tau)
+        corr = cycle_correlation_sequence(n, tau).correlations
+        for k in range(1, 6):
+            law = (b ** (n - 2 * k) - b**n) / (1 + b**n)
+            measured = corr[k] / cycle_correlation_limit(k, tau) - 1
+            assert law > 0.0
+            assert measured > 0.0
+            assert abs(measured - law) <= max(1e-9 * law, 4 * sys.float_info.epsilon)
 
     def test_domain(self):
         with pytest.raises(DomainError):

@@ -1,4 +1,8 @@
-"""Public surface: the names ``ggchain`` exports and where each is defined."""
+"""Public surface: the names ``ggchain`` exports, where each is defined, what importing loads."""
+
+import subprocess
+import sys
+import textwrap
 
 import ggchain as gg
 from ggchain import analysis, chains, circulant, errors, model, oracle
@@ -46,3 +50,32 @@ def test_names_are_the_defining_objects():
     for module in modules:
         for name in module.__all__:
             assert getattr(gg, name) is getattr(module, name), name
+
+
+SCIPY_FREE_COMMANDS = [
+    ["decay", "--tau", "0.4"],
+    ["converge", "--graph", "centered", "--i", "0", "--j", "1", "--tau", "0.45",
+     "--n-min", "5", "--n-max", "40"],
+    ["circulant", "--n", "16", "--tau", "0.3", "--riemann"],
+    ["circulant", "--n", "8", "--tau", "0.4", "--k", "3"],
+    ["corr", "--graph", "open", "--n", "4", "--tau", "0.4", "--method", "both"],
+    ["corr", "--graph", "cycle", "--n", "5", "--tau", "0.4", "--method", "closed"],
+]
+
+
+def test_scipy_stays_off_the_import_path():
+    """Importing ggchain and running commands that neither sample nor invert a
+    dense matrix loads no scipy module (scipy is imported at call time)."""
+    script = textwrap.dedent(
+        f"""
+        import contextlib, io, sys
+        import ggchain, ggchain.cli
+        for argv in {SCIPY_FREE_COMMANDS!r}:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                assert ggchain.cli.main(argv) == 0, argv
+        print(sorted(name for name in sys.modules if name.partition(".")[0] == "scipy"))
+        """
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
