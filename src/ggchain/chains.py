@@ -30,7 +30,6 @@ the point where the plain values collide at double precision.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +37,6 @@ from .errors import DomainError
 from .model import DecayParams, as_index, check_tau, decay_params, sqrt_one_minus_4tau2
 
 __all__ = [
-    "AsymptoticCoefficients",
     "open_chain_covariance",
     "open_chain_correlation",
     "open_chain_correlation_limit",
@@ -51,8 +49,6 @@ __all__ = [
     "centered_chain_correlation_matrix",
     "rel_error_coefficient_open",
     "rel_error_coefficient_centered",
-    "asymptotic_coefficients_open",
-    "asymptotic_coefficients_centered",
 ]
 
 _LN2 = math.log(2.0)
@@ -223,19 +219,6 @@ def centered_chain_relative_error(n, i, j, tau: float) -> float:
     return math.expm1(0.5 * gap)
 
 
-@dataclass(frozen=True)
-class AsymptoticCoefficients:
-    """Leading behaviour of the finite-size error at a fixed index pair.
-
-    ``abs_order`` is the decay rate 2 (n+1) rate of the error magnitude;
-    ``rel_coeff`` multiplies exp(-2 (n+1) rate) in the relative error and is
-    <= 0 whenever the indices differ.
-    """
-
-    abs_order: float
-    rel_coeff: float
-
-
 def rel_error_coefficient_centered(i, j, tau: float) -> float:
     """Leading coefficient c of the centered-chain relative error.
 
@@ -269,22 +252,6 @@ def rel_error_coefficient_open(i, j, tau: float) -> float:
     if 2.0 * hi * p.rate > _EXP_GUARD:
         raise OverflowError(f"exp argument 2*{hi}*{p.rate:.6g} exceeds {_EXP_GUARD}")
     return -0.5 * (math.exp(2.0 * hi * p.rate) - math.exp(2.0 * lo * p.rate))
-
-
-def asymptotic_coefficients_centered(i, j, tau: float) -> AsymptoticCoefficients:
-    """Error-law bundle for a centered-chain pair: per-n rate and coefficient."""
-    p = decay_params(tau)
-    return AsymptoticCoefficients(
-        abs_order=2.0 * p.rate, rel_coeff=rel_error_coefficient_centered(i, j, tau)
-    )
-
-
-def asymptotic_coefficients_open(i, j, tau: float) -> AsymptoticCoefficients:
-    """Error-law bundle for an open-chain pair: per-n rate and coefficient."""
-    p = decay_params(tau)
-    return AsymptoticCoefficients(
-        abs_order=2.0 * p.rate, rel_coeff=rel_error_coefficient_open(i, j, tau)
-    )
 
 
 def open_chain_correlation_matrix(n, tau: float) -> np.ndarray:

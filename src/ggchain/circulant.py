@@ -8,7 +8,9 @@ factor) around the ring; summing the images ``k + m n`` gives in O(n) work
     cov_k = (base**k + base**(n-k)) / ((1 - base**n) s),
 
 so correlations ``(base**k + base**(n-k)) / (1 + base**n)`` tend to
-``base**k`` from above as n grows.
+``base**k`` from above as n grows.  The powers are the same doubles that
+:func:`cycle_correlation_limit` returns, so the finite-size gap is never
+negative by more than the rounding of that quotient.
 
 The independent oracle is spectral.  The Fourier basis diagonalises the
 precision matrix with eigenvalues ``mu_k = 1 - 2 tau cos(2 pi k / n)``, all
@@ -19,6 +21,8 @@ eigenvalues and is exposed separately so that the cancellation can be
 checked numerically).  Scaling the sum by the grid step turns it into a left
 Riemann sum of ``1 / (1 - 2 tau cos x)`` weighted by ``exp(-i k x)`` over one
 period; the limiting integral evaluates by residues to ``2 pi base**k / s``.
+The n-point sum equals ``2 pi cov_k`` exactly, so the kernel gives it in O(1)
+per lag; :func:`riemann_sum` evaluates it spectrally and is its oracle.
 
 Angles are reduced modulo n in integer arithmetic and looked up in tables
 built on half the grid and mirrored, which makes the tables exactly symmetric
@@ -26,7 +30,6 @@ built on half the grid and mirrored, which makes the tables exactly symmetric
 bit-exactly.  Sums run through numpy's pairwise reduction.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -37,6 +40,7 @@ from .model import as_index, check_tau, decay_base, decay_params, sqrt_one_minus
 
 __all__ = [
     "CycleCorrelation",
+    "circulant_matrix",
     "precision_eigenvalues",
     "cycle_inverse_sum",
     "cycle_inverse_sum_imag",
@@ -63,14 +67,29 @@ def _check_lag(n: int, k) -> int:
     return k
 
 
-@functools.lru_cache(maxsize=1)
+def circulant_matrix(first_row) -> np.ndarray:
+    """Dense symmetric circulant matrix: entry (i, j) is ``first_row[(j - i) % n]``.
+
+    The row must be mirror symmetric (entry k equals entry n-k), which is what
+    makes the matrix symmetric.
+    """
+    row = np.asarray(first_row, dtype=float)
+    if row.ndim != 1 or row.size < 1:
+        raise DomainError("circulant first row must be a non-empty vector")
+    n = row.size
+    asymmetric = np.flatnonzero(row[1:] != row[:0:-1])
+    if asymmetric.size:
+        k = int(asymmetric[0]) + 1
+        raise DomainError(f"first row is not symmetric: entry {k} != entry {n - k}")
+    shift = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
+    return row[shift]
+
+
 def _angle_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     """cos and sin of 2 pi r / n for r = 0..n-1, mirrored from the half grid.
 
     Mirroring forces c[n-r] == c[r] and s[n-r] == -s[r] bit-exactly (and
     s[n/2] == 0 for even n), which downstream symmetry arguments rely on.
-    Cached for the last n (:func:`riemann_sum` walks every lag of one grid),
-    so the shared arrays are read-only.
     """
     half = n // 2
     r = np.arange(half + 1)
@@ -85,8 +104,6 @@ def _angle_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     tail = np.arange(half + 1, n)
     c[half + 1 :] = cos_half[n - tail]
     s[half + 1 :] = -sin_half[n - tail]
-    c.setflags(write=False)
-    s.setflags(write=False)
     return c, s
 
 
@@ -155,7 +172,9 @@ def cycle_correlation_sequence(n, tau: float) -> CycleCorrelation:
 
     Images form: the numerator ``base**k + base**(n-k)`` is symmetric in
     k <-> n-k and a sum of positive powers, so lags mirror bit-exactly and no
-    entry cancels to zero.  ``1 - base**n`` is ``-expm1(-n rate)``, which
+    entry cancels to zero.  The powers are scalar ``base**j``, bit-identical
+    to :func:`cycle_correlation_limit` (numpy's vectorised power may differ
+    from it in the last bit).  ``1 - base**n`` is ``-expm1(-n rate)``, which
     keeps full relative precision as tau approaches 1/2.  At tau = 0 the nodes are
     independent and the exact unit vector is returned.
     """
@@ -165,8 +184,8 @@ def cycle_correlation_sequence(n, tau: float) -> CycleCorrelation:
         cov = np.eye(1, n)[0]
         return CycleCorrelation(n=n, tau=tau, inverse_sums=n * cov, covariances=cov, correlations=cov.copy())
     p = decay_params(tau)
-    k = np.arange(n)
-    num = p.base**k + p.base ** (n - k)
+    powers = np.array([p.base**j for j in range(n + 1)])
+    num = powers[:n] + powers[n:0:-1]
     cov = num / (-math.expm1(-n * p.rate) * sqrt_one_minus_4tau2(tau))
     return CycleCorrelation(n=n, tau=tau, inverse_sums=n * cov, covariances=cov, correlations=num / num[0])
 
@@ -174,9 +193,10 @@ def cycle_correlation_sequence(n, tau: float) -> CycleCorrelation:
 def riemann_sum(n, k, tau: float) -> float:
     """Left Riemann sum of the lag-k spectral integrand on the n-point grid.
 
-    Equals 2 pi times the lag-k covariance; computed as 2 pi * (q_k / n) so
-    that tau = 0 gives exactly 2 pi at lag 0 for every n.  Converges to
-    :func:`limit_integral` as the grid refines.
+    Equals 2 pi times the lag-k covariance, which is how the ``circulant``
+    command computes it; this spectral evaluation, 2 pi * (q_k / n), is the
+    oracle for that identity.  tau = 0 gives exactly 2 pi at lag 0 for every
+    n.  Converges to :func:`limit_integral` as the grid refines.
     """
     return _TWO_PI * (cycle_inverse_sum(n, k, tau) / n)
 

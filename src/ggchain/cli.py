@@ -20,13 +20,12 @@ import numpy as np
 from . import __version__
 from .analysis import fit_abs_error_rate, sweep
 from .chains import centered_chain_correlation_matrix, open_chain_correlation_matrix
-from .circulant import _check_lag, cycle_correlation_sequence, limit_integral, riemann_sum
+from .circulant import _check_lag, circulant_matrix, cycle_correlation_sequence, limit_integral
 from .errors import DomainError, InsufficientDataError, SelfCheckError
 from .model import (
     GffParams,
     GraphKind,
     GraphSpec,
-    SymCirculant,
     decay_base,
     decay_params,
     gff_decay_rate,
@@ -121,7 +120,7 @@ def _closed_matrix(graph: GraphSpec, tau: float) -> np.ndarray:
     if graph.kind is GraphKind.CENTERED_CHAIN:
         return centered_chain_correlation_matrix(graph.n, tau)
     seq = cycle_correlation_sequence(graph.n, tau)
-    return SymCirculant(tuple(seq.correlations)).dense()
+    return circulant_matrix(seq.correlations)
 
 
 def cmd_corr(args) -> int:
@@ -198,11 +197,12 @@ def cmd_circulant(args) -> int:
     graph = _graph("cycle", args.n)
     lags = [_check_lag(graph.n, args.k)] if args.k is not None else range(graph.n)
     params = {"n": args.n, "tau": args.tau, "k": args.k, "riemann": args.riemann}
+    seq = cycle_correlation_sequence(graph.n, args.tau)
     if args.riemann:
+        # the n-point left Riemann sum of the spectral integrand is exactly 2 pi cov_k
         columns = ["k", "riemann_sum", "integral", "gap"]
-        pairs = [(riemann_sum(graph.n, k, args.tau), limit_integral(k, args.tau)) for k in lags]
+        pairs = [(2.0 * math.pi * float(seq.covariances[k]), limit_integral(k, args.tau)) for k in lags]
     else:
-        seq = cycle_correlation_sequence(graph.n, args.tau)
         base = decay_base(args.tau)
         columns = ["k", "correlation", "limit", "gap"]
         pairs = [(float(seq.correlations[k]), base**k) for k in lags]

@@ -1,4 +1,4 @@
-"""Model family: graphs, edge-weight domain, decay parameters, structured matrices.
+"""Model family: graphs, edge-weight domain, decay parameters, precision matrix.
 
 A model is a zero-mean Gaussian vector whose conditional-independence graph is
 a path or a cycle with a single edge weight ``tau`` (the partial correlation
@@ -8,7 +8,10 @@ identity (unit diagonal, ``-tau`` on the edges).  Diagonal dominance restricts
 the edge weight to ``0 <= tau < 1/2``.
 
 Edge weights are plain floats validated by :func:`check_tau`; operations that
-need a finite decay rate additionally require ``tau > 0``.
+need a finite decay rate additionally require ``tau > 0``.  The decay base is
+computed in one place, :func:`decay_params`, and every kernel and limit takes
+it from there, so a finite-size value and its limit never differ by the
+rounding of two formulas.  Matrices are plain dense ``ndarray``.
 """
 
 import enum
@@ -24,15 +27,12 @@ __all__ = [
     "GraphSpec",
     "DecayParams",
     "GffParams",
-    "SymTridiagonal",
-    "SymCirculant",
     "check_tau",
     "sqrt_one_minus_4tau2",
     "decay_params",
     "decay_base",
     "tau_from_gff",
     "gff_decay_rate",
-    "partial_correlation_matrix",
     "precision_matrix",
 ]
 
@@ -129,22 +129,25 @@ def decay_params(tau: float) -> DecayParams:
     The rate is arccosh(1/(2 tau)) evaluated in logarithmic form,
     log1p((s + (1 - 2 tau)) / (2 tau)) with s = sqrt(1 - 4 tau^2), which keeps
     full relative precision as tau approaches 1/2 where a generic arccosh of
-    1 + eps would lose digits.  The base is exp(-rate).
+    1 + eps would lose digits.  For subnormal tau that quotient overflows, and
+    the rate is log1p(s) - log(2 tau) instead (about 736.8 at tau = 1e-320).
+    The base is exp(-rate).
     """
     tau = check_tau(tau, positive=True)
     s = sqrt_one_minus_4tau2(tau)
-    rate = math.log1p((s + (1.0 - 2.0 * tau)) / (2.0 * tau))
+    ratio = (s + (1.0 - 2.0 * tau)) / (2.0 * tau)
+    rate = math.log1p(ratio) if ratio < math.inf else math.log1p(s) - math.log(2.0 * tau)
     return DecayParams(tau=tau, rate=rate, base=math.exp(-rate))
 
 
 def decay_base(tau: float) -> float:
-    """Per-step decay factor 2 tau / (1 + sqrt(1 - 4 tau^2)), defined on [0, 1/2).
+    """Per-step decay factor ``decay_params(tau).base``, defined on [0, 1/2).
 
     Unlike :func:`decay_params` this admits ``tau = 0`` (base 0), which is the
     form needed by cycle-limit computations.
     """
     tau = check_tau(tau)
-    return 2.0 * tau / (1.0 + sqrt_one_minus_4tau2(tau))
+    return decay_params(tau).base if tau > 0.0 else 0.0
 
 
 @dataclass(frozen=True)
@@ -194,74 +197,17 @@ def gff_decay_rate(mass: float) -> float:
     return math.log1p(mass * mass + mass * math.sqrt(2.0 + mass * mass))
 
 
-@dataclass(frozen=True)
-class SymTridiagonal:
-    """Symmetric tridiagonal matrix with constant diagonal and off-diagonal."""
+def precision_matrix(graph: GraphSpec, tau: float) -> np.ndarray:
+    """Dense precision matrix: unit diagonal, ``-tau`` on the graph's edges.
 
-    diag: float
-    off: float
-    n: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "n", as_index(self.n, "matrix size"))
-        if self.n < 1:
-            raise DomainError(f"matrix size must be positive, got {self.n}")
-
-    def dense(self) -> np.ndarray:
-        out = np.zeros((self.n, self.n))
-        np.fill_diagonal(out, self.diag)
-        idx = np.arange(self.n - 1)
-        out[idx, idx + 1] = self.off
-        out[idx + 1, idx] = self.off
-        return out
-
-
-@dataclass(frozen=True)
-class SymCirculant:
-    """Symmetric circulant matrix stored as its first row."""
-
-    first_row: tuple[float, ...]
-
-    def __post_init__(self):
-        n = len(self.first_row)
-        if n < 1:
-            raise DomainError("circulant first row must be non-empty")
-        for k in range(1, n):
-            if self.first_row[k] != self.first_row[n - k]:
-                raise DomainError(
-                    f"first row is not symmetric: entry {k} != entry {n - k}"
-                )
-
-    @property
-    def n(self) -> int:
-        return len(self.first_row)
-
-    def dense(self) -> np.ndarray:
-        row = np.asarray(self.first_row)
-        n = row.size
-        shift = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
-        return row[shift]
-
-
-def partial_correlation_matrix(graph: GraphSpec, tau: float) -> SymTridiagonal | SymCirculant:
-    """Partial correlation matrix of the model: unit diagonal, ``tau`` on edges."""
+    It is 2 I minus the partial correlation matrix.  The cycle adds the edge
+    between its first and last node to the path.
+    """
     tau = check_tau(tau)
+    n = graph.node_count
+    out = np.eye(n)
+    idx = np.arange(n - 1)
+    out[idx, idx + 1] = out[idx + 1, idx] = -tau
     if graph.kind is GraphKind.CYCLE:
-        row = [0.0] * graph.n
-        row[0] = 1.0
-        row[1] = tau
-        row[-1] = tau
-        return SymCirculant(tuple(row))
-    return SymTridiagonal(diag=1.0, off=tau, n=graph.node_count)
-
-
-def precision_matrix(graph: GraphSpec, tau: float) -> SymTridiagonal | SymCirculant:
-    """Precision matrix, 2 I minus the partial correlation matrix."""
-    tau = check_tau(tau)
-    if graph.kind is GraphKind.CYCLE:
-        row = [0.0] * graph.n
-        row[0] = 1.0
-        row[1] = -tau
-        row[-1] = -tau
-        return SymCirculant(tuple(row))
-    return SymTridiagonal(diag=1.0, off=-tau, n=graph.node_count)
+        out[0, -1] = out[-1, 0] = -tau
+    return out

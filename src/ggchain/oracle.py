@@ -5,7 +5,10 @@ same correlation matrices by the definition: invert the precision matrix,
 then rescale by the inverse square roots of the diagonal (the correlation
 transform).  Two inversion routes are kept deliberately distinct so that a
 bug in one cannot hide in the other: a hand-rolled symmetric elimination for
-tridiagonal matrices and a library Cholesky factorisation for dense ones.
+tridiagonal matrices and a library Cholesky factorisation for dense ones.  The
+dense route and the sampler take the precision matrix as the plain array that
+:func:`ggchain.model.precision_matrix` builds from the graph's edges, not from
+any kernel output.
 
 The sampler draws from the model by factoring the precision matrix
 ``P = L L^T`` and solving ``L^T x = z`` for standard normal ``z``, which gives
@@ -145,7 +148,7 @@ def model_correlation(graph: GraphSpec, tau: float) -> CorrelationResult:
     """
     tau = check_tau(tau)
     if graph.kind is GraphKind.CYCLE:
-        sigma = invert_dense_spd(precision_matrix(graph, tau).dense())
+        sigma = invert_dense_spd(precision_matrix(graph, tau))
     else:
         sigma = invert_tridiagonal(1.0, -tau, graph.node_count)
     return correlation_transform(sigma)
@@ -170,7 +173,7 @@ def sample(graph: GraphSpec, tau: float, count: int, seed: int) -> SampleBatch:
         raise DomainError(f"seed must fit in 64 bits, got {seed}")
 
     dim = graph.node_count
-    prec = precision_matrix(graph, tau).dense()
+    prec = precision_matrix(graph, tau)
     try:
         lower = np.linalg.cholesky(prec)
     except np.linalg.LinAlgError as exc:

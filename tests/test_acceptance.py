@@ -186,10 +186,8 @@ def test_criterion_07_circulant_suite():
     worst_resid = 0.0
     for tau in (0.05, 0.4, 0.49):
         for n in range(3, 129):
-            prec = gg.precision_matrix(gg.GraphSpec(gg.GraphKind.CYCLE, n), tau).dense()
-            cov = gg.SymCirculant(
-                tuple(gg.cycle_correlation_sequence(n, tau).covariances)
-            ).dense()
+            prec = gg.precision_matrix(gg.GraphSpec(gg.GraphKind.CYCLE, n), tau)
+            cov = gg.circulant_matrix(gg.cycle_correlation_sequence(n, tau).covariances)
             worst_resid = max(worst_resid, float(np.max(np.abs(prec @ cov - np.eye(n)))))
     assert worst_resid <= 1e-10
 

@@ -289,13 +289,3 @@ class TestErrorCoefficients:
             rel_error_coefficient_centered(0, 150, 0.05)
         with pytest.raises(OverflowError):
             rel_error_coefficient_open(1, 150, 0.05)
-
-    def test_coefficient_bundles(self):
-        from ggchain import asymptotic_coefficients_centered, asymptotic_coefficients_open
-
-        p = decay_params(0.45)
-        bundle = asymptotic_coefficients_centered(1, 3, 0.45)
-        assert bundle.abs_order == 2.0 * p.rate
-        assert bundle.rel_coeff == rel_error_coefficient_centered(1, 3, 0.45)
-        assert bundle.rel_coeff < 0.0
-        assert asymptotic_coefficients_open(2, 2, 0.45).rel_coeff == 0.0

@@ -13,7 +13,7 @@ from ggchain import (
     DomainError,
     GraphKind,
     GraphSpec,
-    SymCirculant,
+    circulant_matrix,
     cycle_correlation_limit,
     cycle_correlation_sequence,
     cycle_inverse_sum,
@@ -24,7 +24,6 @@ from ggchain import (
     precision_matrix,
     riemann_sum,
 )
-from ggchain.circulant import _angle_tables
 
 TAU_GRID = (0.05, 0.25, 0.45, 0.49)
 
@@ -45,7 +44,7 @@ def images_reference(n: int, tau: float) -> tuple[list, list]:
 
 
 def dense_cycle_correlation(n: int, tau: float) -> np.ndarray:
-    prec = precision_matrix(GraphSpec(GraphKind.CYCLE, n), tau).dense()
+    prec = precision_matrix(GraphSpec(GraphKind.CYCLE, n), tau)
     cov = np.linalg.inv(prec)
     scale = np.sqrt(np.diag(cov))
     return cov / np.outer(scale, scale)
@@ -78,7 +77,7 @@ class TestSpectrum:
 
     def test_matches_dense_eigenvalues(self):
         """Same multiset as numpy's eigenvalues of the dense matrix."""
-        prec = precision_matrix(GraphSpec(GraphKind.CYCLE, 12), 0.3).dense()
+        prec = precision_matrix(GraphSpec(GraphKind.CYCLE, 12), 0.3)
         ref = np.sort(np.linalg.eigvalsh(prec))
         got = np.sort(precision_eigenvalues(12, 0.3))
         np.testing.assert_allclose(got, ref, rtol=1e-12)
@@ -147,7 +146,7 @@ class TestCorrelationSequence:
         """Correlation entries match the dense inverse within 1e-10."""
         ref = dense_cycle_correlation(n, tau)
         seq = cycle_correlation_sequence(n, tau)
-        full = SymCirculant(tuple(seq.correlations)).dense()
+        full = circulant_matrix(seq.correlations)
         np.testing.assert_allclose(full, ref, rtol=1e-10, atol=1e-12)
 
     @pytest.mark.parametrize("n", [4, 5, 64, 101])
@@ -199,27 +198,59 @@ class TestCorrelationSequence:
         assert cycle_correlation_sequence(n, 0.4).correlations.tolist() == expected
 
     def test_matches_scalar_sums(self):
-        seq = cycle_correlation_sequence(11, 0.3)
-        for k in range(11):
-            assert seq.inverse_sums[k] == pytest.approx(cycle_inverse_sum(11, k, 0.3), rel=1e-14)
+        """The spectral oracle agrees with the images form: n times the inverse
+        sums, and the Riemann sum with 2 pi times the covariance (the ``circulant
+        --riemann`` column), within 1e-14 of the lag-0 value (worst seen 6.8e-16)."""
+        for n in (3, 4, 11, 64, 257):
+            for tau in (0.05, 0.3, 0.45, 0.49):
+                seq = cycle_correlation_sequence(n, tau)
+                tol = 1e-14 * seq.covariances[0]
+                for k in range(n):
+                    assert abs(seq.inverse_sums[k] - cycle_inverse_sum(n, k, tau)) <= n * tol
+                    assert abs(riemann_sum(n, k, tau) - 2.0 * math.pi * seq.covariances[k]) <= 2.0 * math.pi * tol
+
+    @pytest.mark.parametrize("tau", (0.05, 0.25, 0.4, 0.4249, 0.45, 0.4495, 0.49))
+    def test_gap_to_limit_nonnegative(self, tau):
+        """Regression: the sequence and the limit take one base and one power
+        routine, so corr_n(k) - b**k, truly (b**(n-k) - b**(n+k)) / (1 + b**n) >= 0,
+        is at worst one rounding below 0, is >= 0 wherever the relative gap
+        exceeds 4 eps, and is exactly 0 where b**(n-k) is below the rounding of
+        b**k.  With two formulas for the base and vectorised powers, the gap on
+        this grid reached -2,396 ulps of the limit at (n, k, tau) = (20000, 1512, 0.45)."""
+        b = decay_base(tau)
+        eps = sys.float_info.epsilon
+        for n in (8, 64, 1000, 20000):
+            corr = cycle_correlation_sequence(n, tau).correlations
+            for k in range(n // 2 + 1):
+                limit = cycle_correlation_limit(k, tau)
+                gap = corr[k] - limit
+                assert gap >= -math.ulp(limit), (n, k, gap)
+                if b ** (n - 2 * k) - b**n > 4 * eps:
+                    assert gap >= 0.0, (n, k, gap)
+                if n == 20000 and k <= 32:
+                    assert gap == 0.0, (k, gap)
 
     @pytest.mark.parametrize("tau", (0.05, 0.4, 0.49))
     def test_spectral_inverse_identity(self, tau):
         """Precision times covariance is the identity within 1e-10."""
         for n in (3, 7, 32, 64, 128):
-            prec = precision_matrix(GraphSpec(GraphKind.CYCLE, n), tau).dense()
+            prec = precision_matrix(GraphSpec(GraphKind.CYCLE, n), tau)
             seq = cycle_correlation_sequence(n, tau)
-            cov = SymCirculant(tuple(seq.covariances)).dense()
+            cov = circulant_matrix(seq.covariances)
             residual = np.max(np.abs(prec @ cov - np.eye(n)))
             assert residual <= 1e-10
 
 
-class TestAngleTables:
-    def test_read_only(self):
-        """The cached tables are shared by every caller, so writes must fail."""
-        for table in _angle_tables(12):
-            with pytest.raises(ValueError):
-                table[0] = 0.0
+class TestCirculantMatrix:
+    @pytest.mark.parametrize("row", [(1.0, 0.2, 0.5, 0.3), ()])
+    def test_rejects_asymmetric_or_empty(self, row):
+        with pytest.raises(DomainError):
+            circulant_matrix(row)
+
+    def test_cycle_precision(self):
+        """The cycle precision matrix is the circulant of (1, -tau, 0, ..., -tau)."""
+        row = [1.0, -0.3, 0.0, 0.0, -0.3]
+        np.testing.assert_array_equal(circulant_matrix(row), precision_matrix(GraphSpec(GraphKind.CYCLE, 5), 0.3))
 
 
 class TestRiemannSum:

@@ -202,13 +202,24 @@ class TestCirculant:
         assert cells[1] == cells[2] == "6.28318531"
         assert float(cells[3]) == 0.0
 
+    @pytest.mark.parametrize("tau", ["0.4249", "0.4495"])
+    def test_riemann_sums_positive(self, capsys, tau):
+        """Regression: the spectral sum printed 2 and 6 negative values (down to
+        -5.7e-17) at these tau; 2 pi times the images covariance is never negative
+        (it is 0 only at lags where b**min(k, n-k) underflows)."""
+        code, out, _ = run_cli(capsys, "circulant", "--n", "4000", "--tau", tau, "--riemann")
+        assert code == 0
+        rows = out.strip().splitlines()[1:]
+        assert len(rows) == 4000
+        assert min(float(row.split(",")[1]) for row in rows) >= 0.0
+
     def test_small_cycle_rejected(self, capsys):
         code, _, _ = run_cli(capsys, "circulant", "--n", "2", "--tau", "0.4")
         assert code == 2
 
     @pytest.mark.parametrize("k", ["20000", "-1"])
     def test_lag_checked_before_sequence(self, capsys, monkeypatch, k):
-        """An out-of-range --k fails before the O(n^2) sequence is computed."""
+        """An out-of-range --k fails before the sequence is computed."""
         import ggchain.cli as cli_mod
 
         def not_called(n, tau):
@@ -289,7 +300,8 @@ class TestJsonEnvelopes:
 
 
     def test_non_finite_value_rejected(self, capsys):
-        """A subnormal tau overflows the rate to inf, which JSON cannot carry."""
+        """At a subnormal tau the rate is finite, but the gff_rate cross-check
+        overflows to inf through the implied mass, which JSON cannot carry."""
         code, out, err = run_cli(capsys, "decay", "--tau", "1e-320", "--format", "json")
         assert code == 2
         assert out == ""

@@ -51,5 +51,6 @@ def test_golden_bytes(capsys, case, fmt):
 
 
 def test_subnormal_tau_csv(capsys):
-    """CSV renders the overflowed rate of a subnormal tau as inf and exits 0."""
+    """A subnormal tau has a finite rate and subnormal base; CSV renders the
+    overflowed gff_rate cross-check as inf and exits 0."""
     assert run(capsys, ("decay", "--tau", "1e-320")) == GOLDEN["decay_subnormal-csv"]

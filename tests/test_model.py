@@ -1,4 +1,4 @@
-"""Model types, decay parameters, free-field mapping, structured matrices."""
+"""Model types, decay parameters, free-field mapping, precision matrices."""
 
 import math
 
@@ -11,13 +11,10 @@ from ggchain import (
     GffParams,
     GraphKind,
     GraphSpec,
-    SymCirculant,
-    SymTridiagonal,
     check_tau,
     decay_base,
     decay_params,
     gff_decay_rate,
-    partial_correlation_matrix,
     precision_matrix,
     tau_from_gff,
 )
@@ -31,7 +28,6 @@ OPEN5 = GraphSpec(GraphKind.OPEN_CHAIN, 5)
 INTEGER_ARGUMENTS = {
     "as_index": lambda v: gg.model.as_index(v, "n"),
     "GraphSpec.n": lambda v: GraphSpec(GraphKind.OPEN_CHAIN, v),
-    "SymTridiagonal.n": lambda v: SymTridiagonal(1.0, -0.4, v),
     "open_chain_correlation_matrix.n": lambda v: gg.open_chain_correlation_matrix(v, 0.4),
     "precision_eigenvalues.n": lambda v: gg.precision_eigenvalues(v, 0.4),
     "cycle_inverse_sum.k": lambda v: gg.cycle_inverse_sum(8, v, 0.4),
@@ -102,6 +98,25 @@ class TestDecayParams:
 
     def test_decay_base_at_zero(self):
         assert decay_base(0.0) == 0.0
+
+    def test_decay_base_is_the_params_base(self):
+        """One base everywhere: 2 tau / (1 + s) differed from exp(-rate) by up
+        to 7 ulps, which made cycle gaps negative."""
+        rng = np.random.default_rng(7)
+        for tau in (*TAU_GRID, *rng.uniform(0.0, 0.5, 2000)):
+            assert decay_base(float(tau)) == decay_params(float(tau)).base
+
+    def test_subnormal_tau(self):
+        """Regression: the arccosh quotient overflows below tau ~ 5.6e-309; the
+        rate is then log1p(s) - log(2 tau), finite, and the base exp(-rate) is
+        the subnormal tau itself to rounding (it was inf and 0)."""
+        p = decay_params(1e-320)
+        assert p.rate == pytest.approx(math.log(2.0) - math.log(2e-320), rel=1e-15)
+        assert 0.0 < p.base < 1.0
+        assert p.base == pytest.approx(1e-320, rel=1e-3)
+        for tau in (5e-309, 1e-315, 5e-324):
+            p = decay_params(tau)
+            assert math.isfinite(p.rate) and 0.0 < p.base < 1.0
 
     def test_near_half_precision(self):
         """No catastrophic loss approaching the boundary."""
@@ -182,32 +197,43 @@ class TestGraphSpec:
             GraphSpec(GraphKind.OPEN_CHAIN, n)
 
 
+def partial_correlation(graph: GraphSpec, tau: float) -> np.ndarray:
+    """Unit diagonal and tau on each edge, transcribed from the graph's edge list."""
+    n = graph.node_count
+    edges = [(a, a + 1) for a in range(n - 1)]
+    if graph.kind is GraphKind.CYCLE:
+        edges.append((0, n - 1))
+    out = np.eye(n)
+    for a, b in edges:
+        out[a, b] = out[b, a] = tau
+    return out
+
+
 class TestStructuredMatrices:
     def test_partial_correlation_open(self):
         """Direct transcription: unit diagonal, tau on first off-diagonals."""
-        m = partial_correlation_matrix(GraphSpec(GraphKind.OPEN_CHAIN, 3), 0.4)
+        m = 2.0 * np.eye(3) - precision_matrix(GraphSpec(GraphKind.OPEN_CHAIN, 3), 0.4)
         expected = np.array([[1.0, 0.4, 0.0], [0.4, 1.0, 0.4], [0.0, 0.4, 1.0]])
-        np.testing.assert_array_equal(m.dense(), expected)
+        np.testing.assert_array_equal(m, expected)
 
     def test_partial_correlation_cycle(self):
-        m = partial_correlation_matrix(GraphSpec(GraphKind.CYCLE, 3), 0.4)
-        assert m.first_row == (1.0, 0.4, 0.4)
+        m = 2.0 * np.eye(3) - precision_matrix(GraphSpec(GraphKind.CYCLE, 3), 0.4)
         expected = np.array([[1.0, 0.4, 0.4], [0.4, 1.0, 0.4], [0.4, 0.4, 1.0]])
-        np.testing.assert_array_equal(m.dense(), expected)
+        np.testing.assert_array_equal(m, expected)
 
     def test_precision_cycle_n4(self):
         m = precision_matrix(GraphSpec(GraphKind.CYCLE, 4), 0.3)
-        assert m.first_row == (1.0, -0.3, 0.0, -0.3)
+        np.testing.assert_array_equal(m[0], [1.0, -0.3, 0.0, -0.3])
+        np.testing.assert_array_equal(m, m.T)
 
     def test_precision_open_n2(self):
         m = precision_matrix(GraphSpec(GraphKind.OPEN_CHAIN, 2), 0.4)
-        np.testing.assert_array_equal(m.dense(), np.array([[1.0, -0.4], [-0.4, 1.0]]))
+        np.testing.assert_array_equal(m, np.array([[1.0, -0.4], [-0.4, 1.0]]))
 
     def test_tau_zero_identity(self):
         for kind, n in [(GraphKind.OPEN_CHAIN, 4), (GraphKind.CYCLE, 5), (GraphKind.CENTERED_CHAIN, 2)]:
             g = GraphSpec(kind, n)
-            np.testing.assert_array_equal(partial_correlation_matrix(g, 0.0).dense(), np.eye(g.node_count))
-            np.testing.assert_array_equal(precision_matrix(g, 0.0).dense(), np.eye(g.node_count))
+            np.testing.assert_array_equal(precision_matrix(g, 0.0), np.eye(g.node_count))
 
     @pytest.mark.parametrize(
         "kind,n", [(GraphKind.OPEN_CHAIN, 5), (GraphKind.CENTERED_CHAIN, 3), (GraphKind.CYCLE, 6)]
@@ -215,18 +241,17 @@ class TestStructuredMatrices:
     def test_sum_is_twice_identity(self, kind, n):
         """Partial correlation and precision matrices sum to 2I exactly."""
         g = GraphSpec(kind, n)
-        total = partial_correlation_matrix(g, 0.37).dense() + precision_matrix(g, 0.37).dense()
+        total = partial_correlation(g, 0.37) + precision_matrix(g, 0.37)
         np.testing.assert_array_equal(total, 2.0 * np.eye(g.node_count))
 
     def test_circulant_row_symmetry_enforced(self):
         with pytest.raises(DomainError):
-            SymCirculant((1.0, 0.2, 0.3))
+            gg.circulant_matrix((1.0, 0.2, 0.3))
 
     def test_tridiagonal_dense(self):
-        m = SymTridiagonal(diag=2.0, off=-1.0, n=3)
-        np.testing.assert_array_equal(
-            m.dense(), np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]])
-        )
+        """The open chain's precision matrix is tridiagonal with constant bands."""
+        m = precision_matrix(GraphSpec(GraphKind.OPEN_CHAIN, 3), 0.3)
+        np.testing.assert_array_equal(m, np.array([[1.0, -0.3, 0.0], [-0.3, 1.0, -0.3], [0.0, -0.3, 1.0]]))
 
 
 class TestCheckTau:

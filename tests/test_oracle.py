@@ -73,7 +73,7 @@ class TestInvertDenseSpd:
 
     def test_cycle_diagonal_value(self):
         """3-cycle at tau = 0.4 has inverse diagonal 15/7."""
-        prec = precision_matrix(GraphSpec(GraphKind.CYCLE, 3), 0.4).dense()
+        prec = precision_matrix(GraphSpec(GraphKind.CYCLE, 3), 0.4)
         inv = invert_dense_spd(prec)
         np.testing.assert_allclose(np.diag(inv), 15.0 / 7.0, rtol=1e-13)
 
@@ -86,7 +86,7 @@ class TestInvertDenseSpd:
             invert_dense_spd(np.array([[1.0, 0.5], [0.1, 1.0]]))
 
     def test_result_is_symmetric(self):
-        prec = precision_matrix(GraphSpec(GraphKind.CYCLE, 8), 0.45).dense()
+        prec = precision_matrix(GraphSpec(GraphKind.CYCLE, 8), 0.45)
         inv = invert_dense_spd(prec)
         np.testing.assert_array_equal(inv, inv.T)
 
