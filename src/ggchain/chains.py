@@ -27,6 +27,11 @@ holds entry-wise in floating point, with equality only where the factors are
 rounding-saturated.  The ``*_relative_error`` functions evaluate the gaps in
 log space and therefore keep their exact (strictly negative) sign far beyond
 the point where the plain values collide at double precision.
+
+The dense matrices are assembled one row at a time with numpy from O(n)
+tables of the scalar kernel's own factors ``f(k)`` and powers ``base**d``,
+taken with the same scalar routines and combined in the same operation
+order, so every entry equals the scalar kernel's bit for bit.
 """
 
 import math
@@ -257,8 +262,14 @@ def rel_error_coefficient_open(i, j, tau: float) -> float:
 def open_chain_correlation_matrix(n, tau: float) -> np.ndarray:
     """Dense correlation matrix of the open chain on 1..n.
 
-    tau = 0 yields the identity; otherwise entries come from the scalar
-    kernel, so they match :func:`open_chain_correlation` bit for bit.
+    tau = 0 yields the identity.  Otherwise the matrix is filled one row at a
+    time from two O(n) tables built with the scalar kernel's own routines,
+    ``f[k] = _f(k, rate)`` (``math.expm1``) and ``pw[d] = base**d`` (Python
+    ``pow``), and numpy repeats the operations of the scalar kernel in the same
+    order.  numpy's ``expm1`` and ``power`` may differ from the scalar routines
+    in the last bit, so the tables are never built with them; with the scalar
+    tables the entries match :func:`open_chain_correlation` bit for bit.
+    Temporaries are O(n): the output is the only n x n allocation.
     """
     n = as_index(n, "n")
     if n < 1:
@@ -267,12 +278,15 @@ def open_chain_correlation_matrix(n, tau: float) -> np.ndarray:
     if tau == 0.0:
         return np.eye(n)
     p = decay_params(tau)
+    f = np.array([_f(k, p.rate) for k in range(n + 1)])
+    pw = np.array([p.base**d for d in range(n)])
     out = np.ones((n, n))
-    for a in range(1, n + 1):
-        for b in range(a + 1, n + 1):
-            v = _open_correlation(n, a, b, p)
-            out[a - 1, b - 1] = v
-            out[b - 1, a - 1] = v
+    for lo in range(1, n):
+        # columns hi = lo+1..n: distance hi-lo, and n+1-hi runs from n-lo down to 1
+        v = pw[1 : n + 1 - lo] * np.sqrt(np.minimum(f[lo] / f[lo + 1 :], 1.0))
+        v *= np.sqrt(np.minimum(f[n - lo : 0 : -1] / f[n + 1 - lo], 1.0))
+        out[lo - 1, lo:] = v
+        out[lo:, lo - 1] = v
     return out
 
 

@@ -210,8 +210,18 @@ def limit_integral(k, tau: float) -> float:
     k = as_index(k, "lag")
     if k < 0:
         raise DomainError(f"lag must be >= 0, got {k}")
+    return _limit_integral_table((k,), tau)[0]
+
+
+def _limit_integral_table(lags, tau: float) -> list[float]:
+    """:func:`limit_integral` at every lag of ``lags`` (already validated).
+
+    tau is checked and ``base`` and ``s`` computed once; each entry is the
+    same double the scalar function returns.
+    """
     tau = check_tau(tau)
-    return _TWO_PI * (decay_base(tau) ** k / sqrt_one_minus_4tau2(tau))
+    base, s = decay_base(tau), sqrt_one_minus_4tau2(tau)
+    return [_TWO_PI * (base**k / s) for k in lags]
 
 
 def cycle_correlation_limit(k, tau: float) -> float:

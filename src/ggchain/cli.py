@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .analysis import fit_abs_error_rate, sweep
 from .chains import centered_chain_correlation_matrix, open_chain_correlation_matrix
-from .circulant import _check_lag, circulant_matrix, cycle_correlation_sequence, limit_integral
+from .circulant import _check_lag, _limit_integral_table, circulant_matrix, cycle_correlation_sequence
 from .errors import DomainError, InsufficientDataError, SelfCheckError
 from .model import (
     GffParams,
@@ -37,12 +37,6 @@ SELF_CHECK_TOLERANCE = 1e-8
 Z_SCORE_LIMIT = 4.0
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".9g")
-    return str(value)
-
-
 def _dumps(obj, indent=None) -> str:
     try:
         return json.dumps(obj, indent=indent, allow_nan=False, default=np.ndarray.tolist)
@@ -51,16 +45,26 @@ def _dumps(obj, indent=None) -> str:
 
 
 def _csv_row(row) -> str:
-    return ",".join(map(_fmt, row))
+    """One CSV line, formatted by a single ``%`` over the whole row.
+
+    The template is built from each cell's type: ``%.9g`` for floats (Python
+    and numpy) and ``%s`` for anything else (so a ``bool`` prints as ``True``,
+    and a ``%`` inside a string cell is data, not a directive).
+    """
+    row = tuple(row)
+    template = ",".join(["%.9g" if isinstance(c, (float, np.floating)) else "%s" for c in row])
+    return template % row
 
 
 def _write(args, command, parameters, columns, rows, *, payload=None, metadata=None, note=None) -> None:
     """Write a command's result: a CSV table, or the JSON envelope.
 
-    The JSON payload is ``payload`` if given, else one object per row; numpy
+    CSV is printed one line per row as the rows are generated, so ``rows``
+    may be a lazy iterable; the header, every row and ``note`` (one more row,
+    written to stderr after the table) all go through :func:`_csv_row`.  The
+    JSON payload is ``payload`` if given, else one object per row; numpy
     arrays in it are written as nested lists.  ``metadata`` extends the
-    envelope's metadata.  ``note`` is one more CSV row, written to stderr after
-    the table.
+    envelope's metadata.
     """
     if args.format == "json":
         meta = {"command": command, "parameters": parameters, "version": __version__}
@@ -84,8 +88,10 @@ def _graph(kind: str, n: int) -> GraphSpec:
 
 
 def _implied_mass(tau: float) -> float:
-    # unit-coupling mass that induces the same edge weight
-    return math.sqrt((1.0 - 2.0 * tau) / (2.0 * tau))
+    # unit-coupling mass that induces the same edge weight; below tau ~ 2.8e-309
+    # the quotient overflows, and the square roots are taken apart instead
+    ratio = (1.0 - 2.0 * tau) / (2.0 * tau)
+    return math.sqrt(ratio) if ratio < math.inf else math.sqrt(1.0 - 2.0 * tau) / math.sqrt(2.0 * tau)
 
 
 def cmd_decay(args) -> int:
@@ -147,7 +153,7 @@ def cmd_corr(args) -> int:
         "corr",
         params,
         ["i"] + [str(x) for x in labels],
-        ((label, *matrix[pos]) for pos, label in enumerate(labels)),
+        ((label, *matrix[pos].tolist()) for pos, label in enumerate(labels)),
         payload={"indices": labels, "matrix": matrix},
         metadata=None if deviation is None else {"max_abs_deviation": deviation},
         note=None if deviation is None else ("max_abs_deviation", deviation),
@@ -201,7 +207,8 @@ def cmd_circulant(args) -> int:
     if args.riemann:
         # the n-point left Riemann sum of the spectral integrand is exactly 2 pi cov_k
         columns = ["k", "riemann_sum", "integral", "gap"]
-        pairs = [(2.0 * math.pi * float(seq.covariances[k]), limit_integral(k, args.tau)) for k in lags]
+        sums = [2.0 * math.pi * float(seq.covariances[k]) for k in lags]
+        pairs = list(zip(sums, _limit_integral_table(lags, args.tau)))
     else:
         base = decay_base(args.tau)
         columns = ["k", "correlation", "limit", "gap"]

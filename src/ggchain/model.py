@@ -187,14 +187,20 @@ def gff_decay_rate(mass: float) -> float:
     """Correlation decay rate of the massive free field at unit coupling.
 
     Equals log(1 + m^2 + sqrt(2 m^2 + m^4)); evaluated with log1p so it tends
-    to 0 smoothly as the mass vanishes.  Must agree with
+    to 0 smoothly as the mass vanishes.  Where that argument overflows (m above
+    about 9.5e153) m^2 is factored out of the logarithm:
+    2 log(m) + log1p(1/m^2 + sqrt(1 + 2/m^2)).  Must agree with
     ``decay_params(tau_from_gff(GffParams(1.0, m))).rate`` to near machine
     precision for every m > 0.
     """
     mass = float(mass)
     if not mass > 0.0:
         raise DomainError(f"mass must be > 0, got {mass!r}")
-    return math.log1p(mass * mass + mass * math.sqrt(2.0 + mass * mass))
+    x = mass * mass + mass * math.sqrt(2.0 + mass * mass)
+    if x < math.inf:
+        return math.log1p(x)
+    r2 = (1.0 / mass) ** 2
+    return 2.0 * math.log(mass) + math.log1p(r2 + math.sqrt(1.0 + 2.0 * r2))
 
 
 def precision_matrix(graph: GraphSpec, tau: float) -> np.ndarray:

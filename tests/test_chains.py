@@ -7,6 +7,7 @@ elsewhere.
 """
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -120,6 +121,60 @@ class TestOpenChainCorrelation:
 
     def test_matrix_tau_zero(self):
         np.testing.assert_array_equal(open_chain_correlation_matrix(4, 0.0), np.eye(4))
+
+
+ASSEMBLY_TAUS = (0.0, 1e-3, 0.25, 0.4, 0.45, 0.49, 0.499, 0.5 - 2.0**-40)
+
+
+def assert_matches_scalar(mat, labels, scalar, tau):
+    """Entry (a, b) of ``mat`` equals ``scalar(labels[a], labels[b], tau)`` bitwise.
+
+    Up to 301 nodes every upper entry is compared; larger matrices compare
+    whole sampled rows.  The scalar kernels reject tau = 0, where the matrix is
+    the identity.
+    """
+    dim = len(labels)
+    np.testing.assert_array_equal(mat, mat.T)
+    if dim <= 301:
+        rows = range(dim)
+    else:
+        rng = np.random.default_rng(dim)
+        rows = sorted({0, 1, dim // 2, dim - 2, dim - 1, *rng.choice(dim, 20, replace=False).tolist()})
+    for a in rows:
+        cols = range(a, dim) if dim <= 301 else range(dim)
+        ref = [scalar(labels[a], labels[b], tau) if tau else float(a == b) for b in cols]
+        assert np.array_equal(mat[a, cols.start :], ref), (dim, tau, a)
+
+
+class TestMatrixAssembly:
+    """Row-vectorised assembly against the scalar kernel, bit for bit."""
+
+    @pytest.mark.parametrize("tau", ASSEMBLY_TAUS)
+    def test_open_matches_scalar_bitwise(self, tau):
+        for n in (1, 2, 3, 200, 301, 1001):
+            mat = open_chain_correlation_matrix(n, tau)
+            assert_matches_scalar(mat, range(1, n + 1), partial(open_chain_correlation, n), tau)
+
+    @pytest.mark.parametrize("tau", (1e-3, 0.45, 0.5 - 2.0**-40))
+    def test_centered_matches_scalar_bitwise(self, tau):
+        """The centered matrix is the open one of size 2n+1, tested above; this
+        checks its labels against the centered kernel."""
+        for n in (1, 150):
+            mat = centered_chain_correlation_matrix(n, tau)
+            assert_matches_scalar(mat, range(-n, n + 1), partial(centered_chain_correlation, n), tau)
+
+    def test_peak_memory_is_the_output(self):
+        """Temporaries stay O(n): assembly at n = 1001 peaks within 1.25x the
+        8 MB output (an n x n temporary would double it)."""
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            mat = open_chain_correlation_matrix(1001, 0.45)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert mat.nbytes <= peak <= 1.25 * mat.nbytes
 
 
 class TestOpenChainLimit:

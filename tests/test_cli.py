@@ -1,12 +1,21 @@
 """Command-line contract: outputs, formats, determinism, exit codes."""
 
 import json
+import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from ggchain.cli import main
+from ggchain import (
+    GraphKind,
+    GraphSpec,
+    centered_chain_correlation_matrix,
+    model_correlation,
+    open_chain_correlation_matrix,
+)
+from ggchain.cli import _csv_row, main
 
 
 def run_cli(capsys, *argv):
@@ -98,6 +107,34 @@ class TestCorr:
     def test_domain_error(self, capsys):
         code, _, _ = run_cli(capsys, "corr", "--graph", "cycle", "--n", "2", "--tau", "0.4")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "graph, n, tau, method, expected",
+        [
+            # exact 0 cells where base**d underflows, and exponent cells
+            ("open", 300, 0.05, "closed", lambda: open_chain_correlation_matrix(300, 0.05)),
+            # negative labels
+            ("centered", 150, 0.49, "closed", lambda: centered_chain_correlation_matrix(150, 0.49)),
+            (
+                "cycle", 257, 0.45, "oracle",
+                lambda: model_correlation(GraphSpec(GraphKind.CYCLE, 257), 0.45).correlation,
+            ),
+        ],
+        ids=["open", "centered", "cycle_oracle"],
+    )
+    def test_csv_bytes_at_scale(self, capsys, graph, n, tau, method, expected):
+        """CSV bytes against per-cell formatting with the documented .9g spec."""
+        code, out, _ = run_cli(
+            capsys, "corr", "--graph", graph, "--n", str(n), "--tau", str(tau), "--method", method
+        )
+        assert code == 0
+        labels = GraphSpec(GraphKind(graph), n).indices
+        lines = ["i," + ",".join(str(x) for x in labels)]
+        for label, row in zip(labels, expected()):
+            lines.append(",".join([str(label), *(format(float(v), ".9g") for v in row)]))
+        assert out == "\n".join(lines) + "\n"
+        if graph == "open":
+            assert ",0," in out and "e-" in out
 
     def test_self_check_failure_exit_code(self, capsys, monkeypatch):
         """A disagreement between the two routes must surface as exit 3."""
@@ -278,6 +315,18 @@ class TestSample:
         assert out.startswith("i,j,")
 
 
+def test_csv_row_cell_types():
+    """One template per row: floats .9g, plain ints %d, everything else str()."""
+    cells = (
+        3, True, "a%sb", 0.1, np.float64(1 / 3), np.float32(0.1), np.int64(-7),
+        math.inf, -math.inf, math.nan, -0.0, 5e-324, "100%",
+    )
+    expected = "3,True,a%sb,0.1,0.333333333,0.100000001,-7,inf,-inf,nan,-0,4.94065646e-324,100%"
+    assert _csv_row(cells) == expected
+    assert _csv_row(list(cells)) == expected
+    assert _csv_row(["i", "-1", "0"]) == "i,-1,0"
+
+
 class TestJsonEnvelopes:
     def test_decay_round_trip(self, capsys):
         argv = ("decay", "--tau", "0.4", "--format", "json", "--deterministic")
@@ -299,10 +348,23 @@ class TestJsonEnvelopes:
         assert doc["payload"][0]["correlation"] == 1.0
 
 
-    def test_non_finite_value_rejected(self, capsys):
-        """At a subnormal tau the rate is finite, but the gff_rate cross-check
-        overflows to inf through the implied mass, which JSON cannot carry."""
-        code, out, err = run_cli(capsys, "decay", "--tau", "1e-320", "--format", "json")
+    @pytest.mark.parametrize("tau", ["1e-320", "1e-310"])
+    def test_subnormal_tau_json(self, capsys, tau):
+        """Regression: the implied mass (1 - 2 tau)/(2 tau) overflowed, so the
+        gff_rate cross-check was inf and JSON output exited 2."""
+        code, out, err = run_cli(capsys, "decay", "--tau", tau, "--format", "json")
+        assert code == 0, err
+        row = json.loads(out)["payload"][0]
+        assert math.isfinite(row["rate"])
+        assert abs(row["gff_rate"] - row["rate"]) <= 4 * math.ulp(row["rate"])
+
+    def test_non_finite_value_rejected(self, capsys, monkeypatch):
+        """A non-finite value exits 2 rather than printing Infinity.  No
+        admissible decay input yields one, so gff_rate is forced to inf."""
+        import ggchain.cli as cli_mod
+
+        monkeypatch.setattr(cli_mod, "gff_decay_rate", lambda mass: math.inf)
+        code, out, err = run_cli(capsys, "decay", "--tau", "0.4", "--format", "json")
         assert code == 2
         assert out == ""
         assert err.startswith("ggchain: domain error: non-finite value in JSON output")

@@ -4,8 +4,18 @@ Each case runs in CSV and in ``--format json --deterministic``.  The expected
 bytes live in ``golden_cli.json`` next to this file; any change to them is a
 change of the output contract.  ``sample`` is not pinned: the last bits of its
 statistics depend on the BLAS reduction order of the machine.
+
+After an intended change of the contract, rewrite only the affected keys:
+
+    PYTHONPATH=src python tests/test_golden.py --regenerate KEY [KEY ...]
+
+Keys are ``<case>-<format>``, e.g. ``decay_subnormal-json``; an unknown key is
+refused and every other key keeps its bytes.
 """
 
+import argparse
+import contextlib
+import io
 import json
 from pathlib import Path
 
@@ -13,11 +23,13 @@ import pytest
 
 from ggchain.cli import main
 
-GOLDEN = json.loads(Path(__file__).with_name("golden_cli.json").read_text())
+GOLDEN_PATH = Path(__file__).with_name("golden_cli.json")
+GOLDEN = json.loads(GOLDEN_PATH.read_text())
 
 CASES = {
     "decay_tau": ("decay", "--tau", "0.4"),
     "decay_field": ("decay", "--mass", "1.5", "--beta", "2"),
+    "decay_subnormal": ("decay", "--tau", "1e-320"),
     "corr_open_both": ("corr", "--graph", "open", "--n", "4", "--tau", "0.4", "--method", "both"),
     "corr_centered_both": ("corr", "--graph", "centered", "--n", "2", "--tau", "0.45", "--method", "both"),
     "corr_cycle_both": ("corr", "--graph", "cycle", "--n", "5", "--tau", "0.4", "--method", "both"),
@@ -44,13 +56,43 @@ def run(capsys, argv):
     return {"code": code, "stdout": captured.out, "stderr": captured.err}
 
 
+KEYS = [f"{case}-{fmt}" for case in CASES for fmt in FORMATS]
+
+
 @pytest.mark.parametrize("fmt", FORMATS)
 @pytest.mark.parametrize("case", CASES)
 def test_golden_bytes(capsys, case, fmt):
     assert run(capsys, CASES[case] + FORMATS[fmt]) == GOLDEN[f"{case}-{fmt}"]
 
 
-def test_subnormal_tau_csv(capsys):
-    """A subnormal tau has a finite rate and subnormal base; CSV renders the
-    overflowed gff_rate cross-check as inf and exits 0."""
-    assert run(capsys, ("decay", "--tau", "1e-320")) == GOLDEN["decay_subnormal-csv"]
+def test_golden_keys_are_the_cases():
+    assert sorted(GOLDEN) == sorted(KEYS)
+
+
+def test_subnormal_tau_csv():
+    """A subnormal tau has a finite rate, a subnormal base and a finite
+    gff_rate cross-check (the implied mass once overflowed it to inf); the
+    bytes themselves are compared by ``test_golden_bytes``."""
+    _, rate, _, gff_rate = GOLDEN["decay_subnormal-csv"]["stdout"].splitlines()[1].split(",")
+    assert gff_rate == rate == "736.827241"
+
+
+def regenerate(keys) -> None:
+    """Rewrite the named keys of ``golden_cli.json`` from the current code."""
+    unknown = sorted(set(keys) - set(KEYS))
+    if unknown:
+        raise SystemExit(f"unknown golden keys: {', '.join(unknown)}")
+    golden = dict(GOLDEN)
+    for key in keys:
+        out, err = io.StringIO(), io.StringIO()
+        case, _, fmt = key.rpartition("-")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(list(CASES[case] + FORMATS[fmt]))
+        golden[key] = {"code": code, "stderr": err.getvalue(), "stdout": out.getvalue()}
+    GOLDEN_PATH.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description="Rewrite golden CLI bytes for the named keys.")
+    parser.add_argument("--regenerate", nargs="+", metavar="KEY", required=True)
+    regenerate(parser.parse_args().regenerate)

@@ -1,6 +1,7 @@
 """Model types, decay parameters, free-field mapping, precision matrices."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -161,6 +162,18 @@ class TestGffDecayRate:
     def test_small_mass_limit(self):
         """Rate vanishes smoothly with the mass."""
         assert gff_decay_rate(1e-8) == pytest.approx(math.sqrt(2.0) * 1e-8, rel=1e-6)
+
+    def test_large_mass_form(self):
+        """Regression: m^2 + m sqrt(2 + m^2) overflows above m ~ 9.5e153, where
+        the rate was inf.  The form 2 log m + log1p(...) takes over there and
+        joins the plain form: the rate is monotone and within 4e-16 relative of
+        2 log m + log 2 on both sides of the switch."""
+        switch = math.sqrt(sys.float_info.max / 2.0)
+        masses = sorted([*np.geomspace(1e153, 1e155, 200).tolist(), switch * (1 - 1e-12), switch * (1 + 1e-12)])
+        rates = [gff_decay_rate(m) for m in masses]
+        assert all(a < b for a, b in zip(rates, rates[1:]))
+        for m, rate in zip([*masses, 1e200, 1.7e308], [*rates, gff_decay_rate(1e200), gff_decay_rate(1.7e308)]):
+            assert rate == pytest.approx(2.0 * math.log(m) + math.log(2.0), rel=4e-16)
 
     @pytest.mark.parametrize("mass", [0.0, -1.0])
     def test_rejects_nonpositive(self, mass):
