@@ -31,7 +31,7 @@ from .model import (
     gff_decay_rate,
     tau_from_gff,
 )
-from .oracle import fisher_z_discrepancies, model_correlation, sample
+from .oracle import SAMPLE_BLOCK, fisher_z_discrepancies, model_correlation, sample
 
 SELF_CHECK_TOLERANCE = 1e-8
 Z_SCORE_LIMIT = 4.0
@@ -245,6 +245,8 @@ def cmd_sample(args) -> int:
     }
     metadata = {
         "method": batch.method,
+        "philox_words": batch.count * dim,
+        "sample_block": SAMPLE_BLOCK,
         "fisher_stderr": batch.fisher_stderr,
         "max_z_score": max_z,
         "z_score_limit": Z_SCORE_LIMIT,

@@ -175,12 +175,17 @@ def tau_from_gff(params: GffParams) -> float:
     """Edge weight induced by free-field parameters: (b/4) / (b/2 + m^2/2) in 1-d.
 
     The massless point maps to the boundary value 1/2, which is outside the
-    admissible range and rejected.
+    admissible range and rejected.  Where the denominator overflows (m above
+    about 1.3e154) m^2 is factored out: (b/(2 m^2)) / (1 + b/m^2), whose
+    subnormal result is still a valid edge weight.
     """
-    denom = params.beta / 2.0 + params.mass * params.mass / 2.0
+    beta, mass = params.beta, params.mass
+    denom = beta / 2.0 + mass * mass / 2.0
     if denom == 0.0:
         raise DomainError("coupling and mass cannot both be zero")
-    return check_tau((params.beta / 4.0) / denom)
+    if denom < math.inf:
+        return check_tau((beta / 4.0) / denom)
+    return check_tau((0.5 * beta / mass / mass) / (1.0 + beta / mass / mass))
 
 
 def gff_decay_rate(mass: float) -> float:

@@ -12,12 +12,17 @@ any kernel output.
 
 The sampler draws from the model by factoring the precision matrix
 ``P = L L^T`` and solving ``L^T x = z`` for standard normal ``z``, which gives
-``Cov(x) = P^{-1}`` without ever forming the covariance.  Normal variates come
+``Cov(x) = P^{-1}`` without ever forming the covariance.  Every graph here has
+a tridiagonal precision matrix, plus one corner edge for the cycle, so ``L`` is
+nonzero only on its diagonal, its subdiagonal and (cycle only) its last row,
+and the solve is an O(dim) back-substitution per draw.  Normal variates come
 from a counter-based generator (Philox) through the inverse normal CDF, one
 uniform per variate, so the variate used for draw d, coordinate c is the
 stream word ``d * dim + c``.  The mapping is part of the output contract:
 identical seeds give bit-identical batches, and any parallel generation
-scheme must reproduce the same word addressing.  scipy is imported at call
+scheme must reproduce the same word addressing.  Draws are generated, solved
+and reduced in blocks of :data:`SAMPLE_BLOCK`, so the sampler's memory is
+bounded by the block, not by the number of draws.  scipy is imported at call
 time by its only two users, so importing ggchain does not load it.
 """
 
@@ -44,6 +49,10 @@ __all__ = [
 
 # recorded in every SampleBatch; changing it invalidates frozen regressions
 NORMAL_METHOD = "philox4x64-inverse-cdf"
+
+# draws per block in `sample`; the statistics are summed block by block, so
+# changing it moves them in the last bits
+SAMPLE_BLOCK = 8192
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,11 +167,11 @@ def sample(graph: GraphSpec, tau: float, count: int, seed: int) -> SampleBatch:
     """Draw ``count`` vectors from the model and reduce them.
 
     Deterministic in (graph, tau, count, seed): the Philox stream is keyed by
-    the seed alone and consumed in a fixed order.  Sufficient statistics are
-    accumulated with numpy's pairwise reductions, so the reduction order is
-    fixed as well.
+    the seed alone and consumed in a fixed order.  Draws are taken in blocks
+    of :data:`SAMPLE_BLOCK` (the last one shorter); each block is reduced with
+    numpy's pairwise sum and one matrix product, and the block results are
+    added in stream order, so the reduction order is fixed as well.
     """
-    from scipy.linalg import solve_triangular
     from scipy.special import ndtri
     tau = check_tau(tau)
     count = as_index(count, "count")
@@ -178,16 +187,31 @@ def sample(graph: GraphSpec, tau: float, count: int, seed: int) -> SampleBatch:
         lower = np.linalg.cholesky(prec)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError(str(exc)) from exc
+    diag, sub = lower.diagonal(), lower.diagonal(-1)
+    corner = lower[-1, :-2]  # last row left of the subdiagonal: nonzero for the cycle only
+    has_corner = bool(np.any(corner))
 
     rng = Generator(Philox(key=seed))
-    uniforms = rng.random((count, dim))
-    # ndtri(0) is -inf; the generator emits 0.0 with probability 2^-53 per word
-    np.maximum(uniforms, 2.0**-53, out=uniforms)
-    normals = ndtri(uniforms)
-    draws = solve_triangular(lower, normals.T, lower=True, trans="T").T
+    sums = np.zeros(dim)
+    cross = np.zeros((dim, dim))
+    for start in range(0, count, SAMPLE_BLOCK):
+        u = rng.random((min(SAMPLE_BLOCK, count - start), dim))
+        # ndtri(0) is -inf; the generator emits 0.0 with probability 2^-53 per word
+        np.maximum(u, 2.0**-53, out=u)
+        ndtri(u, out=u)
+        x = u.T.copy()  # one contiguous row per coordinate
+        del u  # at most two blocks are alive at once
+        # back-substitution for L^T x = z, all draws of the block at once
+        x[-1] /= diag[-1]
+        for i in range(dim - 2, -1, -1):
+            x[i] -= sub[i] * x[i + 1]
+            if has_corner and i < dim - 2:
+                x[i] -= corner[i] * x[-1]
+            x[i] /= diag[i]
+        sums += x.sum(axis=1)
+        cross += x @ x.T
+        del x
 
-    sums = draws.sum(axis=0)
-    cross = draws.T @ draws
     cross = 0.5 * (cross + cross.T)
     cov = (cross - np.outer(sums, sums) / count) / (count - 1)
     corr = correlation_transform(cov).correlation

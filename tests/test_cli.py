@@ -55,6 +55,16 @@ class TestDecay:
         code, _, _ = run_cli(capsys, "decay", "--mass", "1")
         assert code == 2
 
+    def test_huge_mass(self, capsys):
+        """Regression: m^2 overflowed in tau_from_gff, so this exited 2 with
+        "operation requires tau > 0" though tau ~ 5e-321 is representable."""
+        code, out, err = run_cli(capsys, "decay", "--mass", "1e160", "--beta", "1", "--format", "json")
+        assert code == 0, err
+        row = json.loads(out)["payload"][0]
+        assert 0.0 < row["tau"] < 1e-320
+        assert math.isfinite(row["rate"])
+        assert abs(row["rate"] - row["gff_rate"]) <= math.ulp(row["tau"]) / row["tau"]
+
 
 class TestCorr:
     def test_cycle_matrix(self, capsys):
@@ -289,6 +299,22 @@ class TestSample:
             "--count", "10", "--seed", "42",
         )
         assert code == 2
+
+    def test_sampler_metadata(self, capsys):
+        """The JSON envelope reports the Philox words drawn (count * dim) and
+        the block size of the sampler."""
+        from ggchain.oracle import NORMAL_METHOD, SAMPLE_BLOCK
+
+        code, out, _ = run_cli(
+            capsys,
+            "sample", "--graph", "centered", "--n", "2", "--tau", "0.4",
+            "--count", "3000", "--seed", "5", "--format", "json", "--deterministic",
+        )
+        assert code == 0
+        meta = json.loads(out)["metadata"]
+        assert meta["philox_words"] == 3000 * 5
+        assert meta["sample_block"] == SAMPLE_BLOCK
+        assert meta["method"] == NORMAL_METHOD
 
     def test_byte_identical_reruns(self, capsys):
         argv = (

@@ -143,6 +143,17 @@ class TestGffMapping:
         with pytest.raises(DomainError):
             tau_from_gff(GffParams(beta=0.0, mass=0.0))
 
+    def test_large_mass_subnormal_tau(self):
+        """Regression: m^2 overflowed above m ~ 1.3e154, giving tau = 0 and a
+        rejected decay.  Factoring m^2 out gives the subnormal tau b/(2 m^2),
+        whose rate matches the free-field rate to the precision of tau."""
+        tau = tau_from_gff(GffParams(beta=1.0, mass=1e160))
+        assert tau == pytest.approx(5e-321, rel=1e-3)
+        assert abs(decay_params(tau).rate - gff_decay_rate(1e160)) <= math.ulp(tau) / tau
+        assert tau_from_gff(GffParams(beta=1.7e308, mass=1.5e154)) == pytest.approx(
+            0.5 / (1.0 + 2.25 / 1.7), rel=1e-15
+        )
+
     def test_dims_rejected(self):
         with pytest.raises(DomainError):
             GffParams(beta=1.0, mass=1.0, dims=2)

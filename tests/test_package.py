@@ -78,3 +78,24 @@ def test_scipy_stays_off_the_import_path():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_chain_sampling_loads_only_scipy_special():
+    """``sample`` on a chain needs scipy only for the inverse normal CDF: the
+    factor comes from numpy and the solve is a back-substitution, so no
+    ``scipy.linalg`` module is loaded."""
+    script = textwrap.dedent(
+        """
+        import contextlib, io, sys
+        import ggchain.cli
+        argv = ["sample", "--graph", "open", "--n", "6", "--tau", "0.4", "--count", "500", "--seed", "1"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert ggchain.cli.main(argv) == 0
+        print(*(name for name in sys.modules if name.partition(".")[0] == "scipy"))
+        """
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.split()
+    assert "scipy.special" in loaded
+    assert not [name for name in loaded if name.startswith("scipy.linalg")]
