@@ -1,4 +1,4 @@
-"""Numerical experiments on the decay laws: sweeps, rate fits, gap tables.
+"""Numerical experiments on the decay laws: sweeps, rate fits, the free-field table.
 
 A sweep evaluates one index pair across a range of sizes and records the
 exact value, its limit, and three error columns.  Error columns are derived
@@ -24,9 +24,8 @@ from .chains import (
     open_chain_correlation_limit,
     open_chain_relative_error,
 )
-from .circulant import limit_integral, riemann_sum
 from .errors import DomainError, InsufficientDataError
-from .model import GffParams, GraphKind, as_index, check_tau, decay_params, gff_decay_rate, tau_from_gff
+from .model import GffParams, GraphKind, as_index, decay_params, gff_decay_rate, tau_from_gff
 
 __all__ = [
     "ConvergenceRecord",
@@ -37,7 +36,6 @@ __all__ = [
     "ERROR_CEILING",
     "sweep",
     "fit_abs_error_rate",
-    "riemann_gap",
     "gff_table",
 ]
 
@@ -86,17 +84,17 @@ class ConvergenceSweep:
 
 @dataclass(frozen=True)
 class RateFit:
-    """Least-squares slope of log |abs_err| against n."""
+    """Least-squares slope of log |abs_err| against n.
+
+    ``relative_slope_error`` is ``|slope - expected_slope| / |expected_slope|``.
+    """
 
     slope: float
     intercept: float
     r_squared: float
     expected_slope: float
+    relative_slope_error: float
     n_points: int
-
-    @property
-    def relative_slope_error(self) -> float:
-        return abs(self.slope - self.expected_slope) / abs(self.expected_slope)
 
 
 def _scaled(rel: float, n: int, rate: float) -> float:
@@ -185,24 +183,15 @@ def fit_abs_error_rate(sweep: ConvergenceSweep) -> RateFit:
     ss_tot = sum((y - y_mean) ** 2 for y in ys)
     ss_res = sum((y - (slope * x + intercept)) ** 2 for x, y in zip(xs, ys))
     r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
+    expected = -2.0 * sweep.rate
     return RateFit(
         slope=slope,
         intercept=intercept,
         r_squared=r_squared,
-        expected_slope=-2.0 * sweep.rate,
+        expected_slope=expected,
+        relative_slope_error=abs(slope - expected) / abs(expected),
         n_points=count,
     )
-
-
-def riemann_gap(k: int, tau: float, n_list) -> list[tuple[int, float]]:
-    """Gaps between the lag-k Riemann sum and its limiting integral.
-
-    One (n, gap) pair per requested grid size; the gap magnitude shrinks as
-    the grid refines and is identically zero at tau = 0, lag 0.
-    """
-    tau = check_tau(tau)
-    target = limit_integral(k, tau)
-    return [(n, riemann_sum(n, k, tau) - target) for n in n_list]
 
 
 @dataclass(frozen=True)

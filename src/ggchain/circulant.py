@@ -119,20 +119,25 @@ def precision_eigenvalues(n, tau: float) -> np.ndarray:
     return 1.0 - 2.0 * tau * c
 
 
-def cycle_inverse_sum(n, k, tau: float) -> float:
-    """Cosine-weighted sum of reciprocal eigenvalues at lag k.
+def _spectral_lag_sum(n, k, tau: float, part: int) -> float:
+    """Sum over j of ``t[j k mod n] / mu_j``, t the cosine (part 0) or sine (part 1) table.
 
-    Equals n times the covariance between cycle nodes k steps apart.  Products
-    j * k are reduced modulo n in integer arithmetic before the table lookup,
-    so no large trigonometric argument is ever formed.
+    Products j * k are reduced modulo n in integer arithmetic before the
+    table lookup, so no large trigonometric argument is ever formed.
     """
     n = _check_size(n)
     k = _check_lag(n, k)
-    tau = check_tau(tau)
-    c, _ = _angle_tables(n)
-    eig = 1.0 - 2.0 * tau * c
+    eig = precision_eigenvalues(n, tau)
     idx = (np.arange(n, dtype=np.int64) * k) % n
-    return float(np.sum(c[idx] / eig))
+    return float(np.sum(_angle_tables(n)[part][idx] / eig))
+
+
+def cycle_inverse_sum(n, k, tau: float) -> float:
+    """Cosine-weighted sum of reciprocal eigenvalues at lag k.
+
+    Equals n times the covariance between cycle nodes k steps apart.
+    """
+    return _spectral_lag_sum(n, k, tau, 0)
 
 
 def cycle_inverse_sum_imag(n, k, tau: float) -> float:
@@ -141,28 +146,21 @@ def cycle_inverse_sum_imag(n, k, tau: float) -> float:
     Analytically zero for every lag; returned unreduced so the cancellation
     that justifies the cosine-only implementation can be measured.
     """
-    n = _check_size(n)
-    k = _check_lag(n, k)
-    tau = check_tau(tau)
-    c, s = _angle_tables(n)
-    eig = 1.0 - 2.0 * tau * c
-    idx = (np.arange(n, dtype=np.int64) * k) % n
-    return float(np.sum(s[idx] / eig))
+    return _spectral_lag_sum(n, k, tau, 1)
 
 
 @dataclass(frozen=True, eq=False)
 class CycleCorrelation:
     """Full lag-indexed description of the cycle model of size n.
 
-    ``inverse_sums`` holds n times the ``covariances`` (the first row of the
-    inverse precision matrix), ``correlations`` that row over its lag-0 entry.
+    ``covariances`` is the first row of the inverse precision matrix and
+    ``correlations`` that row over its lag-0 entry.
     Lags k and n-k coincide bit-exactly; correlations start at exactly 1 and
     stay in (0, 1) for nonzero lag when tau > 0, until they underflow.
     """
 
     n: int
     tau: float
-    inverse_sums: np.ndarray
     covariances: np.ndarray
     correlations: np.ndarray
 
@@ -182,12 +180,12 @@ def cycle_correlation_sequence(n, tau: float) -> CycleCorrelation:
     tau = check_tau(tau)
     if tau == 0.0:
         cov = np.eye(1, n)[0]
-        return CycleCorrelation(n=n, tau=tau, inverse_sums=n * cov, covariances=cov, correlations=cov.copy())
+        return CycleCorrelation(n=n, tau=tau, covariances=cov, correlations=cov.copy())
     p = decay_params(tau)
     powers = np.array([p.base**j for j in range(n + 1)])
     num = powers[:n] + powers[n:0:-1]
     cov = num / (-math.expm1(-n * p.rate) * sqrt_one_minus_4tau2(tau))
-    return CycleCorrelation(n=n, tau=tau, inverse_sums=n * cov, covariances=cov, correlations=num / num[0])
+    return CycleCorrelation(n=n, tau=tau, covariances=cov, correlations=num / num[0])
 
 
 def riemann_sum(n, k, tau: float) -> float:

@@ -13,12 +13,14 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict, fields
 from datetime import datetime, timezone
+from operator import attrgetter
 
 import numpy as np
 
 from . import __version__
-from .analysis import fit_abs_error_rate, sweep
+from .analysis import ConvergenceRecord, fit_abs_error_rate, sweep
 from .chains import centered_chain_correlation_matrix, open_chain_correlation_matrix
 from .circulant import _check_lag, _limit_integral_table, circulant_matrix, cycle_correlation_sequence
 from .errors import DomainError, InsufficientDataError, SelfCheckError
@@ -56,18 +58,24 @@ def _csv_row(row) -> str:
     return template % row
 
 
-def _write(args, command, parameters, columns, rows, *, payload=None, metadata=None, note=None) -> None:
+# argparse dests that select the output or the handler, not a computation
+_NOT_PARAMETERS = frozenset({"command", "format", "deterministic", "func"})
+
+
+def _write(args, columns, rows, *, payload=None, metadata=None, note=None) -> None:
     """Write a command's result: a CSV table, or the JSON envelope.
 
     CSV is printed one line per row as the rows are generated, so ``rows``
     may be a lazy iterable; the header, every row and ``note`` (one more row,
     written to stderr after the table) all go through :func:`_csv_row`.  The
     JSON payload is ``payload`` if given, else one object per row; numpy
-    arrays in it are written as nested lists.  ``metadata`` extends the
-    envelope's metadata.
+    arrays in it are written as nested lists.  The envelope names the
+    command and its parameters, every other argparse dest in the order the
+    parser defines them; ``metadata`` extends it.
     """
     if args.format == "json":
-        meta = {"command": command, "parameters": parameters, "version": __version__}
+        parameters = {k: v for k, v in vars(args).items() if k not in _NOT_PARAMETERS}
+        meta = {"command": args.command, "parameters": parameters, "version": __version__}
         if metadata:
             meta.update(metadata)
         if not args.deterministic:
@@ -115,8 +123,7 @@ def cmd_decay(args) -> int:
         gff_rate = gff_decay_rate(_implied_mass(p.tau))
     columns = ["tau", "rate", "base", "gff_rate"]
     rows = [(p.tau, p.rate, p.base, gff_rate)]
-    params = {"tau": args.tau, "mass": args.mass, "beta": args.beta}
-    _write(args, "decay", params, columns, rows)
+    _write(args, columns, rows)
     return 0
 
 
@@ -134,10 +141,9 @@ def cmd_corr(args) -> int:
     deviation = None
     if args.method == "oracle":
         matrix = model_correlation(graph, args.tau).correlation
-    elif args.method == "closed":
-        matrix = _closed_matrix(graph, args.tau)
     else:
         matrix = _closed_matrix(graph, args.tau)
+    if args.method == "both":
         reference = model_correlation(graph, args.tau).correlation
         deviation = float(np.max(np.abs(matrix - reference)))
         if deviation > SELF_CHECK_TOLERANCE:
@@ -147,11 +153,8 @@ def cmd_corr(args) -> int:
             )
 
     labels = list(graph.indices)
-    params = {"graph": args.graph, "n": args.n, "tau": args.tau, "method": args.method}
     _write(
         args,
-        "corr",
-        params,
         ["i"] + [str(x) for x in labels],
         ((label, *matrix[pos].tolist()) for pos, label in enumerate(labels)),
         payload={"indices": labels, "matrix": matrix},
@@ -164,33 +167,11 @@ def cmd_corr(args) -> int:
 def cmd_converge(args) -> int:
     result = sweep(GraphKind(args.graph), args.i, args.j, args.tau, args.n_min, args.n_max)
 
-    fit_info = None
-    if args.fit:
-        fit = fit_abs_error_rate(result)
-        fit_info = {
-            "slope": fit.slope,
-            "intercept": fit.intercept,
-            "r_squared": fit.r_squared,
-            "expected_slope": fit.expected_slope,
-            "relative_slope_error": fit.relative_slope_error,
-            "n_points": fit.n_points,
-        }
-
-    columns = ["n", "exact", "limit", "abs_err", "rel_err", "scaled_rel"]
-    rows = [(r.n, r.exact, r.limit, r.abs_err, r.rel_err, r.scaled_rel) for r in result]
-    params = {
-        "graph": args.graph,
-        "i": args.i,
-        "j": args.j,
-        "tau": args.tau,
-        "n_min": args.n_min,
-        "n_max": args.n_max,
-        "fit": args.fit,
-    }
+    fit_info = asdict(fit_abs_error_rate(result)) if args.fit else None
+    columns = [f.name for f in fields(ConvergenceRecord)]
+    rows = list(map(attrgetter(*columns), result))
     _write(
         args,
-        "converge",
-        params,
         columns,
         rows,
         payload={"records": [dict(zip(columns, row)) for row in rows], "fit": fit_info},
@@ -202,7 +183,6 @@ def cmd_converge(args) -> int:
 def cmd_circulant(args) -> int:
     graph = _graph("cycle", args.n)
     lags = [_check_lag(graph.n, args.k)] if args.k is not None else range(graph.n)
-    params = {"n": args.n, "tau": args.tau, "k": args.k, "riemann": args.riemann}
     seq = cycle_correlation_sequence(graph.n, args.tau)
     if args.riemann:
         # the n-point left Riemann sum of the spectral integrand is exactly 2 pi cov_k
@@ -214,7 +194,7 @@ def cmd_circulant(args) -> int:
         columns = ["k", "correlation", "limit", "gap"]
         pairs = [(float(seq.correlations[k]), base**k) for k in lags]
     rows = [(k, value, limit, value - limit) for k, (value, limit) in zip(lags, pairs)]
-    _write(args, "circulant", params, columns, rows)
+    _write(args, columns, rows)
     return 0
 
 
@@ -226,23 +206,14 @@ def cmd_sample(args) -> int:
     exact = model_correlation(graph, args.tau).correlation
     scores = fisher_z_discrepancies(batch, exact)
 
-    labels = list(graph.indices)
+    dim = graph.node_count
+    a, b = np.triu_indices(dim, 1)
+    labels = np.asarray(graph.indices)
     columns = ["i", "j", "empirical", "exact", "z_score"]
-    rows = []
-    dim = len(labels)
-    for a in range(dim):
-        for b in range(a + 1, dim):
-            rows.append(
-                (labels[a], labels[b], float(batch.correlation[a, b]), float(exact[a, b]), float(scores[a, b]))
-            )
-    max_z = max((row[4] for row in rows), default=0.0)
-    params = {
-        "graph": args.graph,
-        "n": args.n,
-        "tau": args.tau,
-        "count": args.count,
-        "seed": args.seed,
-    }
+    cells = (labels[a], labels[b], batch.correlation[a, b], exact[a, b], scores[a, b])
+    rows = list(zip(*(c.tolist() for c in cells)))
+    # scores is symmetric with a zero diagonal: its max is the max over the rows
+    max_z = float(scores.max())
     metadata = {
         "method": batch.method,
         "philox_words": batch.count * dim,
@@ -251,7 +222,7 @@ def cmd_sample(args) -> int:
         "max_z_score": max_z,
         "z_score_limit": Z_SCORE_LIMIT,
     }
-    _write(args, "sample", params, columns, rows, metadata=metadata)
+    _write(args, columns, rows, metadata=metadata)
     return 0 if max_z <= Z_SCORE_LIMIT else 5
 
 

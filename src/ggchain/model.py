@@ -154,21 +154,17 @@ def decay_base(tau: float) -> float:
 class GffParams:
     """Coupling ``beta`` and mass of the massive free field on the 1-d lattice.
 
-    Only dimension 1 is supported; ``dims`` is carried so that callers state
-    it explicitly.
+    Both must be finite and non-negative.
     """
 
     beta: float
     mass: float
-    dims: int = 1
 
     def __post_init__(self):
-        if self.dims != 1:
-            raise DomainError(f"only dims = 1 is supported, got {self.dims}")
-        if not self.beta >= 0.0:
-            raise DomainError(f"coupling must be >= 0, got {self.beta!r}")
-        if not self.mass >= 0.0:
-            raise DomainError(f"mass must be >= 0, got {self.mass!r}")
+        if not 0.0 <= self.beta < math.inf:
+            raise DomainError(f"coupling must be finite and >= 0, got {self.beta!r}")
+        if not 0.0 <= self.mass < math.inf:
+            raise DomainError(f"mass must be finite and >= 0, got {self.mass!r}")
 
 
 def tau_from_gff(params: GffParams) -> float:

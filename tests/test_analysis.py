@@ -1,4 +1,4 @@
-"""Convergence sweeps, rate fits, Riemann gap tables, free-field table."""
+"""Convergence sweeps, rate fits, free-field table."""
 
 import math
 
@@ -14,7 +14,6 @@ from ggchain import (
     gff_table,
     rel_error_coefficient_centered,
     rel_error_coefficient_open,
-    riemann_gap,
 )
 from ggchain.analysis import ConvergenceSweep
 
@@ -123,30 +122,6 @@ class TestFitAbsErrorRate:
         )
         with pytest.raises(DomainError):
             fit_abs_error_rate(fake)
-
-
-class TestRiemannGap:
-    def test_strictly_decreasing_lag_zero(self):
-        gaps = dict(riemann_gap(0, 0.4, [8, 16, 32, 64]))
-        assert abs(gaps[16]) < abs(gaps[8])
-        assert abs(gaps[32]) < abs(gaps[16])
-        assert abs(gaps[64]) < abs(gaps[32])
-
-    def test_tau_zero_identically_zero(self):
-        for _, gap in riemann_gap(0, 0.0, [3, 10, 77]):
-            assert gap == 0.0
-
-    def test_lag_one_refinement(self):
-        """Grid doubling shrinks the lag-1 gap while it is resolvable."""
-        gaps = dict(riemann_gap(1, 0.4, [8, 16, 32]))
-        assert abs(gaps[16]) / abs(gaps[8]) < 1.0
-        assert abs(gaps[32]) / abs(gaps[16]) < 1.0
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            riemann_gap(0, 0.5, [8])
-        with pytest.raises(DomainError):
-            riemann_gap(8, 0.4, [8])
 
 
 class TestGffTable:

@@ -19,6 +19,7 @@ from ggchain import (
     cycle_inverse_sum,
     cycle_inverse_sum_imag,
     decay_base,
+    decay_params,
     limit_integral,
     precision_eigenvalues,
     precision_matrix,
@@ -206,7 +207,7 @@ class TestCorrelationSequence:
                 seq = cycle_correlation_sequence(n, tau)
                 tol = 1e-14 * seq.covariances[0]
                 for k in range(n):
-                    assert abs(seq.inverse_sums[k] - cycle_inverse_sum(n, k, tau)) <= n * tol
+                    assert abs(n * seq.covariances[k] - cycle_inverse_sum(n, k, tau)) <= n * tol
                     assert abs(riemann_sum(n, k, tau) - 2.0 * math.pi * seq.covariances[k]) <= 2.0 * math.pi * tol
 
     @pytest.mark.parametrize("tau", (0.05, 0.25, 0.4, 0.4249, 0.45, 0.4495, 0.49))
@@ -329,6 +330,21 @@ class TestCycleLimit:
             assert law > 0.0
             assert measured > 0.0
             assert abs(measured - law) <= max(1e-9 * law, 4 * sys.float_info.epsilon)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("tau", [0.45, 0.49])
+    def test_error_law_slope(self, tau, k):
+        """The relative gap corr_n(k) / b**k - 1 decays like b**n: over every n
+        where the law (b**(n-2k) - b**n) / (1 + b**n) lies in [1e-10, 1e-2], its
+        log has least-squares slope -rate in n, within 1e-3 relative."""
+        p = decay_params(tau)
+        b = p.base
+        ns = [n for n in range(2 * k + 1, 1000) if 1e-10 <= (b ** (n - 2 * k) - b**n) / (1 + b**n) <= 1e-2]
+        measured = [cycle_correlation_sequence(n, tau).correlations[k] / cycle_correlation_limit(k, tau) - 1 for n in ns]
+        assert len(ns) >= 20
+        assert min(measured) > 0.0
+        slope = np.polyfit(ns, np.log(measured), 1)[0]
+        assert abs(slope / -p.rate - 1) <= 1e-3, slope
 
     def test_domain(self):
         with pytest.raises(DomainError):

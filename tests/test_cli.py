@@ -55,6 +55,22 @@ class TestDecay:
         code, _, _ = run_cli(capsys, "decay", "--mass", "1")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (("--mass", "1", "--beta", "inf"), "coupling"),
+            (("--mass", "inf", "--beta", "1"), "mass"),
+        ],
+        ids=["beta", "mass"],
+    )
+    def test_non_finite_field_parameter(self, capsys, argv, name):
+        """Regression: an infinite coupling was reported as "got nan" and an
+        infinite mass as "operation requires tau > 0"."""
+        code, out, err = run_cli(capsys, "decay", *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"ggchain: domain error: {name} must be finite and >= 0, got inf\n"
+
     def test_huge_mass(self, capsys):
         """Regression: m^2 overflowed in tau_from_gff, so this exited 2 with
         "operation requires tau > 0" though tau ~ 5e-321 is representable."""
@@ -315,6 +331,19 @@ class TestSample:
         assert meta["philox_words"] == 3000 * 5
         assert meta["sample_block"] == SAMPLE_BLOCK
         assert meta["method"] == NORMAL_METHOD
+
+    def test_envelope_parameters(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            "sample", "--graph", "cycle", "--n", "3", "--tau", "0.3",
+            "--count", "500", "--seed", "7", "--format", "json", "--deterministic",
+        )
+        assert code == 0
+        meta = json.loads(out)["metadata"]
+        assert meta["command"] == "sample"
+        assert list(meta["parameters"].items()) == [
+            ("graph", "cycle"), ("n", 3), ("tau", 0.3), ("count", 500), ("seed", 7)
+        ]
 
     def test_byte_identical_reruns(self, capsys):
         argv = (

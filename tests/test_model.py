@@ -154,9 +154,14 @@ class TestGffMapping:
             0.5 / (1.0 + 2.25 / 1.7), rel=1e-15
         )
 
-    def test_dims_rejected(self):
-        with pytest.raises(DomainError):
-            GffParams(beta=1.0, mass=1.0, dims=2)
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_rejected_by_name(self, value):
+        """Regression: an infinite coupling reached the tau check as nan, and an
+        infinite mass as tau = 0, so neither message named the bad input."""
+        with pytest.raises(DomainError, match="^coupling must be finite"):
+            GffParams(beta=value, mass=1.0)
+        with pytest.raises(DomainError, match="^mass must be finite"):
+            GffParams(beta=1.0, mass=value)
 
     def test_negative_parameters_rejected(self):
         with pytest.raises(DomainError):

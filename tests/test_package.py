@@ -32,12 +32,12 @@ PUBLIC_NAMES = {
     "NORMAL_METHOD",
     # analysis
     "ConvergenceRecord", "ConvergenceSweep", "RateFit", "GffRow", "ERROR_FLOOR",
-    "ERROR_CEILING", "sweep", "fit_abs_error_rate", "riemann_gap", "gff_table",
+    "ERROR_CEILING", "sweep", "fit_abs_error_rate", "gff_table",
 }
 
 
 def test_exported_names():
-    assert len(gg.__all__) == len(set(gg.__all__)) == 57
+    assert len(gg.__all__) == len(set(gg.__all__)) == 56
     assert set(gg.__all__) == PUBLIC_NAMES
 
 
