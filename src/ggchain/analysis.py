@@ -130,13 +130,8 @@ def sweep(kind: GraphKind, i: int, j: int, tau: float, n_min: int, n_max: int) -
     correlation, limit_of, relative_error = _KERNELS[kind]
     p = decay_params(tau)
     limit = limit_of(i, j, tau)
-    n_min = as_index(n_min, "n_min")
-    n_max = as_index(n_max, "n_max")
-    lower = max(abs(i), abs(j)) + 1
-    if n_min < lower:
-        raise DomainError(f"n_min must be >= {lower} for pair ({i}, {j}), got {n_min}")
-    if n_max < n_min:
-        raise DomainError(f"n_max must be >= n_min, got {n_max} < {n_min}")
+    n_min = as_index(n_min, "n_min", max(abs(i), abs(j)) + 1)
+    n_max = as_index(n_max, "n_max", n_min)
     records = []
     for n in range(n_min, n_max + 1):
         exact = correlation(n, i, j, tau)

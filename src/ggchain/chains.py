@@ -38,7 +38,6 @@ import math
 
 import numpy as np
 
-from .errors import DomainError
 from .model import DecayParams, as_index, check_tau, decay_params, sqrt_one_minus_4tau2
 
 __all__ = [
@@ -63,32 +62,22 @@ _EXP_GUARD = 700.0
 
 
 def _check_open(n, i, j) -> tuple[int, int, int]:
-    n = as_index(n, "n")
-    i = as_index(i, "i")
-    j = as_index(j, "j")
-    if n < 1:
-        raise DomainError(f"chain length must be >= 1, got {n}")
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise DomainError(f"indices must lie in 1..{n}, got ({i}, {j})")
+    n = as_index(n, "n", 1)
+    i = as_index(i, "i", 1, n)
+    j = as_index(j, "j", 1, n)
     return n, min(i, j), max(i, j)
 
 
 def _check_positive_pair(i, j) -> tuple[int, int]:
-    i = as_index(i, "i")
-    j = as_index(j, "j")
-    if i < 1 or j < 1:
-        raise DomainError(f"indices must be >= 1, got ({i}, {j})")
+    i = as_index(i, "i", 1)
+    j = as_index(j, "j", 1)
     return min(i, j), max(i, j)
 
 
 def _check_centered(n, i, j) -> tuple[int, int, int]:
-    n = as_index(n, "n")
-    i = as_index(i, "i")
-    j = as_index(j, "j")
-    if n < 1:
-        raise DomainError(f"half-width must be >= 1, got {n}")
-    if not (-n <= i <= n and -n <= j <= n):
-        raise DomainError(f"indices must lie in -{n}..{n}, got ({i}, {j})")
+    n = as_index(n, "n", 1)
+    i = as_index(i, "i", -n, n)
+    j = as_index(j, "j", -n, n)
     return n, min(i, j), max(i, j)
 
 
@@ -271,9 +260,7 @@ def open_chain_correlation_matrix(n, tau: float) -> np.ndarray:
     tables the entries match :func:`open_chain_correlation` bit for bit.
     Temporaries are O(n): the output is the only n x n allocation.
     """
-    n = as_index(n, "n")
-    if n < 1:
-        raise DomainError(f"chain length must be >= 1, got {n}")
+    n = as_index(n, "n", 1)
     tau = check_tau(tau)
     if tau == 0.0:
         return np.eye(n)
@@ -296,7 +283,5 @@ def centered_chain_correlation_matrix(n, tau: float) -> np.ndarray:
     Rows and columns are ordered by node index; entry (a, b) corresponds to
     nodes a-n and b-n.  Identical to the open-chain matrix of length 2n+1.
     """
-    n = as_index(n, "n")
-    if n < 1:
-        raise DomainError(f"half-width must be >= 1, got {n}")
+    n = as_index(n, "n", 1)
     return open_chain_correlation_matrix(2 * n + 1, tau)

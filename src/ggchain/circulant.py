@@ -36,7 +36,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .model import as_index, check_tau, decay_base, decay_params, sqrt_one_minus_4tau2
+from .model import (
+    GraphKind,
+    GraphSpec,
+    as_index,
+    check_tau,
+    decay_base,
+    decay_params,
+    sqrt_one_minus_4tau2,
+)
 
 __all__ = [
     "CycleCorrelation",
@@ -51,20 +59,6 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
-
-
-def _check_size(n) -> int:
-    n = as_index(n, "cycle size")
-    if n < 3:
-        raise DomainError(f"cycle size must be >= 3, got {n}")
-    return n
-
-
-def _check_lag(n: int, k) -> int:
-    k = as_index(k, "lag")
-    if not 0 <= k < n:
-        raise DomainError(f"lag must lie in 0..{n - 1}, got {k}")
-    return k
 
 
 def circulant_matrix(first_row) -> np.ndarray:
@@ -113,7 +107,7 @@ def precision_eigenvalues(n, tau: float) -> np.ndarray:
     Entry 0 is 1 - 2 tau, entries k and n-k coincide bit-exactly, and for even
     n entry n/2 is 1 + 2 tau.  All are positive on the admissible tau range.
     """
-    n = _check_size(n)
+    n = GraphSpec(GraphKind.CYCLE, n).n
     tau = check_tau(tau)
     c, _ = _angle_tables(n)
     return 1.0 - 2.0 * tau * c
@@ -125,8 +119,8 @@ def _spectral_lag_sum(n, k, tau: float, part: int) -> float:
     Products j * k are reduced modulo n in integer arithmetic before the
     table lookup, so no large trigonometric argument is ever formed.
     """
-    n = _check_size(n)
-    k = _check_lag(n, k)
+    n = GraphSpec(GraphKind.CYCLE, n).n
+    k = as_index(k, "lag", 0, n - 1)
     eig = precision_eigenvalues(n, tau)
     idx = (np.arange(n, dtype=np.int64) * k) % n
     return float(np.sum(_angle_tables(n)[part][idx] / eig))
@@ -153,8 +147,10 @@ def cycle_inverse_sum_imag(n, k, tau: float) -> float:
 class CycleCorrelation:
     """Full lag-indexed description of the cycle model of size n.
 
-    ``covariances`` is the first row of the inverse precision matrix and
-    ``correlations`` that row over its lag-0 entry.
+    ``covariances`` is the first row of the inverse precision matrix,
+    ``correlations`` that row over its lag-0 entry, and ``limits`` the large-n
+    limit ``base**k`` of each correlation (the unit vector at tau = 0), the
+    doubles :func:`cycle_correlation_limit` returns.
     Lags k and n-k coincide bit-exactly; correlations start at exactly 1 and
     stay in (0, 1) for nonzero lag when tau > 0, until they underflow.
     """
@@ -163,6 +159,7 @@ class CycleCorrelation:
     tau: float
     covariances: np.ndarray
     correlations: np.ndarray
+    limits: np.ndarray
 
 
 def cycle_correlation_sequence(n, tau: float) -> CycleCorrelation:
@@ -176,16 +173,16 @@ def cycle_correlation_sequence(n, tau: float) -> CycleCorrelation:
     keeps full relative precision as tau approaches 1/2.  At tau = 0 the nodes are
     independent and the exact unit vector is returned.
     """
-    n = _check_size(n)
+    n = GraphSpec(GraphKind.CYCLE, n).n
     tau = check_tau(tau)
     if tau == 0.0:
         cov = np.eye(1, n)[0]
-        return CycleCorrelation(n=n, tau=tau, covariances=cov, correlations=cov.copy())
+        return CycleCorrelation(n, tau, covariances=cov, correlations=cov.copy(), limits=cov.copy())
     p = decay_params(tau)
     powers = np.array([p.base**j for j in range(n + 1)])
     num = powers[:n] + powers[n:0:-1]
     cov = num / (-math.expm1(-n * p.rate) * sqrt_one_minus_4tau2(tau))
-    return CycleCorrelation(n=n, tau=tau, covariances=cov, correlations=num / num[0])
+    return CycleCorrelation(n, tau, covariances=cov, correlations=num / num[0], limits=powers[:n])
 
 
 def riemann_sum(n, k, tau: float) -> float:
@@ -202,30 +199,19 @@ def riemann_sum(n, k, tau: float) -> float:
 def limit_integral(k, tau: float) -> float:
     """Integral of exp(-i k x) / (1 - 2 tau cos x) over one period.
 
-    Closed form by residues: 2 pi base**k / sqrt(1 - 4 tau^2).  The tau = 0
-    limit is returned rather than rejected: 2 pi at lag 0, zero otherwise.
+    Closed form by residues: 2 pi base**k / sqrt(1 - 4 tau^2), evaluated as
+    ``2 pi * (base**k / s)``, so ``2 pi * (seq.limits / s)`` of a
+    :class:`CycleCorrelation` gives the same doubles at every lag.  The
+    tau = 0 limit is returned rather than rejected: 2 pi at lag 0, zero
+    otherwise.
     """
-    k = as_index(k, "lag")
-    if k < 0:
-        raise DomainError(f"lag must be >= 0, got {k}")
-    return _limit_integral_table((k,), tau)[0]
-
-
-def _limit_integral_table(lags, tau: float) -> list[float]:
-    """:func:`limit_integral` at every lag of ``lags`` (already validated).
-
-    tau is checked and ``base`` and ``s`` computed once; each entry is the
-    same double the scalar function returns.
-    """
+    k = as_index(k, "lag", 0)
     tau = check_tau(tau)
-    base, s = decay_base(tau), sqrt_one_minus_4tau2(tau)
-    return [_TWO_PI * (base**k / s) for k in lags]
+    return _TWO_PI * (decay_base(tau) ** k / sqrt_one_minus_4tau2(tau))
 
 
 def cycle_correlation_limit(k, tau: float) -> float:
     """Large-n limit of the lag-k cycle correlation: base**k."""
-    k = as_index(k, "lag")
-    if k < 0:
-        raise DomainError(f"lag must be >= 0, got {k}")
+    k = as_index(k, "lag", 0)
     tau = check_tau(tau, positive=True)
     return decay_base(tau) ** k

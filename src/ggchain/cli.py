@@ -22,15 +22,16 @@ import numpy as np
 from . import __version__
 from .analysis import ConvergenceRecord, fit_abs_error_rate, sweep
 from .chains import centered_chain_correlation_matrix, open_chain_correlation_matrix
-from .circulant import _check_lag, _limit_integral_table, circulant_matrix, cycle_correlation_sequence
+from .circulant import circulant_matrix, cycle_correlation_sequence
 from .errors import DomainError, InsufficientDataError, SelfCheckError
 from .model import (
     GffParams,
     GraphKind,
     GraphSpec,
-    decay_base,
+    as_index,
     decay_params,
     gff_decay_rate,
+    sqrt_one_minus_4tau2,
     tau_from_gff,
 )
 from .oracle import SAMPLE_BLOCK, fisher_z_discrepancies, model_correlation, sample
@@ -182,27 +183,28 @@ def cmd_converge(args) -> int:
 
 def cmd_circulant(args) -> int:
     graph = _graph("cycle", args.n)
-    lags = [_check_lag(graph.n, args.k)] if args.k is not None else range(graph.n)
+    lags = [as_index(args.k, "lag", 0, graph.n - 1)] if args.k is not None else range(graph.n)
     seq = cycle_correlation_sequence(graph.n, args.tau)
     if args.riemann:
-        # the n-point left Riemann sum of the spectral integrand is exactly 2 pi cov_k
+        # the n-point left Riemann sum of the spectral integrand is exactly 2 pi cov_k,
+        # and its limit the integral 2 pi base**k / s
         columns = ["k", "riemann_sum", "integral", "gap"]
-        sums = [2.0 * math.pi * float(seq.covariances[k]) for k in lags]
-        pairs = list(zip(sums, _limit_integral_table(lags, args.tau)))
+        two_pi = 2.0 * math.pi
+        values = two_pi * seq.covariances
+        limits = two_pi * (seq.limits / sqrt_one_minus_4tau2(seq.tau))
     else:
-        base = decay_base(args.tau)
         columns = ["k", "correlation", "limit", "gap"]
-        pairs = [(float(seq.correlations[k]), base**k) for k in lags]
-    rows = [(k, value, limit, value - limit) for k, (value, limit) in zip(lags, pairs)]
+        values, limits = seq.correlations, seq.limits
+    values, limits = values.tolist(), limits.tolist()
+    rows = [(k, values[k], limits[k], values[k] - limits[k]) for k in lags]
     _write(args, columns, rows)
     return 0
 
 
 def cmd_sample(args) -> int:
-    if args.count < 100:
-        raise DomainError(f"count must be >= 100, got {args.count}")
+    count = as_index(args.count, "count", 100)
     graph = _graph(args.graph, args.n)
-    batch = sample(graph, args.tau, args.count, args.seed)
+    batch = sample(graph, args.tau, count, args.seed)
     exact = model_correlation(graph, args.tau).correlation
     scores = fisher_z_discrepancies(batch, exact)
 

@@ -93,9 +93,7 @@ def invert_tridiagonal(diag: float, off: float, n: int) -> np.ndarray:
     substitutes.  Raises :class:`NotPositiveDefiniteError` on the first
     nonpositive pivot.  The result is symmetrised before returning.
     """
-    n = as_index(n, "size")
-    if n < 1:
-        raise DomainError(f"size must be >= 1, got {n}")
+    n = as_index(n, "size", 1)
     diag = float(diag)
     off = float(off)
     piv = np.empty(n)
@@ -174,12 +172,8 @@ def sample(graph: GraphSpec, tau: float, count: int, seed: int) -> SampleBatch:
     """
     from scipy.special import ndtri
     tau = check_tau(tau)
-    count = as_index(count, "count")
-    if count < 2:
-        raise DomainError(f"count must be >= 2, got {count}")
-    seed = as_index(seed, "seed")
-    if not 0 <= seed < 2**64:
-        raise DomainError(f"seed must fit in 64 bits, got {seed}")
+    count = as_index(count, "count", 2)
+    seed = as_index(seed, "seed", 0, 2**64 - 1)
 
     dim = graph.node_count
     prec = precision_matrix(graph, tau)

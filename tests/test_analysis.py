@@ -13,7 +13,6 @@ from ggchain import (
     fit_abs_error_rate,
     gff_table,
     rel_error_coefficient_centered,
-    rel_error_coefficient_open,
 )
 from ggchain.analysis import ConvergenceSweep
 

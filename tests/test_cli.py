@@ -71,6 +71,23 @@ class TestDecay:
         assert out == ""
         assert err == f"ggchain: domain error: {name} must be finite and >= 0, got inf\n"
 
+    @pytest.mark.parametrize("mass, beta", [("1e-9", "1"), ("1e-9", "4"), ("0", "1")])
+    def test_tiny_mass_named(self, capsys, mass, beta):
+        """Regression: below m ~ 1e-8, 0.5 + m^2/2 rounds to 0.5, and the error
+        named the derived "tau < 1/2, got 0.5" instead of the field parameters."""
+        code, out, err = run_cli(capsys, "decay", "--mass", mass, "--beta", beta)
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"ggchain: domain error: mass {float(mass)!r} is too small for coupling "
+            f"{float(beta)!r}: the edge weight reaches 1/2\n"
+        )
+
+    def test_small_mass_accepted(self, capsys):
+        code, out, err = run_cli(capsys, "decay", "--mass", "1e-7", "--beta", "1", "--format", "json")
+        assert code == 0, err
+        assert json.loads(out)["payload"][0]["tau"] < 0.5
+
     def test_huge_mass(self, capsys):
         """Regression: m^2 overflowed in tau_from_gff, so this exited 2 with
         "operation requires tau > 0" though tau ~ 5e-321 is representable."""

@@ -1,5 +1,7 @@
 """Model types, decay parameters, free-field mapping, precision matrices."""
 
+import contextlib
+import io
 import math
 import sys
 
@@ -19,6 +21,7 @@ from ggchain import (
     precision_matrix,
     tau_from_gff,
 )
+from ggchain.cli import main
 
 TAU_GRID = np.arange(0.01, 0.50, 0.005)
 
@@ -29,6 +32,12 @@ OPEN5 = GraphSpec(GraphKind.OPEN_CHAIN, 5)
 INTEGER_ARGUMENTS = {
     "as_index": lambda v: gg.model.as_index(v, "n"),
     "GraphSpec.n": lambda v: GraphSpec(GraphKind.OPEN_CHAIN, v),
+    "open_chain_correlation.n": lambda v: gg.open_chain_correlation(v, 1, 2, 0.4),
+    "open_chain_correlation.i": lambda v: gg.open_chain_correlation(5, v, 2, 0.4),
+    "open_chain_correlation.j": lambda v: gg.open_chain_correlation(5, 1, v, 0.4),
+    "centered_chain_correlation.n": lambda v: gg.centered_chain_correlation(v, 0, 1, 0.4),
+    "centered_chain_correlation.i": lambda v: gg.centered_chain_correlation(5, v, 1, 0.4),
+    "centered_chain_correlation.j": lambda v: gg.centered_chain_correlation(5, 0, v, 0.4),
     "open_chain_correlation_matrix.n": lambda v: gg.open_chain_correlation_matrix(v, 0.4),
     "precision_eigenvalues.n": lambda v: gg.precision_eigenvalues(v, 0.4),
     "cycle_inverse_sum.k": lambda v: gg.cycle_inverse_sum(8, v, 0.4),
@@ -52,6 +61,71 @@ def test_integer_arguments_agree(entry, value):
     else:
         with pytest.raises(DomainError):
             call(value)
+
+
+def _cli(*argv):
+    """Run the command line quietly: exit 0 passes, exit 2 raises DomainError."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main([str(a) for a in argv])
+    if code == 2:
+        raise DomainError(f"exit 2 from {argv}")
+    assert code == 0, argv
+
+
+# every integer range of the package: a call taking the argument as v, the
+# lowest admitted value and the highest (None where there is no upper bound)
+INTEGER_RANGES = {
+    "open_chain_covariance.n": (lambda v: gg.open_chain_covariance(v, 1, 1, 0.4), 1, None),
+    "open_chain_covariance.i": (lambda v: gg.open_chain_covariance(5, v, 3, 0.4), 1, 5),
+    "open_chain_correlation.n": (lambda v: gg.open_chain_correlation(v, 1, 1, 0.4), 1, None),
+    "open_chain_correlation.i": (lambda v: gg.open_chain_correlation(5, v, 3, 0.4), 1, 5),
+    "open_chain_correlation.j": (lambda v: gg.open_chain_correlation(5, 3, v, 0.4), 1, 5),
+    "open_chain_relative_error.j": (lambda v: gg.open_chain_relative_error(5, 3, v, 0.4), 1, 5),
+    "open_chain_correlation_limit.i": (lambda v: gg.open_chain_correlation_limit(v, 3, 0.4), 1, None),
+    "open_chain_correlation_limit.j": (lambda v: gg.open_chain_correlation_limit(3, v, 0.4), 1, None),
+    "open_chain_limit_envelope_error.i": (
+        lambda v: gg.open_chain_limit_envelope_error(v, 3, 0.4), 1, None),
+    "rel_error_coefficient_open.j": (lambda v: gg.rel_error_coefficient_open(3, v, 0.4), 1, None),
+    "centered_chain_correlation.n": (lambda v: gg.centered_chain_correlation(v, 0, 0, 0.4), 1, None),
+    "centered_chain_correlation.i": (lambda v: gg.centered_chain_correlation(5, v, 0, 0.4), -5, 5),
+    "centered_chain_correlation.j": (lambda v: gg.centered_chain_correlation(5, 0, v, 0.4), -5, 5),
+    "centered_chain_relative_error.i": (lambda v: gg.centered_chain_relative_error(5, v, 0, 0.4), -5, 5),
+    "open_chain_correlation_matrix.n": (lambda v: gg.open_chain_correlation_matrix(v, 0.4), 1, None),
+    "centered_chain_correlation_matrix.n": (
+        lambda v: gg.centered_chain_correlation_matrix(v, 0.4), 1, None),
+    "GraphSpec.open": (lambda v: GraphSpec(GraphKind.OPEN_CHAIN, v), 1, None),
+    "GraphSpec.centered": (lambda v: GraphSpec(GraphKind.CENTERED_CHAIN, v), 1, None),
+    "GraphSpec.cycle": (lambda v: GraphSpec(GraphKind.CYCLE, v), 3, None),
+    "precision_eigenvalues.n": (lambda v: gg.precision_eigenvalues(v, 0.4), 3, None),
+    "cycle_correlation_sequence.n": (lambda v: gg.cycle_correlation_sequence(v, 0.4), 3, None),
+    "cycle_inverse_sum.k": (lambda v: gg.cycle_inverse_sum(8, v, 0.4), 0, 7),
+    "cycle_inverse_sum_imag.k": (lambda v: gg.cycle_inverse_sum_imag(8, v, 0.4), 0, 7),
+    "limit_integral.k": (lambda v: gg.limit_integral(v, 0.4), 0, None),
+    "cycle_correlation_limit.k": (lambda v: gg.cycle_correlation_limit(v, 0.4), 0, None),
+    "invert_tridiagonal.n": (lambda v: gg.invert_tridiagonal(1.0, -0.4, v), 1, None),
+    "sample.count": (lambda v: gg.sample(OPEN5, 0.4, v, 1), 2, None),
+    "sample.seed": (lambda v: gg.sample(OPEN5, 0.4, 100, v), 0, 2**64 - 1),
+    "sweep.n_min": (lambda v: gg.sweep(GraphKind.OPEN_CHAIN, 1, 3, 0.4, v, 20), 4, None),
+    "sweep.n_min.centered": (lambda v: gg.sweep(GraphKind.CENTERED_CHAIN, -3, 1, 0.4, v, 20), 4, None),
+    "sweep.n_max": (lambda v: gg.sweep(GraphKind.OPEN_CHAIN, 1, 3, 0.4, 8, v), 8, None),
+    "cli.sample.count": (
+        lambda v: _cli("sample", "--graph", "open", "--n", 2, "--tau", 0.4, "--count", v, "--seed", 1),
+        100, None),
+    "cli.circulant.k": (lambda v: _cli("circulant", "--n", 8, "--tau", 0.4, "--k", v), 0, 7),
+}
+
+
+@pytest.mark.parametrize("entry", INTEGER_RANGES)
+def test_integer_ranges(entry):
+    """The lowest and highest admitted values pass; one step beyond either raises."""
+    call, lo, hi = INTEGER_RANGES[entry]
+    call(lo)
+    with pytest.raises(DomainError):
+        call(lo - 1)
+    if hi is not None:
+        call(hi)
+        with pytest.raises(DomainError):
+            call(hi + 1)
 
 
 class TestDecayParams:

@@ -1,11 +1,15 @@
 """Public surface: the names ``ggchain`` exports, where each is defined, what importing loads."""
 
+import ast
+import shlex
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import ggchain as gg
 from ggchain import analysis, chains, circulant, errors, model, oracle
+from ggchain.cli import main
 
 PUBLIC_NAMES = {
     "__version__",
@@ -99,3 +103,57 @@ def test_chain_sampling_loads_only_scipy_special():
     loaded = proc.stdout.split()
     assert "scipy.special" in loaded
     assert not [name for name in loaded if name.startswith("scipy.linalg")]
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _readme_block(language: str, after: str) -> str:
+    """The first fenced ``language`` block of the README that follows the line ``after``."""
+    text = README.read_text()
+    start = text.index(f"```{language}\n", text.index(after)) + len(language) + 4
+    return text[start : text.index("```", start)]
+
+
+def test_readme_examples_run(capsys):
+    """The README's library block runs, and every ``ggchain`` command line of its
+    "Command line" block exits 0, so the README names no API that is gone."""
+    exec(compile(_readme_block("python", "## Library"), str(README), "exec"), {})
+    commands = [
+        shlex.split(line, comments=True)[1:]
+        for line in _readme_block("sh", "## Command line").replace("\\\n", " ").splitlines()
+        if line.startswith("ggchain ")
+    ]
+    assert len(commands) == 6
+    for argv in commands:
+        assert main(argv) == 0, argv
+        capsys.readouterr()
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names bound by an import in ``path`` that are neither used nor listed in ``__all__``."""
+    tree = ast.parse(path.read_text(), str(path))
+    bound = {}
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.partition(".")[0]
+                if name != "*":
+                    bound.setdefault(name, node.lineno)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return [f"{path.name}:{line} {name}" for name, line in bound.items() if name not in used]
+
+
+def test_no_unused_imports():
+    """Every name a module or test imports is used or re-exported.  The package's
+    ``__init__`` re-exports by star-import and is left out."""
+    root = README.parent
+    paths = [p for p in sorted((root / "src" / "ggchain").glob("*.py")) if p.name != "__init__.py"]
+    paths += sorted((root / "tests").glob("*.py"))
+    assert [entry for path in paths for entry in _unused_imports(path)] == []
