@@ -122,7 +122,8 @@ def sweep(kind: GraphKind, i: int, j: int, tau: float, n_min: int, n_max: int) -
     """Records for sizes n_min..n_max at one index pair of a chain.
 
     The size is the length of the open chain (indices >= 1) and the half-width
-    of the centered chain.  The cycle has no asymptotic expansion to sweep
+    of the centered chain; ``n_min`` may be the smallest size that holds both
+    indices, max(|i|, |j|, 1).  The cycle has no asymptotic expansion to sweep
     against and is rejected.
     """
     if kind is GraphKind.CYCLE:
@@ -130,7 +131,7 @@ def sweep(kind: GraphKind, i: int, j: int, tau: float, n_min: int, n_max: int) -
     correlation, limit_of, relative_error = _KERNELS[kind]
     p = decay_params(tau)
     limit = limit_of(i, j, tau)
-    n_min = as_index(n_min, "n_min", max(abs(i), abs(j)) + 1)
+    n_min = as_index(n_min, "n_min", max(abs(i), abs(j), 1))
     n_max = as_index(n_max, "n_max", n_min)
     records = []
     for n in range(n_min, n_max + 1):

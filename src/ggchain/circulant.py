@@ -213,5 +213,4 @@ def limit_integral(k, tau: float) -> float:
 def cycle_correlation_limit(k, tau: float) -> float:
     """Large-n limit of the lag-k cycle correlation: base**k."""
     k = as_index(k, "lag", 0)
-    tau = check_tau(tau, positive=True)
-    return decay_base(tau) ** k
+    return decay_params(tau).base ** k

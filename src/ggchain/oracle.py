@@ -22,8 +22,10 @@ stream word ``d * dim + c``.  The mapping is part of the output contract:
 identical seeds give bit-identical batches, and any parallel generation
 scheme must reproduce the same word addressing.  Draws are generated, solved
 and reduced in blocks of :data:`SAMPLE_BLOCK`, so the sampler's memory is
-bounded by the block, not by the number of draws.  scipy is imported at call
-time by its only two users, so importing ggchain does not load it.
+bounded by the block, not by the number of draws.  Both the dense route and
+the sampler factor the precision matrix with numpy's Cholesky, through one
+private routine.  scipy is imported at call time by its one user, the
+sampler's inverse normal CDF, so importing ggchain does not load it.
 """
 
 import math
@@ -114,20 +116,31 @@ def invert_tridiagonal(diag: float, off: float, n: int) -> np.ndarray:
     return 0.5 * (out + out.T)
 
 
+def _cholesky(a: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of ``a``; the package's only factorisation.
+
+    Raises :class:`NotPositiveDefiniteError` when ``a`` is not positive definite.
+    """
+    try:
+        return np.linalg.cholesky(a)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefiniteError(str(exc)) from exc
+
+
 def invert_dense_spd(matrix: np.ndarray) -> np.ndarray:
-    """Inverse of a dense symmetric positive definite matrix via Cholesky."""
-    from scipy.linalg import cho_factor, cho_solve
+    """Inverse of a dense symmetric positive definite matrix via numpy's Cholesky.
+
+    With ``a = L L^T`` the inverse is ``L^-T L^-1``; the factorisation is the
+    definiteness check.  The result is symmetrised before returning.
+    """
     a = np.array(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DomainError(f"matrix must be square, got shape {a.shape}")
     scale = np.max(np.abs(a)) or 1.0
     if np.max(np.abs(a - a.T)) > 1e-8 * scale:
         raise DomainError("matrix is not symmetric")
-    try:
-        factor = cho_factor(a, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError(str(exc)) from exc
-    inv = cho_solve(factor, np.eye(a.shape[0]))
+    inv_lower = np.linalg.inv(_cholesky(a))
+    inv = inv_lower.T @ inv_lower
     return 0.5 * (inv + inv.T)
 
 
@@ -176,11 +189,7 @@ def sample(graph: GraphSpec, tau: float, count: int, seed: int) -> SampleBatch:
     seed = as_index(seed, "seed", 0, 2**64 - 1)
 
     dim = graph.node_count
-    prec = precision_matrix(graph, tau)
-    try:
-        lower = np.linalg.cholesky(prec)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError(str(exc)) from exc
+    lower = _cholesky(precision_matrix(graph, tau))
     diag, sub = lower.diagonal(), lower.diagonal(-1)
     corner = lower[-1, :-2]  # last row left of the subdiagonal: nonzero for the cycle only
     has_corner = bool(np.any(corner))

@@ -60,7 +60,7 @@ class TestSweepCentered:
 
     def test_window_validation(self):
         with pytest.raises(DomainError):
-            gg.sweep(GraphKind.CENTERED_CHAIN, 0, 3, 0.4, 3, 10)
+            gg.sweep(GraphKind.CENTERED_CHAIN, 0, 3, 0.4, 2, 10)
         with pytest.raises(DomainError):
             gg.sweep(GraphKind.CENTERED_CHAIN, 0, 1, 0.4, 5, 4)
 

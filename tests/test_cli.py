@@ -11,8 +11,10 @@ import pytest
 from ggchain import (
     GraphKind,
     GraphSpec,
+    centered_chain_correlation,
     centered_chain_correlation_matrix,
     model_correlation,
+    open_chain_correlation,
     open_chain_correlation_matrix,
 )
 from ggchain.cli import _csv_row, main
@@ -226,6 +228,22 @@ class TestConverge:
             cells = line.split(",")
             assert cells[3] == "-0" or float(cells[3]) == 0.0
             assert float(cells[4]) == 0.0
+
+    @pytest.mark.parametrize(
+        "graph, i, j, n_min, kernel",
+        [("centered", 0, 3, 3, centered_chain_correlation), ("open", 1, 4, 4, open_chain_correlation)],
+    )
+    def test_sweeps_boundary_size(self, capsys, graph, i, j, n_min, kernel):
+        """The first size swept is the smallest chain that holds both indices."""
+        code, out, _ = run_cli(
+            capsys,
+            "converge", "--graph", graph, "--i", str(i), "--j", str(j), "--tau", "0.4",
+            "--n-min", str(n_min), "--n-max", "8", "--format", "json", "--deterministic",
+        )
+        assert code == 0
+        first = json.loads(out)["payload"]["records"][0]
+        assert first["n"] == n_min
+        assert first["exact"] == kernel(n_min, i, j, 0.4)
 
     def test_cycle_rejected(self, capsys):
         code, _, err = run_cli(

@@ -105,8 +105,8 @@ INTEGER_RANGES = {
     "invert_tridiagonal.n": (lambda v: gg.invert_tridiagonal(1.0, -0.4, v), 1, None),
     "sample.count": (lambda v: gg.sample(OPEN5, 0.4, v, 1), 2, None),
     "sample.seed": (lambda v: gg.sample(OPEN5, 0.4, 100, v), 0, 2**64 - 1),
-    "sweep.n_min": (lambda v: gg.sweep(GraphKind.OPEN_CHAIN, 1, 3, 0.4, v, 20), 4, None),
-    "sweep.n_min.centered": (lambda v: gg.sweep(GraphKind.CENTERED_CHAIN, -3, 1, 0.4, v, 20), 4, None),
+    "sweep.n_min": (lambda v: gg.sweep(GraphKind.OPEN_CHAIN, 1, 3, 0.4, v, 20), 3, None),
+    "sweep.n_min.centered": (lambda v: gg.sweep(GraphKind.CENTERED_CHAIN, -3, 1, 0.4, v, 20), 3, None),
     "sweep.n_max": (lambda v: gg.sweep(GraphKind.OPEN_CHAIN, 1, 3, 0.4, 8, v), 8, None),
     "cli.sample.count": (
         lambda v: _cli("sample", "--graph", "open", "--n", 2, "--tau", 0.4, "--count", v, "--seed", 1),

