@@ -2,8 +2,11 @@
 
 Every command emits CSV (default) or a JSON envelope ``{"metadata": ...,
 "payload": ...}`` selected by ``--format``.  CSV cells carry 9 significant
-digits; JSON carries full round-trip precision.  With ``--deterministic`` the
-envelope omits the timestamp, making reruns byte-identical.
+digits; JSON carries full round-trip precision on one compact line, which
+``python -m json.tool`` pretty-prints.  With ``--deterministic`` the envelope
+omits the timestamp, making reruns byte-identical.  Output is serialised from
+the result's structure: the rows of a circulant (closed cycle) matrix are
+rotations of its one formatted first row.
 
 Exit codes: 0 ok, 2 domain error (including a non-finite value in JSON
 output), 3 self-check failure, 4 insufficient data, 5 statistical failure.
@@ -40,9 +43,9 @@ SELF_CHECK_TOLERANCE = 1e-8
 Z_SCORE_LIMIT = 4.0
 
 
-def _dumps(obj, indent=None) -> str:
+def _dumps(obj) -> str:
     try:
-        return json.dumps(obj, indent=indent, allow_nan=False, default=np.ndarray.tolist)
+        return json.dumps(obj, allow_nan=False, default=np.ndarray.tolist)
     except ValueError as exc:
         raise DomainError(f"non-finite value in JSON output ({exc})") from exc
 
@@ -68,11 +71,14 @@ def _write(args, columns, rows, *, payload=None, metadata=None, note=None) -> No
 
     CSV is printed one line per row as the rows are generated, so ``rows``
     may be a lazy iterable; the header, every row and ``note`` (one more row,
-    written to stderr after the table) all go through :func:`_csv_row`.  The
-    JSON payload is ``payload`` if given, else one object per row; numpy
-    arrays in it are written as nested lists.  The envelope names the
-    command and its parameters, every other argparse dest in the order the
-    parser defines them; ``metadata`` extends it.
+    written to stderr after the table) all go through :func:`_csv_row`.  A
+    cell may be text that is already formatted, such as a run of matrix
+    cells; ``%s`` passes it through unchanged.  The JSON payload is
+    ``payload`` if given, else one object per row; numpy arrays in it are
+    written as nested lists.  The envelope names the command and its
+    parameters, every other argparse dest in the order the parser defines
+    them; ``metadata`` extends it.  It is printed as one compact line by
+    :func:`_dumps`, which keeps ``json`` on its C encoder.
     """
     if args.format == "json":
         parameters = {k: v for k, v in vars(args).items() if k not in _NOT_PARAMETERS}
@@ -83,7 +89,7 @@ def _write(args, columns, rows, *, payload=None, metadata=None, note=None) -> No
             meta["timestamp"] = datetime.now(timezone.utc).isoformat()
         if payload is None:
             payload = [dict(zip(columns, row)) for row in rows]
-        print(_dumps({"metadata": meta, "payload": payload}, indent=2))
+        print(_dumps({"metadata": meta, "payload": payload}))
         return
     print(_csv_row(columns))
     for row in rows:
@@ -115,6 +121,14 @@ def cmd_decay(args) -> int:
         tau = args.tau
     else:
         tau = tau_from_gff(GffParams(beta=args.beta, mass=args.mass))
+        if tau == 0.0:
+            # name the field parameter at fault, not the derived tau = 0
+            if args.beta == 0.0:
+                raise DomainError(f"coupling must be > 0 for a finite decay rate, got {args.beta!r}")
+            raise DomainError(
+                f"mass {args.mass!r} is too large for coupling {args.beta!r}: "
+                "the edge weight underflows to 0"
+            )
     p = decay_params(tau)
     if not by_tau and args.beta == 1.0:
         gff_rate = gff_decay_rate(args.mass)
@@ -137,6 +151,18 @@ def _closed_matrix(graph: GraphSpec, tau: float) -> np.ndarray:
     return circulant_matrix(seq.correlations)
 
 
+def _circulant_rows(labels, first_row):
+    """CSV rows of the circulant matrix with ``first_row``, each value formatted once.
+
+    Entry (r, j) is ``first_row[(j - r) % n]``, so row r is the formatted first
+    row rotated right by r; it reaches :func:`_csv_row` as one ``%s`` cell.
+    """
+    cells = _csv_row(first_row).split(",")
+    n = len(cells)
+    for r, label in enumerate(labels):
+        yield label, ",".join(cells[n - r :] + cells[: n - r])
+
+
 def cmd_corr(args) -> int:
     graph = _graph(args.graph, args.n)
     deviation = None
@@ -154,10 +180,14 @@ def cmd_corr(args) -> int:
             )
 
     labels = list(graph.indices)
+    if graph.kind is GraphKind.CYCLE and args.method != "oracle":
+        rows = _circulant_rows(labels, matrix[0].tolist())
+    else:
+        rows = ((label, *matrix[pos].tolist()) for pos, label in enumerate(labels))
     _write(
         args,
         ["i"] + [str(x) for x in labels],
-        ((label, *matrix[pos].tolist()) for pos, label in enumerate(labels)),
+        rows,
         payload={"indices": labels, "matrix": matrix},
         metadata=None if deviation is None else {"max_abs_deviation": deviation},
         note=None if deviation is None else ("max_abs_deviation", deviation),

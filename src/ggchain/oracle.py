@@ -56,6 +56,10 @@ NORMAL_METHOD = "philox4x64-inverse-cdf"
 # changing it moves them in the last bits
 SAMPLE_BLOCK = 8192
 
+# largest triangular block that `invert_dense_spd` hands to np.linalg.inv
+# whole, so a factor of up to this many rows keeps the bits of one LU inverse
+TRIANGULAR_LEAF = 128
+
 
 @dataclass(frozen=True, eq=False)
 class CorrelationResult:
@@ -130,8 +134,9 @@ def _cholesky(a: np.ndarray) -> np.ndarray:
 def invert_dense_spd(matrix: np.ndarray) -> np.ndarray:
     """Inverse of a dense symmetric positive definite matrix via numpy's Cholesky.
 
-    With ``a = L L^T`` the inverse is ``L^-T L^-1``; the factorisation is the
-    definiteness check.  The result is symmetrised before returning.
+    With ``a = L L^T`` the inverse is ``L^-T L^-1``, and ``L^-1`` is built by
+    2x2 blocks (:func:`_invert_lower`); the factorisation is the definiteness
+    check.  The result is symmetrised before returning.
     """
     a = np.array(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -139,9 +144,29 @@ def invert_dense_spd(matrix: np.ndarray) -> np.ndarray:
     scale = np.max(np.abs(a)) or 1.0
     if np.max(np.abs(a - a.T)) > 1e-8 * scale:
         raise DomainError("matrix is not symmetric")
-    inv_lower = np.linalg.inv(_cholesky(a))
+    inv_lower = _invert_lower(_cholesky(a))
     inv = inv_lower.T @ inv_lower
     return 0.5 * (inv + inv.T)
+
+
+def _invert_lower(lower: np.ndarray) -> np.ndarray:
+    """Inverse of a nonsingular lower triangular matrix by 2x2 blocks.
+
+    With ``L = [[A, 0], [C, B]]`` the inverse is ``[[A^-1, 0], [-B^-1 C A^-1, B^-1]]``,
+    so the work is matrix products; blocks of at most :data:`TRIANGULAR_LEAF`
+    rows go to ``np.linalg.inv``, a general LU solve.
+    """
+    n = lower.shape[0]
+    if n <= TRIANGULAR_LEAF:
+        return np.linalg.inv(lower)
+    h = n // 2
+    a_inv = _invert_lower(lower[:h, :h])
+    b_inv = _invert_lower(lower[h:, h:])
+    out = np.zeros_like(lower)
+    out[:h, :h] = a_inv
+    out[h:, h:] = b_inv
+    out[h:, :h] = -(b_inv @ (lower[h:, :h] @ a_inv))
+    return out
 
 
 def correlation_transform(sigma: np.ndarray) -> CorrelationResult:

@@ -13,6 +13,8 @@ from ggchain import (
     GraphSpec,
     centered_chain_correlation,
     centered_chain_correlation_matrix,
+    circulant_matrix,
+    cycle_correlation_sequence,
     model_correlation,
     open_chain_correlation,
     open_chain_correlation_matrix,
@@ -24,6 +26,14 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def per_cell_csv(labels, matrix) -> str:
+    """Matrix CSV as the documented spec renders it: every cell through '%.9g' on its own."""
+    lines = ["i," + ",".join(str(x) for x in labels)]
+    for label, row in zip(labels, matrix):
+        lines.append(",".join([str(label), *("%.9g" % v for v in row)]))
+    return "\n".join(lines) + "\n"
 
 
 class TestDecay:
@@ -84,6 +94,23 @@ class TestDecay:
             f"ggchain: domain error: mass {float(mass)!r} is too small for coupling "
             f"{float(beta)!r}: the edge weight reaches 1/2\n"
         )
+
+    @pytest.mark.parametrize(
+        "mass, beta, message",
+        [
+            ("1", "0", "coupling must be > 0 for a finite decay rate, got 0.0"),
+            ("1e200", "1", "mass 1e+200 is too large for coupling 1.0: the edge weight underflows to 0"),
+        ],
+        ids=["zero_coupling", "underflow"],
+    )
+    def test_zero_edge_weight_named(self, capsys, mass, beta, message):
+        """Regression: a zero coupling, or a mass whose square swamps the coupling
+        until tau underflows, exited 2 with "operation requires tau > 0", naming
+        the derived tau instead of the field parameter at fault."""
+        code, out, err = run_cli(capsys, "decay", "--mass", mass, "--beta", beta)
+        assert code == 2
+        assert out == ""
+        assert err == f"ggchain: domain error: {message}\n"
 
     def test_small_mass_accepted(self, capsys):
         code, out, err = run_cli(capsys, "decay", "--mass", "1e-7", "--beta", "1", "--format", "json")
@@ -173,11 +200,7 @@ class TestCorr:
             capsys, "corr", "--graph", graph, "--n", str(n), "--tau", str(tau), "--method", method
         )
         assert code == 0
-        labels = GraphSpec(GraphKind(graph), n).indices
-        lines = ["i," + ",".join(str(x) for x in labels)]
-        for label, row in zip(labels, expected()):
-            lines.append(",".join([str(label), *(format(float(v), ".9g") for v in row)]))
-        assert out == "\n".join(lines) + "\n"
+        assert out == per_cell_csv(GraphSpec(GraphKind(graph), n).indices, expected().tolist())
         if graph == "open":
             assert ",0," in out and "e-" in out
 
@@ -201,6 +224,45 @@ class TestCorr:
         )
         assert code == 3
         assert "self-check" in err
+
+
+CYCLE_SIZES = [3, 4, 5, 8, 1000]
+
+
+def _cycle_matrix(n, tau, method):
+    if method == "oracle":
+        return model_correlation(GraphSpec(GraphKind.CYCLE, n), tau).correlation
+    return circulant_matrix(cycle_correlation_sequence(n, tau).correlations)
+
+
+class TestCycleRows:
+    """The closed cycle matrix is circulant, so its CSV rows are rotations of one
+    formatted first row; the bytes must equal per-cell formatting.  The oracle's
+    Cholesky matrix is not exactly circulant and is formatted per cell."""
+
+    TAU = 0.45
+
+    @pytest.mark.parametrize("method", ["closed", "both", "oracle"])
+    @pytest.mark.parametrize("n", CYCLE_SIZES)
+    def test_csv_equals_per_cell(self, capsys, n, method):
+        code, out, _ = run_cli(
+            capsys, "corr", "--graph", "cycle", "--n", str(n), "--tau", str(self.TAU),
+            "--method", method,
+        )
+        assert code == 0
+        expected = _cycle_matrix(n, self.TAU, method)
+        assert out == per_cell_csv(range(1, n + 1), expected.tolist())
+
+    @pytest.mark.parametrize("method", ["closed", "both", "oracle"])
+    @pytest.mark.parametrize("n", CYCLE_SIZES)
+    def test_json_matrix(self, capsys, n, method):
+        code, out, _ = run_cli(
+            capsys, "corr", "--graph", "cycle", "--n", str(n), "--tau", str(self.TAU),
+            "--method", method, "--format", "json",
+        )
+        assert code == 0
+        assert out.count("\n") == 1 and out.endswith("\n")
+        assert json.loads(out)["payload"]["matrix"] == _cycle_matrix(n, self.TAU, method).tolist()
 
 
 class TestConverge:
@@ -447,6 +509,25 @@ class TestJsonEnvelopes:
         row = json.loads(out)["payload"][0]
         assert math.isfinite(row["rate"])
         assert abs(row["gff_rate"] - row["rate"]) <= 4 * math.ulp(row["rate"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("decay", "--mass", "1.5", "--beta", "2"),
+            ("corr", "--graph", "centered", "--n", "3", "--tau", "0.4", "--method", "both"),
+            ("converge", "--graph", "open", "--i", "1", "--j", "2", "--tau", "0.4",
+             "--n-min", "3", "--n-max", "12", "--fit"),
+            ("circulant", "--n", "16", "--tau", "0.3", "--riemann"),
+            ("sample", "--graph", "cycle", "--n", "4", "--tau", "0.3", "--count", "500", "--seed", "1"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_one_line(self, capsys, argv):
+        """Every envelope is one compact line, whatever the payload's nesting."""
+        code, out, err = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0, err
+        assert out.count("\n") == 1 and out.endswith("\n")
+        assert set(json.loads(out)) == {"metadata", "payload"}
 
     def test_non_finite_value_rejected(self, capsys, monkeypatch):
         """A non-finite value exits 2 rather than printing Infinity.  No

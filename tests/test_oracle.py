@@ -93,10 +93,12 @@ class TestInvertDenseSpd:
         np.testing.assert_array_equal(inv, inv.T)
 
     @pytest.mark.parametrize("tau", [0.05, 0.45, 0.49, 0.4999])
-    @pytest.mark.parametrize("n", [3, 64, 1000])
+    @pytest.mark.parametrize("n", [3, 64, 129, 257, 1000])
     def test_cycle_oracle_matches_images_kernel(self, n, tau):
         """The dense route agrees with the images kernel up to the benchmark's size
-        (worst case measured: 3.4e-14 at n = 1000, tau = 0.4999)."""
+        (worst case measured: 3.4e-14 at n = 1000, tau = 0.4999).  Above
+        TRIANGULAR_LEAF = 128 rows the Cholesky factor is inverted by 2x2 blocks:
+        one level of splits at 129, two at 257 and three at 1000."""
         oracle = model_correlation(GraphSpec(GraphKind.CYCLE, n), tau).correlation
         kernel = circulant_matrix(cycle_correlation_sequence(n, tau).correlations)
         np.testing.assert_allclose(oracle, kernel, rtol=0, atol=1e-13)

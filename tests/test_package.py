@@ -161,3 +161,46 @@ def test_no_unused_imports():
     paths = [p for p in sorted((root / "src" / "ggchain").glob("*.py")) if p.name != "__init__.py"]
     paths += sorted((root / "tests").glob("*.py"))
     assert [entry for path in paths for entry in _unused_imports(path)] == []
+
+
+def _writer_sites(path: Path) -> list[tuple[str, str]]:
+    """Each place in ``path`` that spells an output writer, as (what, enclosing function).
+
+    A writer is a ``json.dump``/``json.dumps`` reference (or an import of either
+    from ``json``) or a string holding the ``.9g`` cell format, however spelled
+    (``%``, ``format`` or an f-string).  Docstrings are prose and do not count.
+    """
+    tree = ast.parse(path.read_text(), str(path))
+    docstrings = {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        and ast.get_docstring(node) is not None
+    }
+    sites = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        if isinstance(node, ast.Attribute) and node.attr in ("dump", "dumps"):
+            if isinstance(node.value, ast.Name) and node.value.id == "json":
+                sites.append(("json.dumps", scope))
+        elif isinstance(node, ast.ImportFrom) and node.module == "json":
+            if {"dump", "dumps"} & {alias.name for alias in node.names}:
+                sites.append(("json.dumps", scope))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if ".9g" in node.value and id(node) not in docstrings:
+                sites.append(("%.9g", scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "<module>")
+    return [(what, f"{path.stem}.{scope}") for what, scope in sites]
+
+
+def test_one_output_writer():
+    """JSON is encoded only in ``cli._dumps`` and CSV cells are formatted only in
+    ``cli._csv_row``, so every command shares one writer per format."""
+    paths = sorted((README.parent / "src" / "ggchain").glob("*.py"))
+    sites = {site for path in paths for site in _writer_sites(path)}
+    assert sites == {("json.dumps", "cli._dumps"), ("%.9g", "cli._csv_row")}
