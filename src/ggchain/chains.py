@@ -18,13 +18,21 @@ which all lie in (0, 1].  With ``d = |j - i|``, ``lo = min(i, j)``,
 
 A ratio ``sinh(a)/sinh(b)`` form of the same kernels overflows once the
 arguments exceed ~710, whereas every ``f`` factor here is bounded, so these
-expressions are valid for any chain length.  Ratios of ``f`` factors are
-clamped at 1 so that the chain of bounds
+expressions are valid for any chain length.  The correlation is evaluated
+in the product form ``base**d * sqrt(r1 * r2)`` with ``r1 = f(lo)/f(hi)`` and
+``r2 = f(n+1-hi)/f(n+1-lo)``, each ratio clamped at 1, so that the chain of
+bounds
 
     0 < correlation(n) <= limit <= base**d
 
 holds entry-wise in floating point, with equality only where the factors are
-rounding-saturated.  The ``*_relative_error`` functions evaluate the gaps in
+rounding-saturated: the limit is ``base**d * sqrt(r1)``, and ``r2 <= 1``
+gives ``fl(r1 * r2) <= r1``, which the monotone rounding of ``sqrt`` and of
+the product with ``base**d`` preserves.  Reversal of the path,
+``(i, j) -> (n+1-j, n+1-i)``, swaps ``r1`` and ``r2``, and IEEE
+multiplication commutes, so ``correlation(n, i, j)`` equals
+``correlation(n, n+1-j, n+1-i)`` bit for bit and every chain matrix is
+exactly centrosymmetric.  The ``*_relative_error`` functions evaluate the gaps in
 log space and therefore keep their exact (strictly negative) sign far beyond
 the point where the plain values collide at double precision.
 
@@ -94,21 +102,21 @@ def _log_f(k: int, rate: float) -> float:
     return math.log(-math.expm1(-x))
 
 
-def _sqrt_ratio(k_small: int, k_large: int, rate: float) -> float:
-    """sqrt(f(k_small) / f(k_large)) for k_small <= k_large, clamped to <= 1.
+def _ratio(k_small: int, k_large: int, rate: float) -> float:
+    """f(k_small) / f(k_large) for k_small <= k_large, clamped to <= 1.
 
     The true ratio is <= 1; independent rounding of the two factors can push
     the quotient one ulp above 1 when they agree to rounding level, so clamp.
     """
-    r = _f(k_small, rate) / _f(k_large, rate)
-    return math.sqrt(min(r, 1.0))
+    return min(_f(k_small, rate) / _f(k_large, rate), 1.0)
 
 
 def _open_correlation(n: int, lo: int, hi: int, p: DecayParams) -> float:
     if lo == hi:
         return 1.0
-    limit = p.base ** (hi - lo) * _sqrt_ratio(lo, hi, p.rate)
-    return limit * _sqrt_ratio(n + 1 - hi, n + 1 - lo, p.rate)
+    # the mirror (n+1-hi, n+1-lo) swaps the two ratios; their product commutes
+    r = _ratio(lo, hi, p.rate) * _ratio(n + 1 - hi, n + 1 - lo, p.rate)
+    return p.base ** (hi - lo) * math.sqrt(r)
 
 
 def open_chain_covariance(n, i, j, tau: float) -> float:
@@ -144,7 +152,7 @@ def open_chain_correlation_limit(i, j, tau: float) -> float:
     if lo == hi:
         return 1.0
     p = decay_params(tau)
-    return p.base ** (hi - lo) * _sqrt_ratio(lo, hi, p.rate)
+    return p.base ** (hi - lo) * math.sqrt(_ratio(lo, hi, p.rate))
 
 
 def open_chain_relative_error(n, i, j, tau: float) -> float:
@@ -270,8 +278,10 @@ def open_chain_correlation_matrix(n, tau: float) -> np.ndarray:
     out = np.ones((n, n))
     for lo in range(1, n):
         # columns hi = lo+1..n: distance hi-lo, and n+1-hi runs from n-lo down to 1
-        v = pw[1 : n + 1 - lo] * np.sqrt(np.minimum(f[lo] / f[lo + 1 :], 1.0))
-        v *= np.sqrt(np.minimum(f[n - lo : 0 : -1] / f[n + 1 - lo], 1.0))
+        v = np.minimum(f[lo] / f[lo + 1 :], 1.0)
+        v *= np.minimum(f[n - lo : 0 : -1] / f[n + 1 - lo], 1.0)
+        np.sqrt(v, out=v)
+        v *= pw[1 : n + 1 - lo]
         out[lo - 1, lo:] = v
         out[lo:, lo - 1] = v
     return out

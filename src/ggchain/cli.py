@@ -6,7 +6,8 @@ digits; JSON carries full round-trip precision on one compact line, which
 ``python -m json.tool`` pretty-prints.  With ``--deterministic`` the envelope
 omits the timestamp, making reruns byte-identical.  Output is serialised from
 the result's structure: the rows of a circulant (closed cycle) matrix are
-rotations of its one formatted first row.
+rotations of its one formatted first row, and the lower half of a closed chain
+matrix, which is exactly reversal-symmetric, mirrors its formatted upper half.
 
 Exit codes: 0 ok, 2 domain error (including a non-finite value in JSON
 output), 3 self-check failure, 4 insufficient data, 5 statistical failure.
@@ -50,15 +51,29 @@ def _dumps(obj) -> str:
         raise DomainError(f"non-finite value in JSON output ({exc})") from exc
 
 
+# _csv_row's templates by tuple of cell types; a run writes few row shapes, and
+# the cap bounds a long-lived process that writes many
+_CSV_TEMPLATES: dict[tuple[type, ...], str] = {}
+_CSV_TEMPLATES_MAX = 64
+
+
 def _csv_row(row) -> str:
     """One CSV line, formatted by a single ``%`` over the whole row.
 
     The template is built from each cell's type: ``%.9g`` for floats (Python
     and numpy) and ``%s`` for anything else (so a ``bool`` prints as ``True``,
-    and a ``%`` inside a string cell is data, not a directive).
+    and a ``%`` inside a string cell is data, not a directive).  It is built
+    once per tuple of cell types and reused for every row of that shape.
     """
     row = tuple(row)
-    template = ",".join(["%.9g" if isinstance(c, (float, np.floating)) else "%s" for c in row])
+    types = tuple(map(type, row))
+    template = _CSV_TEMPLATES.get(types)
+    if template is None:
+        if len(_CSV_TEMPLATES) >= _CSV_TEMPLATES_MAX:
+            _CSV_TEMPLATES.clear()
+        template = _CSV_TEMPLATES[types] = ",".join(
+            ["%.9g" if issubclass(t, (float, np.floating)) else "%s" for t in types]
+        )
     return template % row
 
 
@@ -163,6 +178,24 @@ def _circulant_rows(labels, first_row):
         yield label, ",".join(cells[n - r :] + cells[: n - r])
 
 
+def _mirrored_rows(labels, matrix):
+    """CSV rows of a symmetric, centrosymmetric matrix, each mirror pair formatted once.
+
+    Entry (n-1-r, j) equals (n-1-j, r) by reversal and (r, n-1-j) by symmetry,
+    so row n-1-r (0-based) is row r reversed.  The first ceil(n/2) rows go
+    through :func:`_csv_row` and are kept; the rest are the cells of a kept
+    row in reverse order, passed on as one ``%s`` cell.
+    """
+    n = len(labels)
+    kept = []
+    for label, row in zip(labels[: (n + 1) // 2], matrix):
+        kept.append(_csv_row(row.tolist()))
+        yield label, kept[-1]
+    del kept[n // 2 :]  # an odd n's middle row is its own mirror
+    for label, line in zip(labels[(n + 1) // 2 :], reversed(kept)):
+        yield label, ",".join(line.split(",")[::-1])
+
+
 def cmd_corr(args) -> int:
     graph = _graph(args.graph, args.n)
     deviation = None
@@ -180,10 +213,13 @@ def cmd_corr(args) -> int:
             )
 
     labels = list(graph.indices)
-    if graph.kind is GraphKind.CYCLE and args.method != "oracle":
+    if args.method == "oracle":
+        # an inverted matrix is neither exactly circulant nor exactly centrosymmetric
+        rows = ((label, *matrix[pos].tolist()) for pos, label in enumerate(labels))
+    elif graph.kind is GraphKind.CYCLE:
         rows = _circulant_rows(labels, matrix[0].tolist())
     else:
-        rows = ((label, *matrix[pos].tolist()) for pos, label in enumerate(labels))
+        rows = _mirrored_rows(labels, matrix)
     _write(
         args,
         ["i"] + [str(x) for x in labels],

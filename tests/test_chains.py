@@ -238,12 +238,12 @@ class TestCenteredChain:
         assert centered_chain_correlation(1, -1, 0, 0.4) == pytest.approx(ref, rel=1e-12)
 
     def test_mirror_symmetry(self):
-        """Negating and swapping indices reflects the chain onto itself."""
+        """Negating and swapping indices reflects the chain onto itself, bit for bit."""
         for tau in (0.15, 0.45):
             for n, i, j in [(3, -2, 1), (5, 0, 4), (8, -3, -1), (10, 2, 7)]:
                 a = centered_chain_correlation(n, i, j, tau)
                 b = centered_chain_correlation(n, -j, -i, tau)
-                assert a == pytest.approx(b, rel=1e-13)
+                assert a == b
 
     def test_index_shift_identity_bit_exact(self):
         """Centered value is the shifted open-chain value, bit for bit."""
@@ -276,6 +276,49 @@ class TestCenteredChain:
             centered_chain_correlation(2, -3, 0, 0.4)
         with pytest.raises(DomainError):
             centered_chain_correlation(2, 0, 1, 0.5)
+
+
+MIRROR_SIZES = (1, 2, 3, 200, 1000, 1001)
+
+
+def mirror_pairs(labels):
+    """Index pairs to check: all of them up to 3 nodes, else the corners and 200 drawn."""
+    dim = len(labels)
+    if dim <= 3:
+        return [(a, b) for a in labels for b in labels]
+    rng = np.random.default_rng(dim)
+    picks = [(0, 1), (0, dim - 1), (1, dim - 2), (dim // 2, dim // 2 + 1)]
+    picks += rng.integers(0, dim, (200, 2)).tolist()
+    return [(labels[a], labels[b]) for a, b in picks]
+
+
+class TestReversalSymmetry:
+    """The path is invariant under reversal and the kernels keep it exactly:
+    ``corr_n(i, j) == corr_n(n+1-j, n+1-i)`` on the open chain and
+    ``corr(i, j) == corr(-j, -i)`` on the centered one, bit for bit, so every
+    chain matrix is centrosymmetric.  The CSV writer relies on it."""
+
+    @pytest.mark.parametrize("tau", ASSEMBLY_TAUS)
+    def test_open(self, tau):
+        for n in MIRROR_SIZES:
+            mat = open_chain_correlation_matrix(n, tau)
+            assert np.array_equal(mat, mat[::-1, ::-1]), (n, tau)
+            if not tau:
+                continue  # the scalar kernels reject tau = 0
+            for i, j in mirror_pairs(range(1, n + 1)):
+                a = open_chain_correlation(n, i, j, tau)
+                assert a == open_chain_correlation(n, n + 1 - j, n + 1 - i, tau), (n, i, j)
+
+    @pytest.mark.parametrize("tau", ASSEMBLY_TAUS)
+    def test_centered(self, tau):
+        for n in MIRROR_SIZES:
+            mat = centered_chain_correlation_matrix(n, tau)
+            assert np.array_equal(mat, mat[::-1, ::-1]), (n, tau)
+            if not tau:
+                continue
+            for i, j in mirror_pairs(range(-n, n + 1)):
+                a = centered_chain_correlation(n, i, j, tau)
+                assert a == centered_chain_correlation(n, -j, -i, tau), (n, i, j)
 
 
 class TestRelativeErrorKernels:

@@ -204,6 +204,30 @@ class TestCorr:
         if graph == "open":
             assert ",0," in out and "e-" in out
 
+    @pytest.mark.parametrize("method", ["closed", "both"])
+    @pytest.mark.parametrize(
+        "graph, n",
+        [("open", n) for n in (1, 2, 3, 4, 5, 1000)] + [("centered", n) for n in (1, 2, 500)],
+    )
+    def test_mirrored_rows_equal_per_cell(self, capsys, graph, n, method):
+        """Closed chain matrices are exactly reversal-symmetric, so the CSV
+        mirrors its formatted upper rows; the bytes must equal per-cell
+        formatting, and stderr the deviation note of the same matrices."""
+        tau = 0.45
+        code, out, err = run_cli(
+            capsys, "corr", "--graph", graph, "--n", str(n), "--tau", str(tau), "--method", method
+        )
+        assert code == 0
+        spec = GraphSpec(GraphKind(graph), n)
+        build = open_chain_correlation_matrix if graph == "open" else centered_chain_correlation_matrix
+        matrix = build(n, tau)
+        assert out == per_cell_csv(spec.indices, matrix.tolist())
+        if method == "closed":
+            assert err == ""
+        else:
+            deviation = np.max(np.abs(matrix - model_correlation(spec, tau).correlation))
+            assert err == "max_abs_deviation,%.9g\n" % deviation
+
     def test_self_check_failure_exit_code(self, capsys, monkeypatch):
         """A disagreement between the two routes must surface as exit 3."""
         import ggchain.cli as cli_mod
@@ -477,6 +501,28 @@ def test_csv_row_cell_types():
     assert _csv_row(cells) == expected
     assert _csv_row(list(cells)) == expected
     assert _csv_row(["i", "-1", "0"]) == "i,-1,0"
+
+
+def test_csv_row_template_per_cell_types():
+    """Templates are reused by tuple of cell types: rows of one length but
+    different types (an int label, a bool, a string holding '%', np.float32)
+    each get their own, and repeating a row shape keeps its bytes."""
+    rows = [
+        ((7, 0.5, 0.25), "7,0.5,0.25"),
+        ((True, 0.5, 0.25), "True,0.5,0.25"),
+        (("7%", 0.5, 0.25), "7%,0.5,0.25"),
+        ((7, np.float32(0.1), 0.25), "7,0.100000001,0.25"),
+        ((7, 0.5, "%.9g"), "7,0.5,%.9g"),
+        ((7.0, 0.5, 0.25), "7,0.5,0.25"),
+    ]
+    for _ in range(2):
+        assert [_csv_row(row) for row, _ in rows] == [line for _, line in rows]
+    # the cache stays bounded however many row shapes a process writes
+    import ggchain.cli as cli_mod
+
+    for width in range(1, 2 * cli_mod._CSV_TEMPLATES_MAX):
+        assert _csv_row((0.5,) * width) == ",".join(["0.5"] * width)
+    assert len(cli_mod._CSV_TEMPLATES) <= cli_mod._CSV_TEMPLATES_MAX
 
 
 class TestJsonEnvelopes:

@@ -1,6 +1,8 @@
 """Inversion oracles, the correlation transform, and the seeded sampler."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from ggchain import (
     precision_matrix,
     sample,
 )
-from ggchain.oracle import SAMPLE_BLOCK
+from ggchain.oracle import NORMAL_METHOD, SAMPLE_BLOCK
 
 TAU_GRID = (0.05, 0.15, 0.25, 0.35, 0.45, 0.49)
 
@@ -303,3 +305,28 @@ class TestBlockedSampler:
                 tracemalloc.stop()
         assert peaks[2 * SAMPLE_BLOCK] <= 4 * SAMPLE_BLOCK * 200 * 8
         assert peaks[200_000] <= 1.1 * peaks[2 * SAMPLE_BLOCK]
+
+
+SAMPLER_FIXTURE = json.loads(Path(__file__).with_name("sampler_fixture.json").read_text())
+
+
+class TestFrozenSampler:
+    """Seeded output frozen across versions (``sampler_fixture.json``): open
+    n=5 and cycle n=4, tau=0.4, seed 42, one block plus 3 draws.  The sums use
+    only elementwise ops and numpy's pairwise sum, so they are pinned bit for
+    bit; the cross products go through the BLAS ``x @ x.T``, whose kernels
+    differ across CPUs, so they and the correlation are pinned to 1e-13.  A
+    change of the Philox stream, the variate transform or the block
+    reduction order shows here; such a change renames :data:`NORMAL_METHOD`
+    and rewrites the fixture."""
+
+    @pytest.mark.parametrize("case", sorted(SAMPLER_FIXTURE))
+    def test_matches_fixture(self, case):
+        want = SAMPLER_FIXTURE[case]
+        graph = GraphSpec(GraphKind(want["graph"]), want["n"])
+        batch = sample(graph, want["tau"], want["count"], want["seed"])
+        assert want["method"] == NORMAL_METHOD
+        assert batch.coordinate_sums.tolist() == want["coordinate_sums"]
+        cross = np.array(want["cross_products"])
+        assert np.max(np.abs(batch.cross_products - cross)) <= 1e-13 * np.max(np.abs(cross))
+        assert np.max(np.abs(batch.correlation - np.array(want["correlation"]))) <= 1e-13
