@@ -39,12 +39,11 @@ the point where the plain values collide at double precision.
 The dense matrices are assembled one row at a time with numpy from O(n)
 tables of the scalar kernel's own factors ``f(k)`` and powers ``base**d``,
 taken with the same scalar routines and combined in the same operation
-order, so every entry equals the scalar kernel's bit for bit.
+order, so every entry equals the scalar kernel's bit for bit.  numpy is
+imported when a matrix is built; the scalar kernels use ``math`` alone.
 """
 
 import math
-
-import numpy as np
 
 from .model import DecayParams, as_index, check_tau, decay_params, sqrt_one_minus_4tau2
 
@@ -256,7 +255,7 @@ def rel_error_coefficient_open(i, j, tau: float) -> float:
     return -0.5 * (math.exp(2.0 * hi * p.rate) - math.exp(2.0 * lo * p.rate))
 
 
-def open_chain_correlation_matrix(n, tau: float) -> np.ndarray:
+def open_chain_correlation_matrix(n, tau: float) -> "numpy.ndarray":
     """Dense correlation matrix of the open chain on 1..n.
 
     tau = 0 yields the identity.  Otherwise the matrix is filled one row at a
@@ -268,6 +267,8 @@ def open_chain_correlation_matrix(n, tau: float) -> np.ndarray:
     tables the entries match :func:`open_chain_correlation` bit for bit.
     Temporaries are O(n): the output is the only n x n allocation.
     """
+    import numpy as np
+
     n = as_index(n, "n", 1)
     tau = check_tau(tau)
     if tau == 0.0:
@@ -287,7 +288,7 @@ def open_chain_correlation_matrix(n, tau: float) -> np.ndarray:
     return out
 
 
-def centered_chain_correlation_matrix(n, tau: float) -> np.ndarray:
+def centered_chain_correlation_matrix(n, tau: float) -> "numpy.ndarray":
     """Dense correlation matrix of the centered chain on -n..n.
 
     Rows and columns are ordered by node index; entry (a, b) corresponds to

@@ -27,13 +27,12 @@ per lag; :func:`riemann_sum` evaluates it spectrally and is its oracle.
 Angles are reduced modulo n in integer arithmetic and looked up in tables
 built on half the grid and mirrored, which makes the tables exactly symmetric
 (cosine) and antisymmetric (sine); eigenvalues inherit their symmetries
-bit-exactly.  Sums run through numpy's pairwise reduction.
+bit-exactly.  Sums run through numpy's pairwise reduction; numpy is imported
+by the functions that build arrays, when they are called.
 """
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import DomainError
 from .model import (
@@ -61,12 +60,14 @@ __all__ = [
 _TWO_PI = 2.0 * math.pi
 
 
-def circulant_matrix(first_row) -> np.ndarray:
+def circulant_matrix(first_row) -> "numpy.ndarray":
     """Dense symmetric circulant matrix: entry (i, j) is ``first_row[(j - i) % n]``.
 
     The row must be mirror symmetric (entry k equals entry n-k), which is what
     makes the matrix symmetric.
     """
+    import numpy as np
+
     row = np.asarray(first_row, dtype=float)
     if row.ndim != 1 or row.size < 1:
         raise DomainError("circulant first row must be a non-empty vector")
@@ -79,12 +80,14 @@ def circulant_matrix(first_row) -> np.ndarray:
     return row[shift]
 
 
-def _angle_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+def _angle_tables(n: int) -> tuple["numpy.ndarray", "numpy.ndarray"]:
     """cos and sin of 2 pi r / n for r = 0..n-1, mirrored from the half grid.
 
     Mirroring forces c[n-r] == c[r] and s[n-r] == -s[r] bit-exactly (and
     s[n/2] == 0 for even n), which downstream symmetry arguments rely on.
     """
+    import numpy as np
+
     half = n // 2
     r = np.arange(half + 1)
     cos_half = np.cos(_TWO_PI * r / n)
@@ -101,7 +104,7 @@ def _angle_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     return c, s
 
 
-def precision_eigenvalues(n, tau: float) -> np.ndarray:
+def precision_eigenvalues(n, tau: float) -> "numpy.ndarray":
     """Eigenvalues 1 - 2 tau cos(2 pi k / n) of the cycle precision matrix.
 
     Entry 0 is 1 - 2 tau, entries k and n-k coincide bit-exactly, and for even
@@ -119,6 +122,8 @@ def _spectral_lag_sum(n, k, tau: float, part: int) -> float:
     Products j * k are reduced modulo n in integer arithmetic before the
     table lookup, so no large trigonometric argument is ever formed.
     """
+    import numpy as np
+
     n = GraphSpec(GraphKind.CYCLE, n).n
     k = as_index(k, "lag", 0, n - 1)
     eig = precision_eigenvalues(n, tau)
@@ -157,9 +162,9 @@ class CycleCorrelation:
 
     n: int
     tau: float
-    covariances: np.ndarray
-    correlations: np.ndarray
-    limits: np.ndarray
+    covariances: "numpy.ndarray"
+    correlations: "numpy.ndarray"
+    limits: "numpy.ndarray"
 
 
 def cycle_correlation_sequence(n, tau: float) -> CycleCorrelation:
@@ -173,6 +178,8 @@ def cycle_correlation_sequence(n, tau: float) -> CycleCorrelation:
     keeps full relative precision as tau approaches 1/2.  At tau = 0 the nodes are
     independent and the exact unit vector is returned.
     """
+    import numpy as np
+
     n = GraphSpec(GraphKind.CYCLE, n).n
     tau = check_tau(tau)
     if tau == 0.0:

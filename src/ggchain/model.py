@@ -11,14 +11,15 @@ Edge weights are plain floats validated by :func:`check_tau`; operations that
 need a finite decay rate additionally require ``tau > 0``.  The decay base is
 computed in one place, :func:`decay_params`, and every kernel and limit takes
 it from there, so a finite-size value and its limit never differ by the
-rounding of two formulas.  Matrices are plain dense ``ndarray``.
+rounding of two formulas.  The one matrix here, :func:`precision_matrix`, is
+a plain dense ``ndarray``; it imports numpy at call time, so the scalar
+functions run without numpy loaded.
 """
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import DomainError
 
@@ -51,15 +52,21 @@ def check_tau(tau: float, *, positive: bool = False) -> float:
     return tau
 
 
+def _is_numpy_integer(value) -> bool:
+    # a numpy integer cannot exist before numpy is loaded, so only look then
+    np = sys.modules.get("numpy")
+    return np is not None and isinstance(value, np.integer)
+
+
 def as_index(value, name: str, lo: int | None = None, hi: int | None = None) -> int:
     """Validate an integer argument and return it as a plain ``int``.
 
     Accepts Python and numpy integers; rejects ``bool`` and everything else,
-    including integral floats.  ``lo`` and ``hi`` are inclusive bounds (``hi``
-    only together with ``lo``); this is the package's only range check for
-    integers, so every such rule is an argument here.
+    including integral floats and 0-d arrays.  ``lo`` and ``hi`` are inclusive
+    bounds (``hi`` only together with ``lo``); this is the package's only range
+    check for integers, so every such rule is an argument here.
     """
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+    if isinstance(value, bool) or not (isinstance(value, int) or _is_numpy_integer(value)):
         raise DomainError(f"{name} must be an integer, got {value!r}")
     value = int(value)
     if hi is not None and not lo <= value <= hi:
@@ -222,12 +229,14 @@ def gff_decay_rate(mass: float) -> float:
     return 2.0 * math.log(mass) + math.log1p(r2 + math.sqrt(1.0 + 2.0 * r2))
 
 
-def precision_matrix(graph: GraphSpec, tau: float) -> np.ndarray:
+def precision_matrix(graph: GraphSpec, tau: float) -> "numpy.ndarray":
     """Dense precision matrix: unit diagonal, ``-tau`` on the graph's edges.
 
     It is 2 I minus the partial correlation matrix.  The cycle adds the edge
     between its first and last node to the path.
     """
+    import numpy as np
+
     tau = check_tau(tau)
     n = graph.node_count
     out = np.eye(n)

@@ -24,15 +24,13 @@ scheme must reproduce the same word addressing.  Draws are generated, solved
 and reduced in blocks of :data:`SAMPLE_BLOCK`, so the sampler's memory is
 bounded by the block, not by the number of draws.  Both the dense route and
 the sampler factor the precision matrix with numpy's Cholesky, through one
-private routine.  scipy is imported at call time by its one user, the
-sampler's inverse normal CDF, so importing ggchain does not load it.
+private routine.  numpy is imported at call time by the functions that build
+arrays, and scipy by its one user, the sampler's inverse normal CDF, so
+importing ggchain loads neither.
 """
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
-from numpy.random import Generator, Philox
 
 from .errors import DomainError, NotPositiveDefiniteError
 from .model import GraphKind, GraphSpec, as_index, check_tau, precision_matrix
@@ -65,9 +63,9 @@ TRIANGULAR_LEAF = 128
 class CorrelationResult:
     """Covariance, diagonal scale (sqrt of the variances) and correlation."""
 
-    covariance: np.ndarray
-    scale: np.ndarray
-    correlation: np.ndarray
+    covariance: "numpy.ndarray"
+    scale: "numpy.ndarray"
+    correlation: "numpy.ndarray"
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,14 +82,14 @@ class SampleBatch:
 
     seed: int
     count: int
-    coordinate_sums: np.ndarray
-    cross_products: np.ndarray
-    correlation: np.ndarray
+    coordinate_sums: "numpy.ndarray"
+    cross_products: "numpy.ndarray"
+    correlation: "numpy.ndarray"
     fisher_stderr: float
     method: str
 
 
-def invert_tridiagonal(diag: float, off: float, n: int) -> np.ndarray:
+def invert_tridiagonal(diag: float, off: float, n: int) -> "numpy.ndarray":
     """Full inverse of the symmetric tridiagonal matrix with constant bands.
 
     Symmetric elimination: a forward sweep forms the pivots and eliminates the
@@ -99,6 +97,8 @@ def invert_tridiagonal(diag: float, off: float, n: int) -> np.ndarray:
     substitutes.  Raises :class:`NotPositiveDefiniteError` on the first
     nonpositive pivot.  The result is symmetrised before returning.
     """
+    import numpy as np
+
     n = as_index(n, "size", 1)
     diag = float(diag)
     off = float(off)
@@ -120,24 +120,28 @@ def invert_tridiagonal(diag: float, off: float, n: int) -> np.ndarray:
     return 0.5 * (out + out.T)
 
 
-def _cholesky(a: np.ndarray) -> np.ndarray:
+def _cholesky(a: "numpy.ndarray") -> "numpy.ndarray":
     """Lower Cholesky factor of ``a``; the package's only factorisation.
 
     Raises :class:`NotPositiveDefiniteError` when ``a`` is not positive definite.
     """
+    import numpy as np
+
     try:
         return np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError(str(exc)) from exc
 
 
-def invert_dense_spd(matrix: np.ndarray) -> np.ndarray:
+def invert_dense_spd(matrix: "numpy.ndarray") -> "numpy.ndarray":
     """Inverse of a dense symmetric positive definite matrix via numpy's Cholesky.
 
     With ``a = L L^T`` the inverse is ``L^-T L^-1``, and ``L^-1`` is built by
     2x2 blocks (:func:`_invert_lower`); the factorisation is the definiteness
     check.  The result is symmetrised before returning.
     """
+    import numpy as np
+
     a = np.array(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DomainError(f"matrix must be square, got shape {a.shape}")
@@ -149,13 +153,15 @@ def invert_dense_spd(matrix: np.ndarray) -> np.ndarray:
     return 0.5 * (inv + inv.T)
 
 
-def _invert_lower(lower: np.ndarray) -> np.ndarray:
+def _invert_lower(lower: "numpy.ndarray") -> "numpy.ndarray":
     """Inverse of a nonsingular lower triangular matrix by 2x2 blocks.
 
     With ``L = [[A, 0], [C, B]]`` the inverse is ``[[A^-1, 0], [-B^-1 C A^-1, B^-1]]``,
     so the work is matrix products; blocks of at most :data:`TRIANGULAR_LEAF`
     rows go to ``np.linalg.inv``, a general LU solve.
     """
+    import numpy as np
+
     n = lower.shape[0]
     if n <= TRIANGULAR_LEAF:
         return np.linalg.inv(lower)
@@ -169,11 +175,13 @@ def _invert_lower(lower: np.ndarray) -> np.ndarray:
     return out
 
 
-def correlation_transform(sigma: np.ndarray) -> CorrelationResult:
+def correlation_transform(sigma: "numpy.ndarray") -> CorrelationResult:
     """Rescale a covariance matrix to unit diagonal.
 
     The diagonal of the result is set to exactly 1 rather than recomputed.
     """
+    import numpy as np
+
     sigma = np.array(sigma, dtype=float)
     d = np.diag(sigma)
     if np.any(d <= 0.0):
@@ -208,7 +216,10 @@ def sample(graph: GraphSpec, tau: float, count: int, seed: int) -> SampleBatch:
     numpy's pairwise sum and one matrix product, and the block results are
     added in stream order, so the reduction order is fixed as well.
     """
+    import numpy as np
+    from numpy.random import Generator, Philox
     from scipy.special import ndtri
+
     tau = check_tau(tau)
     count = as_index(count, "count", 2)
     seed = as_index(seed, "seed", 0, 2**64 - 1)
@@ -255,12 +266,14 @@ def sample(graph: GraphSpec, tau: float, count: int, seed: int) -> SampleBatch:
     )
 
 
-def fisher_z_discrepancies(batch: SampleBatch, exact: np.ndarray) -> np.ndarray:
+def fisher_z_discrepancies(batch: SampleBatch, exact: "numpy.ndarray") -> "numpy.ndarray":
     """|artanh(empirical) - artanh(exact)| / fisher_stderr, zero diagonal.
 
     The variance-stabilised discrepancy is approximately standard normal per
     entry when the model holds, so values above ~4 flag disagreement.
     """
+    import numpy as np
+
     exact = np.asarray(exact, dtype=float)
     if exact.shape != batch.correlation.shape:
         raise DomainError(

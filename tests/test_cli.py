@@ -19,13 +19,19 @@ from ggchain import (
     open_chain_correlation,
     open_chain_correlation_matrix,
 )
-from ggchain.cli import _csv_row, main
+from ggchain.cli import _csv_row, _dumps, main
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def self_check_tolerance(spec, tau) -> float:
+    """64 eps min(kappa, n^2), kappa = (1 + 2 tau) / (1 - 2 tau), spelled out apart from the CLI."""
+    kappa = (1 + 2 * tau) / (1 - 2 * tau)
+    return 64 * sys.float_info.epsilon * min(kappa, spec.node_count**2)
 
 
 def per_cell_csv(labels, matrix) -> str:
@@ -212,7 +218,8 @@ class TestCorr:
     def test_mirrored_rows_equal_per_cell(self, capsys, graph, n, method):
         """Closed chain matrices are exactly reversal-symmetric, so the CSV
         mirrors its formatted upper rows; the bytes must equal per-cell
-        formatting, and stderr the deviation note of the same matrices."""
+        formatting, and stderr the tolerance and deviation notes of the same
+        matrices."""
         tau = 0.45
         code, out, err = run_cli(
             capsys, "corr", "--graph", graph, "--n", str(n), "--tau", str(tau), "--method", method
@@ -226,7 +233,8 @@ class TestCorr:
             assert err == ""
         else:
             deviation = np.max(np.abs(matrix - model_correlation(spec, tau).correlation))
-            assert err == "max_abs_deviation,%.9g\n" % deviation
+            notes = (self_check_tolerance(spec, tau), deviation)
+            assert err == "self_check_tolerance,%.9g\nmax_abs_deviation,%.9g\n" % notes
 
     def test_self_check_failure_exit_code(self, capsys, monkeypatch):
         """A disagreement between the two routes must surface as exit 3."""
@@ -248,6 +256,57 @@ class TestCorr:
         )
         assert code == 3
         assert "self-check" in err
+
+
+# ROADMAP item 3's grid of edge weights, up to 2**-40 below the boundary 1/2
+SELF_CHECK_TAUS = [0.05, 0.45, 0.49, 0.4999, 0.5 - 2**-20, 0.5 - 2**-40]
+
+
+class TestSelfCheckTolerance:
+    @pytest.mark.parametrize(
+        "graph, n",
+        [("open", 3), ("centered", 1), ("cycle", 3), ("open", 2000), ("centered", 1000), ("cycle", 2000)],
+    )
+    def test_grid_never_exits_3(self, monkeypatch, graph, n):
+        """3 and about 2000 nodes, every graph, tau up to 1/2 - 2**-40: ``corr
+        --method both`` exits 0 with the derived tolerance.  The writer is
+        stubbed out, as it takes no part in the check, and its metadata is kept:
+        the worst deviation measured on this grid is 0.17 eps min(kappa, n^2),
+        so the check keeps a margin of at least 8 below its tolerance."""
+        import ggchain.cli as cli_mod
+
+        written = []
+        monkeypatch.setattr(cli_mod, "_write", lambda *args, **kwargs: written.append(kwargs["metadata"]))
+        spec = GraphSpec(GraphKind(graph), n)
+        for tau in SELF_CHECK_TAUS:
+            argv = ["corr", "--graph", graph, "--n", str(n), "--tau", repr(tau), "--method", "both"]
+            assert main(argv) == 0, argv
+            meta = written.pop()
+            assert meta["self_check_tolerance"] == self_check_tolerance(spec, tau)
+            assert meta["max_abs_deviation"] <= meta["self_check_tolerance"] / 8, argv
+
+    def test_one_entry_off_by_1e10_relative_exits_3(self, capsys, monkeypatch):
+        """One closed-form entry moved by 1e-10 of itself is caught.  The move,
+        about 5e-11, passed the fixed 1e-8 tolerance that the derived one
+        replaced; here the tolerance is 64 eps kappa = 1.3e-13."""
+        import ggchain.cli as cli_mod
+
+        real = cli_mod.open_chain_correlation_matrix
+
+        def nudged(n, tau):
+            matrix = real(n, tau)
+            matrix[0, 1] *= 1 + 1e-10
+            return matrix
+
+        monkeypatch.setattr(cli_mod, "open_chain_correlation_matrix", nudged)
+        code, out, err = run_cli(
+            capsys, "corr", "--graph", "open", "--n", "5", "--tau", "0.4", "--method", "both"
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("ggchain: self-check failure: ")
+        assert "(tolerance 1.279e-13)" in err
+        assert 1e-13 < real(5, 0.4)[0, 1] * 1e-10 < 1e-8
 
 
 CYCLE_SIZES = [3, 4, 5, 8, 1000]
@@ -575,6 +634,16 @@ class TestJsonEnvelopes:
         assert out.count("\n") == 1 and out.endswith("\n")
         assert set(json.loads(out)) == {"metadata", "payload"}
 
+    def test_dumps_arrays_as_nested_lists(self):
+        """``_dumps`` writes an ndarray payload as nested lists and refuses any
+        other object json cannot encode, numpy scalars included."""
+        payload = {"matrix": np.arange(6.0).reshape(2, 3), "indices": np.arange(2)}
+        expected = {"matrix": [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]], "indices": [0, 1]}
+        assert json.loads(_dumps(payload)) == expected
+        for obj in (object(), {1, 2}, np.int64(5)):
+            with pytest.raises(TypeError):
+                _dumps({"x": obj})
+
     def test_non_finite_value_rejected(self, capsys, monkeypatch):
         """A non-finite value exits 2 rather than printing Infinity.  No
         admissible decay input yields one, so gff_rate is forced to inf."""
@@ -607,13 +676,28 @@ class TestEntryPoint:
         assert proc.returncode == 2
 
     def test_thread_cap_env(self):
+        """GGCHAIN_THREADS sets every BLAS thread variable on import, before
+        numpy can load (importing the CLI loads none), and a matrix command
+        then runs under it."""
         import os
+
+        blas = ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"]
+        env = {k: v for k, v in os.environ.items() if k not in blas}
+        env["GGCHAIN_THREADS"] = "3"
+        script = (
+            "import json, os, sys; import ggchain.cli; "
+            f"print(json.dumps(['numpy' in sys.modules, [os.environ.get(v) for v in {blas!r}]]))"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [False, ["3"] * 5]
 
         proc = subprocess.run(
             [sys.executable, "-m", "ggchain", "corr", "--graph", "open", "--n", "4",
              "--tau", "0.3", "--method", "both"],
             capture_output=True,
             text=True,
-            env={**os.environ, "GGCHAIN_THREADS": "1"},
+            env=env,
         )
         assert proc.returncode == 0

@@ -63,6 +63,24 @@ def test_integer_arguments_agree(entry, value):
             call(value)
 
 
+@pytest.mark.parametrize("value", [5, np.int64(5), np.uint8(5)], ids=["int", "int64", "uint8"])
+def test_as_index_accepts_integers(value):
+    result = gg.model.as_index(value, "n", 1, 9)
+    assert result == 5 and type(result) is int
+
+
+@pytest.mark.parametrize(
+    "value",
+    [True, np.True_, 5.0, np.float64(5.0), np.array(5), "5"],
+    ids=["bool", "numpy-bool", "float", "float64", "0-d-array", "str"],
+)
+def test_as_index_rejects_non_integers(value):
+    """Integral values that are not integers are refused, a 0-d integer array
+    among them, though ``operator.index`` would accept it."""
+    with pytest.raises(DomainError, match="n must be an integer"):
+        gg.model.as_index(value, "n", 1, 9)
+
+
 def _cli(*argv):
     """Run the command line quietly: exit 0 passes, exit 2 raises DomainError."""
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):

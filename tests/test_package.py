@@ -87,6 +87,42 @@ def test_scipy_stays_off_the_import_path():
     assert proc.stdout.strip() == "[]"
 
 
+SCALAR_COMMANDS = [
+    ["decay", "--tau", "0.4"],
+    ["decay", "--mass", "1.5", "--beta", "2"],
+    ["converge", "--graph", "open", "--i", "1", "--j", "2", "--tau", "0.4",
+     "--n-min", "3", "--n-max", "200", "--fit"],
+    ["converge", "--graph", "centered", "--i", "0", "--j", "1", "--tau", "0.45",
+     "--n-min", "5", "--n-max", "40", "--fit"],
+    ["converge", "--graph", "open", "--i", "2", "--j", "3", "--tau", "0.3",
+     "--n-min", "3", "--n-max", "20"],
+]
+
+
+def test_numpy_stays_off_the_scalar_path():
+    """Importing ggchain and running ``decay`` and ``converge``, in CSV and in
+    JSON, loads no numpy or scipy module: numpy is imported by the functions
+    that build arrays.  The sibling modules still load on import, and the CLI
+    binds the matrix builders under their own names, which is what the traced
+    benchmark wraps."""
+    script = textwrap.dedent(
+        f"""
+        import contextlib, io, sys
+        import ggchain, ggchain.cli
+        for argv in {SCALAR_COMMANDS!r}:
+            for fmt in ([], ["--format", "json"]):
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                    assert ggchain.cli.main(argv + fmt) == 0, argv + fmt
+        assert "ggchain.oracle" in sys.modules
+        assert ggchain.cli.open_chain_correlation_matrix.__module__ == "ggchain.chains"
+        print(sorted(name for name in sys.modules if name.partition(".")[0] in ("numpy", "scipy")))
+        """
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_chain_sampling_loads_only_scipy_special():
     """``sample`` needs scipy only for the inverse normal CDF: on a chain and on
     the cycle the factor comes from numpy and the solve is a back-substitution,
