@@ -75,12 +75,6 @@ class ConvergenceSweep:
     def __iter__(self):
         return iter(self.records)
 
-    def __len__(self):
-        return len(self.records)
-
-    def __getitem__(self, item):
-        return self.records[item]
-
 
 @dataclass(frozen=True)
 class RateFit:
@@ -153,6 +147,8 @@ def sweep(kind: GraphKind, i: int, j: int, tau: float, n_min: int, n_max: int) -
 def fit_abs_error_rate(sweep: ConvergenceSweep) -> RateFit:
     """Fit log |abs_err| against n inside the usable error window.
 
+    Sums are ``math.fsum``, correctly rounded, so the fit's bits do not depend
+    on the Python version (the builtin ``sum`` compensates from 3.12 on).
     Requires at least five usable points.  Rejects cycle data outright: the
     cycle model has a limit but no established error law to fit against.
     """
@@ -170,14 +166,14 @@ def fit_abs_error_rate(sweep: ConvergenceSweep) -> RateFit:
     xs = [p[0] for p in pts]
     ys = [p[1] for p in pts]
     count = len(pts)
-    x_mean = sum(xs) / count
-    y_mean = sum(ys) / count
-    sxx = sum((x - x_mean) ** 2 for x in xs)
-    sxy = sum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys))
+    x_mean = math.fsum(xs) / count
+    y_mean = math.fsum(ys) / count
+    sxx = math.fsum((x - x_mean) ** 2 for x in xs)
+    sxy = math.fsum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys))
     slope = sxy / sxx
     intercept = y_mean - slope * x_mean
-    ss_tot = sum((y - y_mean) ** 2 for y in ys)
-    ss_res = sum((y - (slope * x + intercept)) ** 2 for x, y in zip(xs, ys))
+    ss_tot = math.fsum((y - y_mean) ** 2 for y in ys)
+    ss_res = math.fsum((y - (slope * x + intercept)) ** 2 for x, y in zip(xs, ys))
     r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     expected = -2.0 * sweep.rate
     return RateFit(

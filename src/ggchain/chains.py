@@ -68,24 +68,11 @@ _LN2 = math.log(2.0)
 _EXP_GUARD = 700.0
 
 
-def _check_open(n, i, j) -> tuple[int, int, int]:
-    n = as_index(n, "n", 1)
-    i = as_index(i, "i", 1, n)
-    j = as_index(j, "j", 1, n)
-    return n, min(i, j), max(i, j)
-
-
-def _check_positive_pair(i, j) -> tuple[int, int]:
-    i = as_index(i, "i", 1)
-    j = as_index(j, "j", 1)
+def _pair(i, j, lo: int | None = None, hi: int | None = None) -> tuple[int, int]:
+    """Indices ``i`` and ``j`` validated by :func:`as_index` on ``lo..hi``, smaller first."""
+    i = as_index(i, "i", lo, hi)
+    j = as_index(j, "j", lo, hi)
     return min(i, j), max(i, j)
-
-
-def _check_centered(n, i, j) -> tuple[int, int, int]:
-    n = as_index(n, "n", 1)
-    i = as_index(i, "i", -n, n)
-    j = as_index(j, "j", -n, n)
-    return n, min(i, j), max(i, j)
 
 
 def _f(k: int, rate: float) -> float:
@@ -124,7 +111,8 @@ def open_chain_covariance(n, i, j, tau: float) -> float:
     Entry of the inverse precision matrix, in the overflow-safe product form
     shown in the module docstring.
     """
-    n, lo, hi = _check_open(n, i, j)
+    n = as_index(n, "n", 1)
+    lo, hi = _pair(i, j, 1, n)
     p = decay_params(tau)
     num = _f(n + 1 - hi, p.rate) * _f(lo, p.rate)
     den = sqrt_one_minus_4tau2(p.tau) * _f(n + 1, p.rate)
@@ -137,7 +125,8 @@ def open_chain_correlation(n, i, j, tau: float) -> float:
     Indices are symmetrised internally, so the result is exactly symmetric in
     (i, j).  The diagonal returns exactly 1 without evaluating the kernel.
     """
-    n, lo, hi = _check_open(n, i, j)
+    n = as_index(n, "n", 1)
+    lo, hi = _pair(i, j, 1, n)
     return _open_correlation(n, lo, hi, decay_params(tau))
 
 
@@ -147,7 +136,7 @@ def open_chain_correlation_limit(i, j, tau: float) -> float:
     Depends on both indices, not only on their distance: the boundary at node
     0 never recedes.  Strictly below base**|j-i| for i != j.
     """
-    lo, hi = _check_positive_pair(i, j)
+    lo, hi = _pair(i, j, 1)
     if lo == hi:
         return 1.0
     p = decay_params(tau)
@@ -162,7 +151,8 @@ def open_chain_relative_error(n, i, j, tau: float) -> float:
     exp(-2 k rate) tail down to the underflow threshold near 2 k rate ~ 745,
     beyond which the gap collapses to zero).
     """
-    n, lo, hi = _check_open(n, i, j)
+    n = as_index(n, "n", 1)
+    lo, hi = _pair(i, j, 1, n)
     if lo == hi:
         return 0.0
     p = decay_params(tau)
@@ -176,7 +166,7 @@ def open_chain_limit_envelope_error(i, j, tau: float) -> float:
     The envelope base**|j-i| bounds the limit strictly from above for i != j;
     this returns the (strictly negative) relative gap, log-space evaluated.
     """
-    lo, hi = _check_positive_pair(i, j)
+    lo, hi = _pair(i, j, 1)
     if lo == hi:
         return 0.0
     p = decay_params(tau)
@@ -190,16 +180,15 @@ def centered_chain_correlation(n, i, j, tau: float) -> float:
     shifted indices n+1+i, n+1+j (the identical code path, so the identity is
     bit-exact).
     """
-    n, lo, hi = _check_centered(n, i, j)
+    n = as_index(n, "n", 1)
+    lo, hi = _pair(i, j, -n, n)
     return open_chain_correlation(2 * n + 1, n + 1 + lo, n + 1 + hi, tau)
 
 
 def centered_chain_correlation_limit(i, j, tau: float) -> float:
     """Infinite-width limit of the centered-chain correlation: base**|j-i|."""
-    i = as_index(i, "i")
-    j = as_index(j, "j")
-    p = decay_params(tau)
-    return p.base ** abs(j - i)
+    lo, hi = _pair(i, j)
+    return decay_params(tau).base ** (hi - lo)
 
 
 def centered_chain_relative_error(n, i, j, tau: float) -> float:
@@ -208,7 +197,8 @@ def centered_chain_relative_error(n, i, j, tau: float) -> float:
     Strictly negative for i != j.  The two non-positive log differences are
     formed pairwise before adding, so the sign is exact in floating point.
     """
-    n, lo, hi = _check_centered(n, i, j)
+    n = as_index(n, "n", 1)
+    lo, hi = _pair(i, j, -n, n)
     if lo == hi:
         return 0.0
     p = decay_params(tau)
@@ -227,16 +217,13 @@ def rel_error_coefficient_centered(i, j, tau: float) -> float:
     with c = -(sinh(2 max(i,j) rate) - sinh(2 min(i,j) rate)) taken over the
     signed indices.  Zero when i = j.
     """
-    i = as_index(i, "i")
-    j = as_index(j, "j")
-    if i == j:
+    lo, hi = _pair(i, j)
+    if lo == hi:
         return 0.0
     p = decay_params(tau)
-    if 2.0 * max(abs(i), abs(j)) * p.rate > _EXP_GUARD:
-        raise OverflowError(
-            f"sinh argument 2*{max(abs(i), abs(j))}*{p.rate:.6g} exceeds {_EXP_GUARD}"
-        )
-    lo, hi = min(i, j), max(i, j)
+    extent = max(abs(lo), abs(hi))
+    if 2.0 * extent * p.rate > _EXP_GUARD:
+        raise OverflowError(f"sinh argument 2*{extent}*{p.rate:.6g} exceeds {_EXP_GUARD}")
     return -(math.sinh(2.0 * hi * p.rate) - math.sinh(2.0 * lo * p.rate))
 
 
@@ -246,7 +233,7 @@ def rel_error_coefficient_open(i, j, tau: float) -> float:
     Equals -(exp(2 max(i,j) rate) - exp(2 min(i,j) rate)) / 2; zero on the
     diagonal.
     """
-    lo, hi = _check_positive_pair(i, j)
+    lo, hi = _pair(i, j, 1)
     if lo == hi:
         return 0.0
     p = decay_params(tau)

@@ -40,7 +40,6 @@ from .model import (
     GraphSpec,
     as_index,
     check_tau,
-    decay_base,
     decay_params,
     sqrt_one_minus_4tau2,
 )
@@ -126,9 +125,11 @@ def _spectral_lag_sum(n, k, tau: float, part: int) -> float:
 
     n = GraphSpec(GraphKind.CYCLE, n).n
     k = as_index(k, "lag", 0, n - 1)
-    eig = precision_eigenvalues(n, tau)
+    tau = check_tau(tau)
+    tables = _angle_tables(n)
+    eig = 1.0 - 2.0 * tau * tables[0]  # precision_eigenvalues' own expression
     idx = (np.arange(n, dtype=np.int64) * k) % n
-    return float(np.sum(_angle_tables(n)[part][idx] / eig))
+    return float(np.sum(tables[part][idx] / eig))
 
 
 def cycle_inverse_sum(n, k, tau: float) -> float:
@@ -214,7 +215,8 @@ def limit_integral(k, tau: float) -> float:
     """
     k = as_index(k, "lag", 0)
     tau = check_tau(tau)
-    return _TWO_PI * (decay_base(tau) ** k / sqrt_one_minus_4tau2(tau))
+    base = decay_params(tau).base if tau > 0.0 else 0.0
+    return _TWO_PI * (base**k / sqrt_one_minus_4tau2(tau))
 
 
 def cycle_correlation_limit(k, tau: float) -> float:

@@ -19,6 +19,7 @@ output), 3 self-check failure, 4 insufficient data, 5 statistical failure.
 import argparse
 import json
 import math
+import numbers
 import sys
 from dataclasses import asdict, fields
 from datetime import datetime, timezone
@@ -49,7 +50,8 @@ Z_SCORE_LIMIT = 4.0
 
 def _array_to_list(obj):
     """``json`` fallback: a numpy array becomes nested lists, anything else is refused."""
-    # an array cannot exist before numpy is loaded, so only look then
+    # an ndarray is no ``numbers`` type, so this is the one place that asks for
+    # numpy; an array cannot exist before numpy is loaded, so only look then
     np = sys.modules.get("numpy")
     if np is None or not isinstance(obj, np.ndarray):
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
@@ -72,10 +74,12 @@ _CSV_TEMPLATES_MAX = 64
 def _csv_row(row) -> str:
     """One CSV line, formatted by a single ``%`` over the whole row.
 
-    The template is built from each cell's type: ``%.9g`` for floats (Python
-    and numpy) and ``%s`` for anything else (so a ``bool`` prints as ``True``,
-    and a ``%`` inside a string cell is data, not a directive).  It is built
-    once per tuple of cell types and reused for every row of that shape.
+    The template is built from each cell's type: ``%.9g`` for a
+    ``numbers.Real`` that is not ``numbers.Integral`` (Python and numpy floats,
+    which register with the ABC) and ``%s`` for anything else (so integers
+    print exactly, a ``bool`` as ``True``, and a ``%`` inside a string cell is
+    data, not a directive).  It is built once per tuple of cell types and
+    reused for every row of that shape.
     """
     row = tuple(row)
     types = tuple(map(type, row))
@@ -83,11 +87,8 @@ def _csv_row(row) -> str:
     if template is None:
         if len(_CSV_TEMPLATES) >= _CSV_TEMPLATES_MAX:
             _CSV_TEMPLATES.clear()
-        np = sys.modules.get("numpy")  # no numpy float can exist before numpy loads
-        floats = float if np is None else (float, np.floating)
-        template = _CSV_TEMPLATES[types] = ",".join(
-            ["%.9g" if issubclass(t, floats) else "%s" for t in types]
-        )
+        real = [issubclass(t, numbers.Real) and not issubclass(t, numbers.Integral) for t in types]
+        template = _CSV_TEMPLATES[types] = ",".join(["%.9g" if r else "%s" for r in real])
     return template % row
 
 

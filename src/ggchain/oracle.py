@@ -254,6 +254,8 @@ def sample(graph: GraphSpec, tau: float, count: int, seed: int) -> SampleBatch:
     cross = 0.5 * (cross + cross.T)
     cov = (cross - np.outer(sums, sums) / count) / (count - 1)
     corr = correlation_transform(cov).correlation
+    # only entries that rounding pushed past +-1 move (1 + 4.4e-16 near tau = 1/2)
+    np.clip(corr, -1.0, 1.0, out=corr)
     stderr = 1.0 / math.sqrt(count - 3) if count > 3 else math.inf
     return SampleBatch(
         seed=seed,
@@ -270,7 +272,9 @@ def fisher_z_discrepancies(batch: SampleBatch, exact: "numpy.ndarray") -> "numpy
     """|artanh(empirical) - artanh(exact)| / fisher_stderr, zero diagonal.
 
     The variance-stabilised discrepancy is approximately standard normal per
-    entry when the model holds, so values above ~4 flag disagreement.
+    entry when the model holds, so values above ~4 flag disagreement.  An
+    off-diagonal correlation of exactly +-1 in either matrix has no finite
+    Fisher z and raises :class:`DomainError` naming the first such entry.
     """
     import numpy as np
 
@@ -281,5 +285,13 @@ def fisher_z_discrepancies(batch: SampleBatch, exact: "numpy.ndarray") -> "numpy
         )
     z = np.zeros_like(exact)
     off = ~np.eye(exact.shape[0], dtype=bool)
+    saturated = np.argwhere(off & ((np.abs(batch.correlation) == 1.0) | (np.abs(exact) == 1.0)))
+    if saturated.size:
+        a, b = saturated[0].tolist()
+        empirical, expected = float(batch.correlation[a, b]), float(exact[a, b])
+        raise DomainError(
+            f"correlation at matrix entry ({a}, {b}) is +-1 (empirical {empirical!r}, "
+            f"exact {expected!r}): its Fisher z is infinite"
+        )
     z[off] = np.abs(np.arctanh(batch.correlation[off]) - np.arctanh(exact[off]))
     return z / batch.fisher_stderr

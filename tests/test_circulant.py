@@ -18,7 +18,6 @@ from ggchain import (
     cycle_correlation_sequence,
     cycle_inverse_sum,
     cycle_inverse_sum_imag,
-    decay_base,
     decay_params,
     limit_integral,
     precision_eigenvalues,
@@ -193,7 +192,7 @@ class TestCorrelationSequence:
     def test_exact_at_dyadic_base(self, n):
         """At tau = 0.4 the base is exactly 1/2, and every correlation is the
         correctly rounded value of the rational images form."""
-        assert decay_base(0.4) == 0.5
+        assert decay_params(0.4).base == 0.5
         b = Fraction(1, 2)
         expected = [float((b**k + b ** (n - k)) / (1 + b**n)) for k in range(n)]
         assert cycle_correlation_sequence(n, 0.4).correlations.tolist() == expected
@@ -218,7 +217,7 @@ class TestCorrelationSequence:
         exceeds 4 eps, and is exactly 0 where b**(n-k) is below the rounding of
         b**k.  With two formulas for the base and vectorised powers, the gap on
         this grid reached -2,396 ulps of the limit at (n, k, tau) = (20000, 1512, 0.45)."""
-        b = decay_base(tau)
+        b = decay_params(tau).base
         eps = sys.float_info.epsilon
         for n in (8, 64, 1000, 20000):
             corr = cycle_correlation_sequence(n, tau).correlations
@@ -290,7 +289,7 @@ class TestLimitIntegral:
 
     def test_ratio_is_power_of_base(self):
         for tau in TAU_GRID:
-            base = decay_base(tau)
+            base = decay_params(tau).base
             i0 = limit_integral(0, tau)
             for k in (1, 2, 5, 20):
                 assert limit_integral(k, tau) / i0 == pytest.approx(base**k, rel=1e-13)
@@ -322,7 +321,7 @@ class TestCycleLimit:
         approaches its limit from above.  Held to 1e-9 relative, or to 4 ulps of
         1 where the law sits below double resolution (n = 128: about 3e-12)."""
         tau = 0.49
-        b = decay_base(tau)
+        b = decay_params(tau).base
         corr = cycle_correlation_sequence(n, tau).correlations
         for k in range(1, 6):
             law = (b ** (n - 2 * k) - b**n) / (1 + b**n)

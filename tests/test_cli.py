@@ -535,6 +535,25 @@ class TestSample:
         assert code_a == code_b == 0
         assert out_a == out_b
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_unit_correlation_near_half_is_a_domain_error(self, capsys, n, fmt):
+        """Regression: at tau = 1/2 - 2**-54 rounding put an empirical correlation
+        at 1 + 4.4e-16 (n = 3), and the oracle's exact correlation is 1.0 at
+        n = 4; arctanh warned and the z-scores were NaN (exit 5 in CSV, 2 for
+        the JSON writer).  The empirical matrix is now clipped to [-1, 1], and a
+        correlation of +-1 has no Fisher z: both formats exit 2 with a message,
+        and no numpy warning escapes (warnings are errors in this suite)."""
+        code, out, err = run_cli(
+            capsys,
+            "sample", "--graph", "cycle", "--n", str(n), "--tau", "0.49999999999999994",
+            "--count", "100", "--seed", "1", "--format", fmt,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("ggchain: domain error: correlation at matrix entry (")
+        assert err.endswith("is +-1 (empirical 1.0, exact 0.9999999999999999): its Fisher z is infinite\n")
+
     def test_statistical_failure_exit_code(self, capsys, monkeypatch):
         """Comparing against wrong reference values must surface as exit 5."""
         import ggchain.cli as cli_mod

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import math
+import re
 import sys
 
 import numpy as np
@@ -15,7 +16,6 @@ from ggchain import (
     GraphKind,
     GraphSpec,
     check_tau,
-    decay_base,
     decay_params,
     gff_decay_rate,
     precision_matrix,
@@ -63,8 +63,17 @@ def test_integer_arguments_agree(entry, value):
             call(value)
 
 
-@pytest.mark.parametrize("value", [5, np.int64(5), np.uint8(5)], ids=["int", "int64", "uint8"])
+class _IntSubclass(int):
+    pass
+
+
+@pytest.mark.parametrize(
+    "value",
+    [5, np.int64(5), np.uint8(5), _IntSubclass(5)],
+    ids=["int", "int64", "uint8", "int-subclass"],
+)
 def test_as_index_accepts_integers(value):
+    """Any ``numbers.Integral`` but bool is an integer, returned as a plain int."""
     result = gg.model.as_index(value, "n", 1, 9)
     assert result == 5 and type(result) is int
 
@@ -188,16 +197,6 @@ class TestDecayParams:
             p = decay_params(float(tau))
             ref = (1.0 - math.sqrt(1.0 - 4.0 * tau * tau)) / (2.0 * tau)
             assert p.base == pytest.approx(ref, rel=1e-13)
-
-    def test_decay_base_at_zero(self):
-        assert decay_base(0.0) == 0.0
-
-    def test_decay_base_is_the_params_base(self):
-        """One base everywhere: 2 tau / (1 + s) differed from exp(-rate) by up
-        to 7 ulps, which made cycle gaps negative."""
-        rng = np.random.default_rng(7)
-        for tau in (*TAU_GRID, *rng.uniform(0.0, 0.5, 2000)):
-            assert decay_base(float(tau)) == decay_params(float(tau)).base
 
     def test_subnormal_tau(self):
         """Regression: the arccosh quotient overflows below tau ~ 5.6e-309; the
@@ -382,9 +381,11 @@ class TestCheckTau:
     def test_zero_allowed_by_default(self):
         assert check_tau(0.0) == 0.0
 
-    def test_positive_flag(self):
-        with pytest.raises(DomainError):
-            check_tau(0.0, positive=True)
+    def test_zero_refused_by_decay_params(self):
+        """check_tau admits tau = 0; decay_params, which needs a finite rate, refuses it."""
+        message = "operation requires tau > 0 (decay rate is infinite at tau = 0)"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            decay_params(0.0)
 
     def test_nan_rejected(self):
         with pytest.raises(DomainError):

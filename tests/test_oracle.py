@@ -237,6 +237,21 @@ class TestSampler:
         with pytest.raises(DomainError):
             fisher_z_discrepancies(batch, np.eye(4))
 
+    def test_empirical_correlation_clipped_near_half(self):
+        """Regression: at tau = 1/2 - 2**-54 the 3-cycle's empirical correlation
+        came out as 1 + 4.4e-16; it is clipped to [-1, 1]."""
+        batch = sample(GraphSpec(GraphKind.CYCLE, 3), 0.49999999999999994, 100, 1)
+        assert np.max(np.abs(batch.correlation)) == 1.0
+
+    def test_fisher_unit_correlation_named(self):
+        """An off-diagonal +-1 in either matrix has no finite Fisher z: the first
+        such entry is named, and no arctanh warning is raised."""
+        batch = sample(self.GRAPH, 0.4, 200, 9)
+        exact = np.eye(5)
+        exact[3, 1] = exact[1, 3] = -1.0
+        with pytest.raises(DomainError, match=r"entry \(1, 3\) is \+-1 \(empirical 0\.\d+, exact -1\.0\)"):
+            fisher_z_discrepancies(batch, exact)
+
 
 def _unblocked_reference(graph, tau, count, seed):
     """The sampler without blocks: the whole Philox stream at once, then the

@@ -18,7 +18,7 @@ PUBLIC_NAMES = {
     "SelfCheckError",
     # model
     "GraphKind", "GraphSpec", "DecayParams", "GffParams",
-    "check_tau", "sqrt_one_minus_4tau2", "decay_params", "decay_base", "tau_from_gff",
+    "check_tau", "sqrt_one_minus_4tau2", "decay_params", "tau_from_gff",
     "gff_decay_rate", "precision_matrix",
     # chains
     "open_chain_covariance", "open_chain_correlation",
@@ -41,7 +41,7 @@ PUBLIC_NAMES = {
 
 
 def test_exported_names():
-    assert len(gg.__all__) == len(set(gg.__all__)) == 56
+    assert len(gg.__all__) == len(set(gg.__all__)) == 55
     assert set(gg.__all__) == PUBLIC_NAMES
 
 
@@ -240,3 +240,31 @@ def test_one_output_writer():
     paths = sorted((README.parent / "src" / "ggchain").glob("*.py"))
     sites = {site for path in paths for site in _writer_sites(path)}
     assert sites == {("json.dumps", "cli._dumps"), ("%.9g", "cli._csv_row")}
+
+
+def _module_probe_sites(path: Path) -> list[str]:
+    """Each function of ``path`` that reads ``sys.modules`` (or imports ``modules`` from ``sys``)."""
+    sites = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        if isinstance(node, ast.Attribute) and node.attr == "modules":
+            if isinstance(node.value, ast.Name) and node.value.id == "sys":
+                sites.append(scope)
+        elif isinstance(node, ast.ImportFrom) and node.module == "sys":
+            if "modules" in {alias.name for alias in node.names}:
+                sites.append(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(), str(path)), "<module>")
+    return [f"{path.stem}.{scope}" for scope in sites]
+
+
+def test_one_numpy_probe():
+    """Numeric types are recognised through the ``numbers`` ABCs, which numpy
+    registers with; only ``cli._array_to_list`` asks whether numpy is loaded,
+    because an ndarray is no ``numbers`` type."""
+    paths = sorted((README.parent / "src" / "ggchain").glob("*.py"))
+    assert [site for path in paths for site in _module_probe_sites(path)] == ["cli._array_to_list"]
