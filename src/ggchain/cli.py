@@ -17,6 +17,7 @@ output), 3 self-check failure, 4 insufficient data, 5 statistical failure.
 """
 
 import argparse
+import functools
 import json
 import math
 import numbers
@@ -65,10 +66,11 @@ def _dumps(obj) -> str:
         raise DomainError(f"non-finite value in JSON output ({exc})") from exc
 
 
-# _csv_row's templates by tuple of cell types; a run writes few row shapes, and
-# the cap bounds a long-lived process that writes many
-_CSV_TEMPLATES: dict[tuple[type, ...], str] = {}
-_CSV_TEMPLATES_MAX = 64
+# a run writes few row shapes; the cap bounds a long-lived process that writes many
+@functools.lru_cache(maxsize=64)
+def _template(types: tuple) -> str:
+    real = [issubclass(t, numbers.Real) and not issubclass(t, numbers.Integral) for t in types]
+    return ",".join(["%.9g" if r else "%s" for r in real])
 
 
 def _csv_row(row) -> str:
@@ -78,18 +80,11 @@ def _csv_row(row) -> str:
     ``numbers.Real`` that is not ``numbers.Integral`` (Python and numpy floats,
     which register with the ABC) and ``%s`` for anything else (so integers
     print exactly, a ``bool`` as ``True``, and a ``%`` inside a string cell is
-    data, not a directive).  It is built once per tuple of cell types and
-    reused for every row of that shape.
+    data, not a directive).  :func:`_template` builds it once per tuple of cell
+    types and caches it for every row of that shape.
     """
     row = tuple(row)
-    types = tuple(map(type, row))
-    template = _CSV_TEMPLATES.get(types)
-    if template is None:
-        if len(_CSV_TEMPLATES) >= _CSV_TEMPLATES_MAX:
-            _CSV_TEMPLATES.clear()
-        real = [issubclass(t, numbers.Real) and not issubclass(t, numbers.Integral) for t in types]
-        template = _CSV_TEMPLATES[types] = ",".join(["%.9g" if r else "%s" for r in real])
-    return template % row
+    return _template(tuple(map(type, row))) % row
 
 
 # argparse dests that select the output or the handler, not a computation
@@ -160,12 +155,11 @@ def cmd_decay(args) -> int:
                 "the edge weight underflows to 0"
             )
     p = decay_params(tau)
-    if not by_tau and args.beta == 1.0:
-        gff_rate = gff_decay_rate(args.mass)
-    else:
-        # rate via the unit-coupling field with the equivalent mass; equals
-        # p.rate by the closed-form identity and is displayed as a cross-check
-        gff_rate = gff_decay_rate(_implied_mass(p.tau))
+    # rate via the unit-coupling field with the equivalent mass (m / sqrt(beta)
+    # for a field input); equals p.rate by the closed-form identity and is
+    # displayed as a cross-check
+    mass = _implied_mass(p.tau) if by_tau else args.mass / math.sqrt(args.beta)
+    gff_rate = gff_decay_rate(mass)
     columns = ["tau", "rate", "base", "gff_rate"]
     rows = [(p.tau, p.rate, p.base, gff_rate)]
     _write(args, columns, rows)

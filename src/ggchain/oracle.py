@@ -1,12 +1,13 @@
-"""Independent ground truth: structured/dense inversion and a seeded sampler.
+"""Independent ground truth: two inversion routes and a seeded sampler.
 
 The closed-form kernels are validated against this module, which derives the
 same correlation matrices by the definition: invert the precision matrix,
 then rescale by the inverse square roots of the diagonal (the correlation
 transform).  Two inversion routes are kept deliberately distinct so that a
 bug in one cannot hide in the other: a hand-rolled symmetric elimination for
-tridiagonal matrices and a library Cholesky factorisation for dense ones.  The
-dense route and the sampler take the precision matrix as the plain array that
+the chains' tridiagonal matrices, and for the cycle a library Cholesky
+factorisation followed by a back-substitution.  The Cholesky route and the
+sampler take the precision matrix as the plain array that
 :func:`ggchain.model.precision_matrix` builds from the graph's edges, not from
 any kernel output.
 
@@ -22,11 +23,12 @@ stream word ``d * dim + c``.  The mapping is part of the output contract:
 identical seeds give bit-identical batches, and any parallel generation
 scheme must reproduce the same word addressing.  Draws are generated, solved
 and reduced in blocks of :data:`SAMPLE_BLOCK`, so the sampler's memory is
-bounded by the block, not by the number of draws.  Both the dense route and
-the sampler factor the precision matrix with numpy's Cholesky, through one
-private routine.  numpy is imported at call time by the functions that build
-arrays, and scipy by its one user, the sampler's inverse normal CDF, so
-importing ggchain loads neither.
+bounded by the block, not by the number of draws.  The module has one
+factorisation (numpy's Cholesky) and one back-substitution, shared by the
+sampler and the cycle inversion, which solves ``L^T x = I`` for ``x = L^-T``
+and forms ``P^-1 = x x^T``.  numpy is imported at call time by the functions
+that build arrays, and scipy by its one user, the sampler's inverse normal
+CDF, so importing ggchain loads neither.
 """
 
 import math
@@ -39,7 +41,6 @@ __all__ = [
     "CorrelationResult",
     "SampleBatch",
     "invert_tridiagonal",
-    "invert_dense_spd",
     "correlation_transform",
     "model_correlation",
     "sample",
@@ -53,10 +54,6 @@ NORMAL_METHOD = "philox4x64-inverse-cdf"
 # draws per block in `sample`; the statistics are summed block by block, so
 # changing it moves them in the last bits
 SAMPLE_BLOCK = 8192
-
-# largest triangular block that `invert_dense_spd` hands to np.linalg.inv
-# whole, so a factor of up to this many rows keeps the bits of one LU inverse
-TRIANGULAR_LEAF = 128
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,46 +130,39 @@ def _cholesky(a: "numpy.ndarray") -> "numpy.ndarray":
         raise NotPositiveDefiniteError(str(exc)) from exc
 
 
-def invert_dense_spd(matrix: "numpy.ndarray") -> "numpy.ndarray":
-    """Inverse of a dense symmetric positive definite matrix via numpy's Cholesky.
+def _back_substitute(lower: "numpy.ndarray", x: "numpy.ndarray") -> "numpy.ndarray":
+    """Solve ``L^T x = z`` in place on the rows of ``x``, which holds ``z`` on entry.
 
-    With ``a = L L^T`` the inverse is ``L^-T L^-1``, and ``L^-1`` is built by
-    2x2 blocks (:func:`_invert_lower`); the factorisation is the definiteness
-    check.  The result is symmetrised before returning.
+    Row i of ``x`` is coordinate i of every right-hand side.  Only the
+    diagonal, the subdiagonal and the last row of ``lower`` are read: the
+    Cholesky factor of a path or cycle precision matrix is zero elsewhere.
     """
     import numpy as np
 
-    a = np.array(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DomainError(f"matrix must be square, got shape {a.shape}")
-    scale = np.max(np.abs(a)) or 1.0
-    if np.max(np.abs(a - a.T)) > 1e-8 * scale:
-        raise DomainError("matrix is not symmetric")
-    inv_lower = _invert_lower(_cholesky(a))
-    inv = inv_lower.T @ inv_lower
+    diag, sub = lower.diagonal(), lower.diagonal(-1)
+    corner = lower[-1, :-2]  # last row left of the subdiagonal: nonzero for the cycle only
+    has_corner = bool(np.any(corner))
+    x[-1] /= diag[-1]
+    for i in range(len(diag) - 2, -1, -1):
+        x[i] -= sub[i] * x[i + 1]
+        if has_corner and i < len(corner):
+            x[i] -= corner[i] * x[-1]
+        x[i] /= diag[i]
+    return x
+
+
+def _cholesky_inverse(precision: "numpy.ndarray") -> "numpy.ndarray":
+    """Inverse of a path or cycle precision matrix through its Cholesky factor.
+
+    With ``P = L L^T``, ``x = L^-T`` solves ``L^T x = I`` by
+    :func:`_back_substitute` and ``P^-1 = x x^T``; the factorisation is the
+    definiteness check.  The result is symmetrised before returning.
+    """
+    import numpy as np
+
+    x = _back_substitute(_cholesky(precision), np.eye(len(precision)))
+    inv = x @ x.T
     return 0.5 * (inv + inv.T)
-
-
-def _invert_lower(lower: "numpy.ndarray") -> "numpy.ndarray":
-    """Inverse of a nonsingular lower triangular matrix by 2x2 blocks.
-
-    With ``L = [[A, 0], [C, B]]`` the inverse is ``[[A^-1, 0], [-B^-1 C A^-1, B^-1]]``,
-    so the work is matrix products; blocks of at most :data:`TRIANGULAR_LEAF`
-    rows go to ``np.linalg.inv``, a general LU solve.
-    """
-    import numpy as np
-
-    n = lower.shape[0]
-    if n <= TRIANGULAR_LEAF:
-        return np.linalg.inv(lower)
-    h = n // 2
-    a_inv = _invert_lower(lower[:h, :h])
-    b_inv = _invert_lower(lower[h:, h:])
-    out = np.zeros_like(lower)
-    out[:h, :h] = a_inv
-    out[h:, h:] = b_inv
-    out[h:, :h] = -(b_inv @ (lower[h:, :h] @ a_inv))
-    return out
 
 
 def correlation_transform(sigma: "numpy.ndarray") -> CorrelationResult:
@@ -195,13 +185,13 @@ def correlation_transform(sigma: "numpy.ndarray") -> CorrelationResult:
 def model_correlation(graph: GraphSpec, tau: float) -> CorrelationResult:
     """Exact model correlation by inversion plus correlation transform.
 
-    Chains go through the tridiagonal elimination, cycles through the dense
-    Cholesky route.  This is the reference the closed-form kernels are tested
-    against.
+    Chains go through the tridiagonal elimination, cycles through the Cholesky
+    factor and one back-substitution (:func:`_cholesky_inverse`).  This is the
+    reference the closed-form kernels are tested against.
     """
     tau = check_tau(tau)
     if graph.kind is GraphKind.CYCLE:
-        sigma = invert_dense_spd(precision_matrix(graph, tau))
+        sigma = _cholesky_inverse(precision_matrix(graph, tau))
     else:
         sigma = invert_tridiagonal(1.0, -tau, graph.node_count)
     return correlation_transform(sigma)
@@ -226,9 +216,6 @@ def sample(graph: GraphSpec, tau: float, count: int, seed: int) -> SampleBatch:
 
     dim = graph.node_count
     lower = _cholesky(precision_matrix(graph, tau))
-    diag, sub = lower.diagonal(), lower.diagonal(-1)
-    corner = lower[-1, :-2]  # last row left of the subdiagonal: nonzero for the cycle only
-    has_corner = bool(np.any(corner))
 
     rng = Generator(Philox(key=seed))
     sums = np.zeros(dim)
@@ -240,13 +227,7 @@ def sample(graph: GraphSpec, tau: float, count: int, seed: int) -> SampleBatch:
         ndtri(u, out=u)
         x = u.T.copy()  # one contiguous row per coordinate
         del u  # at most two blocks are alive at once
-        # back-substitution for L^T x = z, all draws of the block at once
-        x[-1] /= diag[-1]
-        for i in range(dim - 2, -1, -1):
-            x[i] -= sub[i] * x[i + 1]
-            if has_corner and i < dim - 2:
-                x[i] -= corner[i] * x[-1]
-            x[i] /= diag[i]
+        _back_substitute(lower, x)  # L^T x = z, all draws of the block at once
         sums += x.sum(axis=1)
         cross += x @ x.T
         del x

@@ -60,6 +60,18 @@ class TestDecay:
         assert cells[1] == "1.3169579"
         assert cells[3] == "1.3169579"
 
+    def test_gff_rate_depends_on_the_field_alone(self, capsys):
+        """Regression: for beta != 1 ``gff_rate`` came from the rounded tau, so
+        (beta, m) = (4, 1e-7) printed 6.98926413e-08, tau's rate, and not the
+        field's 7.07106781e-08, which the same field at beta = 1, m = 5e-8 printed."""
+        rows = []
+        for beta, mass in (("4", "1e-7"), ("1", "5e-8")):
+            code, out, _ = run_cli(capsys, "decay", "--mass", mass, "--beta", beta)
+            assert code == 0
+            rows.append(out.strip().splitlines()[1].split(","))
+        assert rows[0][3] == rows[1][3] == "7.07106781e-08"
+        assert rows[0][1] == "6.98926413e-08"
+
     def test_out_of_domain(self, capsys):
         code, _, err = run_cli(capsys, "decay", "--tau", "0.6")
         assert code == 2
@@ -549,10 +561,13 @@ class TestSample:
             "sample", "--graph", "cycle", "--n", str(n), "--tau", "0.49999999999999994",
             "--count", "100", "--seed", "1", "--format", fmt,
         )
+        entry = {
+            3: "(0, 2) is +-1 (empirical 1.0, exact 0.9999999999999999)",
+            4: "(0, 1) is +-1 (empirical 0.9999999999999997, exact 1.0)",
+        }[n]
         assert code == 2
         assert out == ""
-        assert err.startswith("ggchain: domain error: correlation at matrix entry (")
-        assert err.endswith("is +-1 (empirical 1.0, exact 0.9999999999999999): its Fisher z is infinite\n")
+        assert err == f"ggchain: domain error: correlation at matrix entry {entry}: its Fisher z is infinite\n"
 
     def test_statistical_failure_exit_code(self, capsys, monkeypatch):
         """Comparing against wrong reference values must surface as exit 5."""
@@ -598,9 +613,9 @@ def test_csv_row_template_per_cell_types():
     # the cache stays bounded however many row shapes a process writes
     import ggchain.cli as cli_mod
 
-    for width in range(1, 2 * cli_mod._CSV_TEMPLATES_MAX):
+    for width in range(1, 2 * 64):
         assert _csv_row((0.5,) * width) == ",".join(["0.5"] * width)
-    assert len(cli_mod._CSV_TEMPLATES) <= cli_mod._CSV_TEMPLATES_MAX
+    assert cli_mod._template.cache_info().currsize <= 64
 
 
 class TestJsonEnvelopes:

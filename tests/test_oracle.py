@@ -17,14 +17,13 @@ from ggchain import (
     correlation_transform,
     cycle_correlation_sequence,
     fisher_z_discrepancies,
-    invert_dense_spd,
     invert_tridiagonal,
     model_correlation,
     open_chain_correlation,
     precision_matrix,
     sample,
 )
-from ggchain.oracle import NORMAL_METHOD, SAMPLE_BLOCK
+from ggchain.oracle import NORMAL_METHOD, SAMPLE_BLOCK, _cholesky, _cholesky_inverse
 
 TAU_GRID = (0.05, 0.15, 0.25, 0.35, 0.45, 0.49)
 
@@ -53,9 +52,9 @@ class TestInvertTridiagonal:
     def test_matches_dense_route(self, tau):
         """Two independent inversion paths agree to 1e-12 relative."""
         for n in (1, 2, 3, 10, 27, 50):
-            prec = np.eye(n) + np.diag([-tau] * (n - 1), 1) + np.diag([-tau] * (n - 1), -1)
+            prec = precision_matrix(GraphSpec(GraphKind.OPEN_CHAIN, n), tau)
             a = invert_tridiagonal(1.0, -tau, n)
-            b = invert_dense_spd(prec)
+            b = _cholesky_inverse(prec)
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-14)
 
     @pytest.mark.parametrize("tau", TAU_GRID)
@@ -72,38 +71,52 @@ class TestInvertTridiagonal:
 
 
 class TestInvertDenseSpd:
+    """The cycle's inversion route, ``oracle._cholesky_inverse``."""
+
     def test_identity(self):
-        np.testing.assert_array_equal(invert_dense_spd(np.eye(3)), np.eye(3))
+        np.testing.assert_array_equal(_cholesky_inverse(np.eye(3)), np.eye(3))
 
     def test_cycle_diagonal_value(self):
         """3-cycle at tau = 0.4 has inverse diagonal 15/7."""
         prec = precision_matrix(GraphSpec(GraphKind.CYCLE, 3), 0.4)
-        inv = invert_dense_spd(prec)
+        inv = _cholesky_inverse(prec)
         np.testing.assert_allclose(np.diag(inv), 15.0 / 7.0, rtol=1e-13)
 
     def test_rejects_indefinite(self):
         with pytest.raises(NotPositiveDefiniteError):
-            invert_dense_spd(np.array([[1.0, 2.0], [2.0, 1.0]]))
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(DomainError):
-            invert_dense_spd(np.array([[1.0, 0.5], [0.1, 1.0]]))
+            _cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
     def test_result_is_symmetric(self):
         prec = precision_matrix(GraphSpec(GraphKind.CYCLE, 8), 0.45)
-        inv = invert_dense_spd(prec)
+        inv = _cholesky_inverse(prec)
         np.testing.assert_array_equal(inv, inv.T)
 
     @pytest.mark.parametrize("tau", [0.05, 0.45, 0.49, 0.4999])
     @pytest.mark.parametrize("n", [3, 64, 129, 257, 1000])
     def test_cycle_oracle_matches_images_kernel(self, n, tau):
-        """The dense route agrees with the images kernel up to the benchmark's size
-        (worst case measured: 3.4e-14 at n = 1000, tau = 0.4999).  Above
-        TRIANGULAR_LEAF = 128 rows the Cholesky factor is inverted by 2x2 blocks:
-        one level of splits at 129, two at 257 and three at 1000."""
+        """The Cholesky route agrees with the images kernel up to the benchmark's
+        size (worst case measured: 3.3e-14 at n = 1000, tau = 0.4999)."""
         oracle = model_correlation(GraphSpec(GraphKind.CYCLE, n), tau).correlation
         kernel = circulant_matrix(cycle_correlation_sequence(n, tau).correlations)
         np.testing.assert_allclose(oracle, kernel, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("tau", [0.0, 0.05, 0.45, 0.5 - 2**-40])
+@pytest.mark.parametrize(
+    "kind, n",
+    [(kind, n) for kind in GraphKind for n in (1, 2, 3, 4, 5, 64, 257) if kind is not GraphKind.CYCLE or n >= 3],
+)
+def test_cholesky_factor_pattern(kind, n, tau):
+    """The one back-substitution reads only the diagonal, the subdiagonal and the
+    last row of the Cholesky factor; every path and cycle factor is exactly zero
+    elsewhere, and a chain's last row is zero left of its subdiagonal too."""
+    lower = _cholesky(precision_matrix(GraphSpec(kind, n), tau))
+    dim = len(lower)
+    read = np.eye(dim, dtype=bool) | np.eye(dim, k=-1, dtype=bool)
+    if kind is GraphKind.CYCLE:
+        read[-1] = True
+        assert (lower[-1, 0] != 0.0) == (tau > 0.0)
+    assert not np.any(lower[~read])
 
 
 class TestCorrelationTransform:

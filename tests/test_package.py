@@ -31,7 +31,7 @@ PUBLIC_NAMES = {
     "CycleCorrelation", "circulant_matrix", "precision_eigenvalues", "cycle_inverse_sum",
     "cycle_inverse_sum_imag", "cycle_correlation_sequence", "riemann_sum", "limit_integral", "cycle_correlation_limit",
     # oracle
-    "CorrelationResult", "SampleBatch", "invert_tridiagonal", "invert_dense_spd",
+    "CorrelationResult", "SampleBatch", "invert_tridiagonal",
     "correlation_transform", "model_correlation", "sample", "fisher_z_discrepancies",
     "NORMAL_METHOD",
     # analysis
@@ -41,7 +41,7 @@ PUBLIC_NAMES = {
 
 
 def test_exported_names():
-    assert len(gg.__all__) == len(set(gg.__all__)) == 55
+    assert len(gg.__all__) == len(set(gg.__all__)) == 54
     assert set(gg.__all__) == PUBLIC_NAMES
 
 
@@ -235,11 +235,12 @@ def _writer_sites(path: Path) -> list[tuple[str, str]]:
 
 
 def test_one_output_writer():
-    """JSON is encoded only in ``cli._dumps`` and CSV cells are formatted only in
-    ``cli._csv_row``, so every command shares one writer per format."""
+    """JSON is encoded only in ``cli._dumps`` and the CSV cell format is spelled
+    only in ``cli._template``, the row template that ``cli._csv_row`` applies, so
+    every command shares one writer per format."""
     paths = sorted((README.parent / "src" / "ggchain").glob("*.py"))
     sites = {site for path in paths for site in _writer_sites(path)}
-    assert sites == {("json.dumps", "cli._dumps"), ("%.9g", "cli._csv_row")}
+    assert sites == {("json.dumps", "cli._dumps"), ("%.9g", "cli._template")}
 
 
 def _module_probe_sites(path: Path) -> list[str]:
