@@ -4,23 +4,30 @@ Every command emits CSV (default) or a JSON envelope ``{"metadata": ...,
 "payload": ...}`` selected by ``--format``.  CSV cells carry 9 significant
 digits; JSON carries full round-trip precision on one compact line, which
 ``python -m json.tool`` pretty-prints.  With ``--deterministic`` the envelope
-omits the timestamp, making reruns byte-identical.  Output is serialised from
-the result's structure: the rows of a circulant (closed cycle) matrix are
-rotations of its one formatted first row, and the lower half of a closed chain
-matrix, which is exactly reversal-symmetric, mirrors its formatted upper half.
+omits the timestamp, making reruns byte-identical.  Matrices are serialised
+from their structure, in CSV and JSON alike: the rows of a circulant (closed
+cycle) matrix are rotations of its one encoded first row, and the lower half
+of a closed chain matrix, which is exactly reversal-symmetric, mirrors its
+encoded upper half.  Every distinct row (one, ceil(n/2), or all n for the
+oracle's matrix) is encoded before the first byte is written, so a non-finite
+value in JSON exits 2 with nothing on stdout; the rows are then written one at
+a time, and the whole matrix text is never held.
 
 ``decay`` and ``converge`` compute scalars and never load numpy; the other
 commands import it when they build an array.
 
 Exit codes: 0 ok, 2 domain error (including a non-finite value in JSON
-output), 3 self-check failure, 4 insufficient data, 5 statistical failure.
+output), 3 self-check failure, 4 insufficient data, 5 statistical failure,
+141 (128 + SIGPIPE) the reader closed stdout before the output ended.
 """
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import numbers
+import os
 import sys
 from dataclasses import asdict, fields
 from datetime import datetime, timezone
@@ -91,19 +98,25 @@ def _csv_row(row) -> str:
 _NOT_PARAMETERS = frozenset({"command", "format", "deterministic", "func"})
 
 
-def _write(args, columns, rows, *, payload=None, metadata=None, notes=()) -> None:
+def _write(args, columns, rows, *, payload=None, json_rows=None, metadata=None, notes=()) -> None:
     """Write a command's result: a CSV table, or the JSON envelope.
 
     CSV is printed one line per row as the rows are generated, so ``rows``
     may be a lazy iterable; the header, every row and each of ``notes`` (more
     rows, written to stderr after the table) all go through :func:`_csv_row`.  A
-    cell may be text that is already formatted, such as a run of matrix
+    cell may be text that is already encoded, such as a run of matrix
     cells; ``%s`` passes it through unchanged.  The JSON payload is
     ``payload`` if given, else one object per row; numpy arrays in it are
     written as nested lists.  The envelope names the command and its
     parameters, every other argparse dest in the order the parser defines
     them; ``metadata`` extends it.  It is printed as one compact line by
     :func:`_dumps`, which keeps ``json`` on its C encoder.
+
+    ``json_rows``, if given, are the rows of the payload's last value, which
+    ``payload`` holds as an empty list: JSON arrays already encoded by
+    :func:`_json_cells`, so every value is checked before this is called.  The
+    envelope is split where that list goes and the rows are written into it
+    one at a time, without joining the whole matrix.
     """
     if args.format == "json":
         parameters = {k: v for k, v in vars(args).items() if k not in _NOT_PARAMETERS}
@@ -114,7 +127,19 @@ def _write(args, columns, rows, *, payload=None, metadata=None, notes=()) -> Non
             meta["timestamp"] = datetime.now(timezone.utc).isoformat()
         if payload is None:
             payload = [dict(zip(columns, row)) for row in rows]
-        print(_dumps({"metadata": meta, "payload": payload}))
+        envelope = _dumps({"metadata": meta, "payload": payload})
+        if json_rows is None:
+            print(envelope)
+            return
+        # the payload is the envelope's last value and the empty list its last
+        head, _, tail = envelope.rpartition("[]")
+        out = sys.stdout.write
+        out(head + "[")
+        sep = ""
+        for line in json_rows:
+            out(f"{sep}[{line}]")
+            sep = ", "
+        out("]" + tail + "\n")
         return
     print(_csv_row(columns))
     for row in rows:
@@ -175,34 +200,40 @@ def _closed_matrix(graph: GraphSpec, tau: float) -> "numpy.ndarray":
     return circulant_matrix(seq.correlations)
 
 
-def _circulant_rows(labels, first_row):
-    """CSV rows of the circulant matrix with ``first_row``, each value formatted once.
+def _json_cells(row) -> str:
+    """One JSON row without its brackets: the cells of ``_dumps(row)``, joined by ``", "``."""
+    return _dumps(row)[1:-1]
 
-    Entry (r, j) is ``first_row[(j - r) % n]``, so row r is the formatted first
-    row rotated right by r; it reaches :func:`_csv_row` as one ``%s`` cell.
+
+# per format: the row encoder and the separator between the cells it writes
+_ROW_ENCODERS = {"csv": (_csv_row, ","), "json": (_json_cells, ", ")}
+
+
+def _circulant_rows(first_row, encode, sep):
+    """Encoded rows of the circulant matrix with ``first_row``, each value encoded once.
+
+    Entry (r, j) is ``first_row[(j - r) % n]``, so row r is the encoded first
+    row rotated right by r.  The first row is encoded before this returns; the
+    rotations are joined one at a time as the rows are read.
     """
-    cells = _csv_row(first_row).split(",")
+    cells = encode(first_row).split(sep)
     n = len(cells)
-    for r, label in enumerate(labels):
-        yield label, ",".join(cells[n - r :] + cells[: n - r])
+    return (sep.join(cells[n - r :] + cells[: n - r]) for r in range(n))
 
 
-def _mirrored_rows(labels, matrix):
-    """CSV rows of a symmetric, centrosymmetric matrix, each mirror pair formatted once.
+def _mirrored_rows(matrix, encode, sep):
+    """Encoded rows of a symmetric, centrosymmetric matrix, each mirror pair encoded once.
 
     Entry (n-1-r, j) equals (n-1-j, r) by reversal and (r, n-1-j) by symmetry,
-    so row n-1-r (0-based) is row r reversed.  The first ceil(n/2) rows go
-    through :func:`_csv_row` and are kept; the rest are the cells of a kept
-    row in reverse order, passed on as one ``%s`` cell.
+    so row n-1-r (0-based) is row r reversed.  The first ceil(n/2) rows are
+    encoded before this returns; the rest are the cells of a kept row in
+    reverse order, joined one at a time as the rows are read.
     """
-    n = len(labels)
-    kept = []
-    for label, row in zip(labels[: (n + 1) // 2], matrix):
-        kept.append(_csv_row(row.tolist()))
-        yield label, kept[-1]
-    del kept[n // 2 :]  # an odd n's middle row is its own mirror
-    for label, line in zip(labels[(n + 1) // 2 :], reversed(kept)):
-        yield label, ",".join(line.split(",")[::-1])
+    n = len(matrix)
+    kept = [encode(row.tolist()) for row in matrix[: (n + 1) // 2]]
+    # an odd n's middle row is its own mirror
+    mirrored = (sep.join(line.split(sep)[::-1]) for line in reversed(kept[: n // 2]))
+    return itertools.chain(kept, mirrored)
 
 
 def _self_check(graph: GraphSpec, tau: float, matrix) -> dict:
@@ -240,18 +271,20 @@ def cmd_corr(args) -> int:
     check = _self_check(graph, args.tau, matrix) if args.method == "both" else None
 
     labels = list(graph.indices)
+    encode, sep = _ROW_ENCODERS[args.format]
     if args.method == "oracle":
         # an inverted matrix is neither exactly circulant nor exactly centrosymmetric
-        rows = ((label, *matrix[pos].tolist()) for pos, label in enumerate(labels))
+        lines = [encode(row.tolist()) for row in matrix]
     elif graph.kind is GraphKind.CYCLE:
-        rows = _circulant_rows(labels, matrix[0].tolist())
+        lines = _circulant_rows(matrix[0].tolist(), encode, sep)
     else:
-        rows = _mirrored_rows(labels, matrix)
+        lines = _mirrored_rows(matrix, encode, sep)
     _write(
         args,
         ["i"] + [str(x) for x in labels],
-        rows,
-        payload={"indices": labels, "matrix": matrix},
+        zip(labels, lines),
+        payload={"indices": labels, "matrix": []},
+        json_rows=lines,
         metadata=check,
         # the deviation is the last line of stderr, where scripts read it
         notes=() if check is None else check.items(),
@@ -387,7 +420,17 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe then fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: send what is still buffered to devnull so the
+        # interpreter's final flush stays quiet, and exit 128 + SIGPIPE, as a
+        # shell reports a process that the signal ended
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (DomainError, OverflowError) as exc:
         print(f"ggchain: domain error: {exc}", file=sys.stderr)
         return 2

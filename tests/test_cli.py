@@ -18,6 +18,7 @@ from ggchain import (
     model_correlation,
     open_chain_correlation,
     open_chain_correlation_matrix,
+    __version__,
 )
 from ggchain.cli import _csv_row, _dumps, main
 
@@ -247,6 +248,85 @@ class TestCorr:
             deviation = np.max(np.abs(matrix - model_correlation(spec, tau).correlation))
             notes = (self_check_tolerance(spec, tau), deviation)
             assert err == "self_check_tolerance,%.9g\nmax_abs_deviation,%.9g\n" % notes
+
+    @pytest.mark.parametrize("method", ["closed", "both", "oracle"])
+    @pytest.mark.parametrize(
+        "graph, n",
+        [("open", n) for n in (1, 2, 3, 4, 5, 1000)]
+        + [("centered", n) for n in (1, 2, 500)]
+        + [("cycle", n) for n in (3, 4, 5, 600, 1000)],
+    )
+    def test_json_bytes_equal_whole_envelope(self, capsys, graph, n, method):
+        """JSON matrices are written from their structure, row by row; the bytes
+        must equal one ``_dumps`` of the whole envelope with the full matrix."""
+        tau = 0.45
+        code, out, err = run_cli(
+            capsys, "corr", "--graph", graph, "--n", str(n), "--tau", str(tau),
+            "--method", method, "--format", "json", "--deterministic",
+        )
+        assert (code, err) == (0, "")
+        spec = GraphSpec(GraphKind(graph), n)
+        oracle = model_correlation(spec, tau).correlation
+        if method == "oracle":
+            matrix = oracle
+        elif graph == "cycle":
+            matrix = circulant_matrix(cycle_correlation_sequence(n, tau).correlations)
+        else:
+            build = open_chain_correlation_matrix if graph == "open" else centered_chain_correlation_matrix
+            matrix = build(n, tau)
+        parameters = {"graph": graph, "n": n, "tau": tau, "method": method}
+        metadata = {"command": "corr", "parameters": parameters, "version": __version__}
+        if method == "both":
+            metadata["self_check_tolerance"] = self_check_tolerance(spec, tau)
+            metadata["max_abs_deviation"] = float(np.max(np.abs(matrix - oracle)))
+        payload = {"indices": list(spec.indices), "matrix": matrix.tolist()}
+        assert out == _dumps({"metadata": metadata, "payload": payload}) + "\n"
+
+    @pytest.mark.parametrize("route", ["cycle", "chain", "oracle"])
+    def test_non_finite_matrix_value_exits_2(self, capsys, monkeypatch, route):
+        """Every distinct row is encoded before the first byte is written, so a
+        non-finite value anywhere on a route leaves stdout empty: an entry of
+        the cycle's sequence, a chain entry in the upper half outside row 0, and
+        an oracle entry in the last row."""
+        import ggchain.cli as cli_mod
+        from ggchain import CorrelationResult
+
+        if route == "cycle":
+            real_sequence = cli_mod.cycle_correlation_sequence
+
+            def poisoned(n, tau):
+                seq = real_sequence(n, tau)
+                # lags k and n - k coincide, as circulant_matrix checks
+                seq.correlations[2] = seq.correlations[-2] = math.inf
+                return seq
+
+            monkeypatch.setattr(cli_mod, "cycle_correlation_sequence", poisoned)
+            argv = ("--graph", "cycle", "--method", "closed")
+        elif route == "chain":
+            real_matrix = cli_mod.open_chain_correlation_matrix
+
+            def poisoned(n, tau):
+                matrix = real_matrix(n, tau)
+                matrix[1, 3] = math.inf
+                return matrix
+
+            monkeypatch.setattr(cli_mod, "open_chain_correlation_matrix", poisoned)
+            argv = ("--graph", "open", "--method", "closed")
+        else:
+            real_model = cli_mod.model_correlation
+
+            def poisoned(graph, tau):
+                res = real_model(graph, tau)
+                corr = res.correlation.copy()
+                corr[-1, 0] = -math.inf
+                return CorrelationResult(covariance=res.covariance, scale=res.scale, correlation=corr)
+
+            monkeypatch.setattr(cli_mod, "model_correlation", poisoned)
+            argv = ("--graph", "cycle", "--method", "oracle")
+        code, out, err = run_cli(capsys, "corr", *argv, "--n", "5", "--tau", "0.4", "--format", "json")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("ggchain: domain error: non-finite value in JSON output")
 
     def test_self_check_failure_exit_code(self, capsys, monkeypatch):
         """A disagreement between the two routes must surface as exit 3."""
@@ -708,6 +788,23 @@ class TestEntryPoint:
             text=True,
         )
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_closed_stdout_exits_141(self, fmt):
+        """A reader that closes the pipe early (``| head -c 50``) ends the
+        command with 128 + SIGPIPE and a quiet stderr, not a traceback."""
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "ggchain", "corr", "--graph", "open", "--n", "1000",
+             "--tau", "0.45", "--format", fmt],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert len(proc.stdout.read(50)) == 50
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait() == 141
+        assert err == ""  # no traceback, and no "Exception ignored" at exit
 
     def test_thread_cap_env(self):
         """GGCHAIN_THREADS sets every BLAS thread variable on import, before

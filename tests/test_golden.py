@@ -32,6 +32,8 @@ CASES = {
     "decay_subnormal": ("decay", "--tau", "1e-320"),
     "corr_open_both": ("corr", "--graph", "open", "--n", "4", "--tau", "0.4", "--method", "both"),
     "corr_centered_both": ("corr", "--graph", "centered", "--n", "2", "--tau", "0.45", "--method", "both"),
+    "corr_open_closed_odd": ("corr", "--graph", "open", "--n", "5", "--tau", "0.4", "--method", "closed"),
+    "corr_centered_closed": ("corr", "--graph", "centered", "--n", "3", "--tau", "0.4", "--method", "closed"),
     "corr_cycle_both": ("corr", "--graph", "cycle", "--n", "5", "--tau", "0.4", "--method", "both"),
     "corr_cycle_oracle": ("corr", "--graph", "cycle", "--n", "4", "--tau", "0.3", "--method", "oracle"),
     "converge_centered_fit": (
