@@ -24,11 +24,12 @@ period; the limiting integral evaluates by residues to ``2 pi base**k / s``.
 The n-point sum equals ``2 pi cov_k`` exactly, so the kernel gives it in O(1)
 per lag; :func:`riemann_sum` evaluates it spectrally and is its oracle.
 
-Angles are reduced modulo n in integer arithmetic and looked up in tables
-built on half the grid and mirrored, which makes the tables exactly symmetric
-(cosine) and antisymmetric (sine); eigenvalues inherit their symmetries
-bit-exactly.  Sums run through numpy's pairwise reduction; numpy is imported
-by the functions that build arrays, when they are called.
+The kernel is plain Python and returns tuples of floats.  numpy is used only
+by the spectral oracle and :func:`circulant_matrix`, which import it when
+called.  The oracle reduces angles modulo n in integer arithmetic and looks
+them up in tables built on half the grid and mirrored, which makes the tables
+exactly symmetric (cosine) and antisymmetric (sine); eigenvalues inherit their
+symmetries bit-exactly, and sums run through numpy's pairwise reduction.
 """
 
 import math
@@ -156,16 +157,17 @@ class CycleCorrelation:
     ``covariances`` is the first row of the inverse precision matrix,
     ``correlations`` that row over its lag-0 entry, and ``limits`` the large-n
     limit ``base**k`` of each correlation (the unit vector at tau = 0), the
-    doubles :func:`cycle_correlation_limit` returns.
-    Lags k and n-k coincide bit-exactly; correlations start at exactly 1 and
-    stay in (0, 1) for nonzero lag when tau > 0, until they underflow.
+    doubles :func:`cycle_correlation_limit` returns.  Each is a tuple of n
+    floats.  Lags k and n-k coincide bit-exactly; correlations start at
+    exactly 1 and stay in (0, 1) for nonzero lag when tau > 0, until they
+    underflow.
     """
 
     n: int
     tau: float
-    covariances: "numpy.ndarray"
-    correlations: "numpy.ndarray"
-    limits: "numpy.ndarray"
+    covariances: tuple[float, ...]
+    correlations: tuple[float, ...]
+    limits: tuple[float, ...]
 
 
 def cycle_correlation_sequence(n, tau: float) -> CycleCorrelation:
@@ -174,23 +176,23 @@ def cycle_correlation_sequence(n, tau: float) -> CycleCorrelation:
     Images form: the numerator ``base**k + base**(n-k)`` is symmetric in
     k <-> n-k and a sum of positive powers, so lags mirror bit-exactly and no
     entry cancels to zero.  The powers are scalar ``base**j``, bit-identical
-    to :func:`cycle_correlation_limit` (numpy's vectorised power may differ
-    from it in the last bit).  ``1 - base**n`` is ``-expm1(-n rate)``, which
-    keeps full relative precision as tau approaches 1/2.  At tau = 0 the nodes are
-    independent and the exact unit vector is returned.
+    to :func:`cycle_correlation_limit`.  ``1 - base**n`` is
+    ``-expm1(-n rate)``, which keeps full relative precision as tau approaches
+    1/2.  At tau = 0 the nodes are independent and the exact unit vector is
+    returned.
     """
-    import numpy as np
-
     n = GraphSpec(GraphKind.CYCLE, n).n
     tau = check_tau(tau)
     if tau == 0.0:
-        cov = np.eye(1, n)[0]
-        return CycleCorrelation(n, tau, covariances=cov, correlations=cov.copy(), limits=cov.copy())
+        unit = (1.0,) + (0.0,) * (n - 1)
+        return CycleCorrelation(n, tau, covariances=unit, correlations=unit, limits=unit)
     p = decay_params(tau)
-    powers = np.array([p.base**j for j in range(n + 1)])
-    num = powers[:n] + powers[n:0:-1]
-    cov = num / (-math.expm1(-n * p.rate) * sqrt_one_minus_4tau2(tau))
-    return CycleCorrelation(n, tau, covariances=cov, correlations=num / num[0], limits=powers[:n])
+    powers = [p.base**j for j in range(n + 1)]
+    num = [powers[k] + powers[n - k] for k in range(n)]
+    scale = -math.expm1(-n * p.rate) * sqrt_one_minus_4tau2(tau)
+    covariances = tuple(x / scale for x in num)
+    correlations = tuple(x / num[0] for x in num)
+    return CycleCorrelation(n, tau, covariances, correlations, limits=tuple(powers[:n]))
 
 
 def riemann_sum(n, k, tau: float) -> float:
@@ -208,8 +210,8 @@ def limit_integral(k, tau: float) -> float:
     """Integral of exp(-i k x) / (1 - 2 tau cos x) over one period.
 
     Closed form by residues: 2 pi base**k / sqrt(1 - 4 tau^2), evaluated as
-    ``2 pi * (base**k / s)``, so ``2 pi * (seq.limits / s)`` of a
-    :class:`CycleCorrelation` gives the same doubles at every lag.  The
+    ``2 pi * (base**k / s)``, so ``2 pi * (b / s)`` for each ``b`` in the
+    ``limits`` of a :class:`CycleCorrelation` gives the same doubles.  The
     tau = 0 limit is returned rather than rejected: 2 pi at lag 0, zero
     otherwise.
     """

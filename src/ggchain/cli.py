@@ -13,8 +13,9 @@ oracle's matrix) is encoded before the first byte is written, so a non-finite
 value in JSON exits 2 with nothing on stdout; the rows are then written one at
 a time, and the whole matrix text is never held.
 
-``decay`` and ``converge`` compute scalars and never load numpy; the other
-commands import it when they build an array.
+``decay``, ``converge``, ``circulant`` and ``corr --graph cycle --method
+closed`` never load numpy: the cycle kernel is pure Python, and numpy is used
+only by the chain matrices, the oracles and ``circulant_matrix``.
 
 Exit codes: 0 ok, 2 domain error (including a non-finite value in JSON
 output), 3 self-check failure, 4 insufficient data, 5 statistical failure,
@@ -56,19 +57,9 @@ SELF_CHECK_FACTOR = 64
 Z_SCORE_LIMIT = 4.0
 
 
-def _array_to_list(obj):
-    """``json`` fallback: a numpy array becomes nested lists, anything else is refused."""
-    # an ndarray is no ``numbers`` type, so this is the one place that asks for
-    # numpy; an array cannot exist before numpy is loaded, so only look then
-    np = sys.modules.get("numpy")
-    if np is None or not isinstance(obj, np.ndarray):
-        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-    return obj.tolist()
-
-
 def _dumps(obj) -> str:
     try:
-        return json.dumps(obj, allow_nan=False, default=_array_to_list)
+        return json.dumps(obj, allow_nan=False)
     except ValueError as exc:
         raise DomainError(f"non-finite value in JSON output ({exc})") from exc
 
@@ -106,10 +97,9 @@ def _write(args, columns, rows, *, payload=None, json_rows=None, metadata=None, 
     rows, written to stderr after the table) all go through :func:`_csv_row`.  A
     cell may be text that is already encoded, such as a run of matrix
     cells; ``%s`` passes it through unchanged.  The JSON payload is
-    ``payload`` if given, else one object per row; numpy arrays in it are
-    written as nested lists.  The envelope names the command and its
-    parameters, every other argparse dest in the order the parser defines
-    them; ``metadata`` extends it.  It is printed as one compact line by
+    ``payload`` if given, else one object per row.  The envelope names the
+    command and its parameters, every other argparse dest in the order the
+    parser defines them; ``metadata`` extends it.  It is printed as one compact line by
     :func:`_dumps`, which keeps ``json`` on its C encoder.
 
     ``json_rows``, if given, are the rows of the payload's last value, which
@@ -191,15 +181,6 @@ def cmd_decay(args) -> int:
     return 0
 
 
-def _closed_matrix(graph: GraphSpec, tau: float) -> "numpy.ndarray":
-    if graph.kind is GraphKind.OPEN_CHAIN:
-        return open_chain_correlation_matrix(graph.n, tau)
-    if graph.kind is GraphKind.CENTERED_CHAIN:
-        return centered_chain_correlation_matrix(graph.n, tau)
-    seq = cycle_correlation_sequence(graph.n, tau)
-    return circulant_matrix(seq.correlations)
-
-
 def _json_cells(row) -> str:
     """One JSON row without its brackets: the cells of ``_dumps(row)``, joined by ``", "``."""
     return _dumps(row)[1:-1]
@@ -207,6 +188,11 @@ def _json_cells(row) -> str:
 
 # per format: the row encoder and the separator between the cells it writes
 _ROW_ENCODERS = {"csv": (_csv_row, ","), "json": (_json_cells, ", ")}
+
+
+def _each_row(matrix, encode, sep):
+    """Encoded rows of any matrix, each encoded before this returns (``sep`` unused)."""
+    return [encode(row.tolist()) for row in matrix]
 
 
 def _circulant_rows(first_row, encode, sep):
@@ -230,7 +216,7 @@ def _mirrored_rows(matrix, encode, sep):
     reverse order, joined one at a time as the rows are read.
     """
     n = len(matrix)
-    kept = [encode(row.tolist()) for row in matrix[: (n + 1) // 2]]
+    kept = _each_row(matrix[: (n + 1) // 2], encode, sep)
     # an odd n's middle row is its own mirror
     mirrored = (sep.join(line.split(sep)[::-1]) for line in reversed(kept[: n // 2]))
     return itertools.chain(kept, mirrored)
@@ -264,21 +250,29 @@ def _self_check(graph: GraphSpec, tau: float, matrix) -> dict:
 
 def cmd_corr(args) -> int:
     graph = _graph(args.graph, args.n)
-    if args.method == "oracle":
-        matrix = model_correlation(graph, args.tau).correlation
-    else:
-        matrix = _closed_matrix(graph, args.tau)
-    check = _self_check(graph, args.tau, matrix) if args.method == "both" else None
-
-    labels = list(graph.indices)
-    encode, sep = _ROW_ENCODERS[args.format]
+    # each route yields what its rows are encoded from, and the matrix to check
     if args.method == "oracle":
         # an inverted matrix is neither exactly circulant nor exactly centrosymmetric
-        lines = [encode(row.tolist()) for row in matrix]
+        matrix = source = model_correlation(graph, args.tau).correlation
+        layout = _each_row
     elif graph.kind is GraphKind.CYCLE:
-        lines = _circulant_rows(matrix[0].tolist(), encode, sep)
+        source = cycle_correlation_sequence(graph.n, args.tau).correlations
+        matrix = circulant_matrix(source) if args.method == "both" else None
+        layout = _circulant_rows
     else:
-        lines = _mirrored_rows(matrix, encode, sep)
+        build = (
+            open_chain_correlation_matrix
+            if graph.kind is GraphKind.OPEN_CHAIN
+            else centered_chain_correlation_matrix
+        )
+        matrix = source = build(graph.n, args.tau)
+        layout = _mirrored_rows
+    # checked before any row is encoded: the oracle's matrix and the encoded
+    # rows are never held at once
+    check = _self_check(graph, args.tau, matrix) if args.method == "both" else None
+    lines = layout(source, *_ROW_ENCODERS[args.format])
+
+    labels = list(graph.indices)
     _write(
         args,
         ["i"] + [str(x) for x in labels],
@@ -317,12 +311,12 @@ def cmd_circulant(args) -> int:
         # and its limit the integral 2 pi base**k / s
         columns = ["k", "riemann_sum", "integral", "gap"]
         two_pi = 2.0 * math.pi
-        values = two_pi * seq.covariances
-        limits = two_pi * (seq.limits / sqrt_one_minus_4tau2(seq.tau))
+        s = sqrt_one_minus_4tau2(seq.tau)
+        values = [two_pi * c for c in seq.covariances]
+        limits = [two_pi * (b / s) for b in seq.limits]
     else:
         columns = ["k", "correlation", "limit", "gap"]
         values, limits = seq.correlations, seq.limits
-    values, limits = values.tolist(), limits.tolist()
     rows = [(k, values[k], limits[k], values[k] - limits[k]) for k in lags]
     _write(args, columns, rows)
     return 0

@@ -163,7 +163,7 @@ class TestCorrelationSequence:
         """Mirror symmetry is exact; every entry whose true value is a normal
         double lies in (0, 1), and the rest (true value < 2.2e-308) in [0, 1).
         Regression: the spectral sum returned exactly 0.0 at 2 lags of (200, 0.4)."""
-        corr = cycle_correlation_sequence(n, tau).correlations
+        corr = np.asarray(cycle_correlation_sequence(n, tau).correlations)
         np.testing.assert_array_equal(corr[1:], corr[1:][::-1])
         normal = np.array([x >= sys.float_info.min for x in images_reference(n, tau)[0]])
         assert np.all(corr[1:][normal[1:]] > 0.0)
@@ -173,7 +173,7 @@ class TestCorrelationSequence:
     def test_smallest_entry_far_tail(self):
         """Regression: at (1000, 0.25) the smallest entry is 2 b**500 / (1 + b**1000)
         (about 2.1e-286); the spectral sum returned rounding noise, 2.4e-18."""
-        corr = cycle_correlation_sequence(1000, 0.25).correlations
+        corr = np.asarray(cycle_correlation_sequence(1000, 0.25).correlations)
         assert corr.argmin() == 500
         assert corr.min() == pytest.approx(float(images_reference(1000, 0.25)[0][500]), rel=1e-12)
 
@@ -195,7 +195,7 @@ class TestCorrelationSequence:
         assert decay_params(0.4).base == 0.5
         b = Fraction(1, 2)
         expected = [float((b**k + b ** (n - k)) / (1 + b**n)) for k in range(n)]
-        assert cycle_correlation_sequence(n, 0.4).correlations.tolist() == expected
+        assert list(cycle_correlation_sequence(n, 0.4).correlations) == expected
 
     def test_matches_scalar_sums(self):
         """The spectral oracle agrees with the images form: n times the inverse

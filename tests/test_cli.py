@@ -1,5 +1,7 @@
 """Command-line contract: outputs, formats, determinism, exit codes."""
 
+import dataclasses
+import itertools
 import json
 import math
 import subprocess
@@ -41,6 +43,31 @@ def per_cell_csv(labels, matrix) -> str:
     for label, row in zip(labels, matrix):
         lines.append(",".join([str(label), *("%.9g" % v for v in row)]))
     return "\n".join(lines) + "\n"
+
+
+def assert_same_lines(got, want, width=120) -> None:
+    """Assert ``got == want`` exactly, and name the first line that differs.
+
+    Strings are compared line by line (line ends kept), lists item by item.
+    pytest's own diff of two multi-MB outputs takes minutes; this reports the
+    index of the first differing line and both lines' reprs, cut to ``width``
+    characters around their first differing character.
+    """
+    if got == want:
+        return
+    if isinstance(got, str) and isinstance(want, str):
+        got, want = got.splitlines(keepends=True), want.splitlines(keepends=True)
+    for index, (g, w) in enumerate(itertools.zip_longest(got, want)):
+        if g != w:
+            break
+    g, w = repr(g), repr(w)
+    column = next((c for c, (a, b) in enumerate(zip(g, w)) if a != b), min(len(g), len(w)))
+    start = max(0, column - width // 2)
+    pytest.fail(
+        f"line {index} differs at character {column} of its repr:\n"
+        f"  got:  {g[start : start + width]}\n  want: {w[start : start + width]}",
+        pytrace=False,
+    )
 
 
 class TestDecay:
@@ -219,7 +246,7 @@ class TestCorr:
             capsys, "corr", "--graph", graph, "--n", str(n), "--tau", str(tau), "--method", method
         )
         assert code == 0
-        assert out == per_cell_csv(GraphSpec(GraphKind(graph), n).indices, expected().tolist())
+        assert_same_lines(out, per_cell_csv(GraphSpec(GraphKind(graph), n).indices, expected().tolist()))
         if graph == "open":
             assert ",0," in out and "e-" in out
 
@@ -241,7 +268,7 @@ class TestCorr:
         spec = GraphSpec(GraphKind(graph), n)
         build = open_chain_correlation_matrix if graph == "open" else centered_chain_correlation_matrix
         matrix = build(n, tau)
-        assert out == per_cell_csv(spec.indices, matrix.tolist())
+        assert_same_lines(out, per_cell_csv(spec.indices, matrix.tolist()))
         if method == "closed":
             assert err == ""
         else:
@@ -280,7 +307,7 @@ class TestCorr:
             metadata["self_check_tolerance"] = self_check_tolerance(spec, tau)
             metadata["max_abs_deviation"] = float(np.max(np.abs(matrix - oracle)))
         payload = {"indices": list(spec.indices), "matrix": matrix.tolist()}
-        assert out == _dumps({"metadata": metadata, "payload": payload}) + "\n"
+        assert_same_lines(out, _dumps({"metadata": metadata, "payload": payload}) + "\n")
 
     @pytest.mark.parametrize("route", ["cycle", "chain", "oracle"])
     def test_non_finite_matrix_value_exits_2(self, capsys, monkeypatch, route):
@@ -296,9 +323,10 @@ class TestCorr:
 
             def poisoned(n, tau):
                 seq = real_sequence(n, tau)
+                corr = list(seq.correlations)
                 # lags k and n - k coincide, as circulant_matrix checks
-                seq.correlations[2] = seq.correlations[-2] = math.inf
-                return seq
+                corr[2] = corr[-2] = math.inf
+                return dataclasses.replace(seq, correlations=tuple(corr))
 
             monkeypatch.setattr(cli_mod, "cycle_correlation_sequence", poisoned)
             argv = ("--graph", "cycle", "--method", "closed")
@@ -328,10 +356,18 @@ class TestCorr:
         assert out == ""
         assert err.startswith("ggchain: domain error: non-finite value in JSON output")
 
-    def test_self_check_failure_exit_code(self, capsys, monkeypatch):
-        """A disagreement between the two routes must surface as exit 3."""
+    @pytest.mark.parametrize("graph", ["open", "cycle"])
+    def test_self_check_failure_exit_code(self, capsys, monkeypatch, graph):
+        """A disagreement between the two routes must surface as exit 3, with
+        nothing on stdout and no row encoded: the check runs first, so the
+        oracle's matrix and the encoded rows are never held at once."""
         import ggchain.cli as cli_mod
         from ggchain import CorrelationResult
+
+        def encoded(row):
+            raise AssertionError("a row was encoded before the self-check")
+
+        monkeypatch.setitem(cli_mod._ROW_ENCODERS, "csv", (encoded, ","))
 
         real = cli_mod.model_correlation
 
@@ -343,10 +379,11 @@ class TestCorr:
             return CorrelationResult(covariance=res.covariance, scale=res.scale, correlation=corr)
 
         monkeypatch.setattr(cli_mod, "model_correlation", perturbed)
-        code, _, err = run_cli(
-            capsys, "corr", "--graph", "open", "--n", "4", "--tau", "0.3", "--method", "both"
+        code, out, err = run_cli(
+            capsys, "corr", "--graph", graph, "--n", "4", "--tau", "0.3", "--method", "both"
         )
         assert code == 3
+        assert out == ""
         assert "self-check" in err
 
 
@@ -426,7 +463,7 @@ class TestCycleRows:
         )
         assert code == 0
         expected = _cycle_matrix(n, self.TAU, method)
-        assert out == per_cell_csv(range(1, n + 1), expected.tolist())
+        assert_same_lines(out, per_cell_csv(range(1, n + 1), expected.tolist()))
 
     @pytest.mark.parametrize("method", ["closed", "both", "oracle"])
     @pytest.mark.parametrize("n", CYCLE_SIZES)
@@ -437,7 +474,7 @@ class TestCycleRows:
         )
         assert code == 0
         assert out.count("\n") == 1 and out.endswith("\n")
-        assert json.loads(out)["payload"]["matrix"] == _cycle_matrix(n, self.TAU, method).tolist()
+        assert_same_lines(json.loads(out)["payload"]["matrix"], _cycle_matrix(n, self.TAU, method).tolist())
 
 
 class TestConverge:
@@ -748,13 +785,11 @@ class TestJsonEnvelopes:
         assert out.count("\n") == 1 and out.endswith("\n")
         assert set(json.loads(out)) == {"metadata", "payload"}
 
-    def test_dumps_arrays_as_nested_lists(self):
-        """``_dumps`` writes an ndarray payload as nested lists and refuses any
-        other object json cannot encode, numpy scalars included."""
-        payload = {"matrix": np.arange(6.0).reshape(2, 3), "indices": np.arange(2)}
-        expected = {"matrix": [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]], "indices": [0, 1]}
-        assert json.loads(_dumps(payload)) == expected
-        for obj in (object(), {1, 2}, np.int64(5)):
+    def test_dumps_refuses_what_json_cannot_encode(self):
+        """``_dumps`` has no fallback encoder: every command hands it Python
+        values, and an ndarray, like any other object json cannot encode
+        (numpy integer scalars included), raises TypeError."""
+        for obj in (np.arange(6.0).reshape(2, 3), object(), {1, 2}, np.int64(5)):
             with pytest.raises(TypeError):
                 _dumps({"x": obj})
 

@@ -96,15 +96,20 @@ SCALAR_COMMANDS = [
      "--n-min", "5", "--n-max", "40", "--fit"],
     ["converge", "--graph", "open", "--i", "2", "--j", "3", "--tau", "0.3",
      "--n-min", "3", "--n-max", "20"],
+    ["circulant", "--n", "20000", "--tau", "0.4", "--k", "5"],
+    ["circulant", "--n", "64", "--tau", "0.45", "--riemann"],
+    ["circulant", "--n", "16", "--tau", "0.3"],
+    ["corr", "--graph", "cycle", "--n", "600", "--tau", "0.45", "--method", "closed"],
 ]
 
 
 def test_numpy_stays_off_the_scalar_path():
-    """Importing ggchain and running ``decay`` and ``converge``, in CSV and in
-    JSON, loads no numpy or scipy module: numpy is imported by the functions
-    that build arrays.  The sibling modules still load on import, and the CLI
-    binds the matrix builders under their own names, which is what the traced
-    benchmark wraps."""
+    """Importing ggchain and running ``decay``, ``converge``, ``circulant`` and
+    ``corr --graph cycle --method closed``, in CSV and in JSON, loads no numpy
+    or scipy module: the cycle kernel is pure Python, and numpy is imported by
+    the functions that build arrays.  The sibling modules still load on
+    import, and the CLI binds the builders under their own names, which is
+    what the traced benchmark wraps."""
     script = textwrap.dedent(
         f"""
         import contextlib, io, sys
@@ -115,6 +120,8 @@ def test_numpy_stays_off_the_scalar_path():
                     assert ggchain.cli.main(argv + fmt) == 0, argv + fmt
         assert "ggchain.oracle" in sys.modules
         assert ggchain.cli.open_chain_correlation_matrix.__module__ == "ggchain.chains"
+        assert ggchain.cli.cycle_correlation_sequence.__module__ == "ggchain.circulant"
+        assert ggchain.cli.circulant_matrix.__module__ == "ggchain.circulant"
         print(sorted(name for name in sys.modules if name.partition(".")[0] in ("numpy", "scipy")))
         """
     )
@@ -263,9 +270,9 @@ def _module_probe_sites(path: Path) -> list[str]:
     return [f"{path.stem}.{scope}" for scope in sites]
 
 
-def test_one_numpy_probe():
+def test_no_numpy_probe():
     """Numeric types are recognised through the ``numbers`` ABCs, which numpy
-    registers with; only ``cli._array_to_list`` asks whether numpy is loaded,
-    because an ndarray is no ``numbers`` type."""
+    registers with, and no command hands the JSON writer an array, so no
+    function asks whether numpy is loaded."""
     paths = sorted((README.parent / "src" / "ggchain").glob("*.py"))
-    assert [site for path in paths for site in _module_probe_sites(path)] == ["cli._array_to_list"]
+    assert [site for path in paths for site in _module_probe_sites(path)] == []
