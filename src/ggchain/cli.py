@@ -8,10 +8,16 @@ omits the timestamp, making reruns byte-identical.  Matrices are serialised
 from their structure, in CSV and JSON alike: the rows of a circulant (closed
 cycle) matrix are rotations of its one encoded first row, and the lower half
 of a closed chain matrix, which is exactly reversal-symmetric, mirrors its
-encoded upper half.  Every distinct row (one, ceil(n/2), or all n for the
-oracle's matrix) is encoded before the first byte is written, so a non-finite
-value in JSON exits 2 with nothing on stdout; the rows are then written one at
-a time, and the whole matrix text is never held.
+encoded upper half.  Inside a chain's upper half, the cells more than K-1
+nodes from either end are exact powers ``base**d``, where K is the first k
+whose finite-size factor ``1 - exp(-2 k rate)`` rounds to 1.0; such a row is
+spliced from its encoded boundary cells and slices of one encoded power row,
+after a bitwise check that its cells are those powers.  Every distinct row
+(one, ceil(n/2), or all n for the oracle's matrix) is encoded before the first
+byte is written, so a non-finite value in JSON exits 2 with nothing on stdout;
+the rows are then written one at a time, and the whole matrix text is never
+held.  ``corr`` refuses a route whose dense n x n arrays would not fit in
+physical memory before it allocates them.
 
 ``decay``, ``converge``, ``circulant`` and ``corr --graph cycle --method
 closed`` never load numpy: the cycle kernel is pure Python, and numpy is used
@@ -19,7 +25,8 @@ only by the chain matrices, the oracles and ``circulant_matrix``.
 
 Exit codes: 0 ok, 2 domain error (including a non-finite value in JSON
 output), 3 self-check failure, 4 insufficient data, 5 statistical failure,
-141 (128 + SIGPIPE) the reader closed stdout before the output ended.
+6 resource limit (``corr`` arrays larger than physical memory), 141 (128 +
+SIGPIPE) the reader closed stdout before the output ended.
 """
 
 import argparse
@@ -36,9 +43,9 @@ from operator import attrgetter
 
 from . import __version__
 from .analysis import ConvergenceRecord, fit_abs_error_rate, sweep
-from .chains import centered_chain_correlation_matrix, open_chain_correlation_matrix
+from .chains import _saturation, centered_chain_correlation_matrix, open_chain_correlation_matrix
 from .circulant import circulant_matrix, cycle_correlation_sequence
-from .errors import DomainError, InsufficientDataError, SelfCheckError
+from .errors import DomainError, GgchainError, InsufficientDataError, SelfCheckError
 from .model import (
     GffParams,
     GraphKind,
@@ -142,6 +149,42 @@ def _graph(kind: str, n: int) -> GraphSpec:
     return GraphSpec(GraphKind(kind), n)
 
 
+class ResourceLimitError(GgchainError):
+    """A command would build more than the machine's physical memory can hold."""
+
+
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where the platform does not report them."""
+    try:
+        pages, page_size = os.sysconf("SC_PHYS_PAGES"), os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
+    # sysconf returns -1 for a value it cannot determine
+    return pages * page_size if pages > 0 and page_size > 0 else None
+
+
+def _dense_bytes(graph: GraphSpec, method: str) -> int:
+    """Bytes of the n x n float64 arrays that ``corr`` holds at once on this route.
+
+    A lower bound: the closed chain matrix, or the closed cycle matrix that
+    ``both`` checks, is one array (the closed cycle alone is O(n)), and the
+    oracle holds its covariance and its correlation.  Temporaries come on top.
+    """
+    closed = method != "oracle" and (graph.kind is not GraphKind.CYCLE or method == "both")
+    arrays = int(closed) + 2 * (method != "closed")
+    return arrays * 8 * graph.node_count**2
+
+
+def _check_memory(graph: GraphSpec, method: str) -> None:
+    """Raise :class:`ResourceLimitError` if the route's dense arrays exceed physical memory."""
+    needed, available = _dense_bytes(graph, method), _physical_memory()
+    if available is not None and needed > available:
+        raise ResourceLimitError(
+            f"corr --method {method} on {graph.node_count} nodes needs at least "
+            f"{needed / 2**30:.3g} GiB of dense arrays; physical memory is {available / 2**30:.3g} GiB"
+        )
+
+
 def _implied_mass(tau: float) -> float:
     # unit-coupling mass that induces the same edge weight; below tau ~ 2.8e-309
     # the quotient overflows, and the square roots are taken apart instead
@@ -207,16 +250,43 @@ def _circulant_rows(first_row, encode, sep):
     return (sep.join(cells[n - r :] + cells[: n - r]) for r in range(n))
 
 
-def _mirrored_rows(matrix, encode, sep):
-    """Encoded rows of a symmetric, centrosymmetric matrix, each mirror pair encoded once.
+def _mirrored_rows(matrix, encode, sep, saturation):
+    """Encoded rows of a closed chain matrix, each mirror pair encoded once.
 
-    Entry (n-1-r, j) equals (n-1-j, r) by reversal and (r, n-1-j) by symmetry,
-    so row n-1-r (0-based) is row r reversed.  The first ceil(n/2) rows are
-    encoded before this returns; the rest are the cells of a kept row in
-    reverse order, joined one at a time as the rows are read.
+    The matrix is symmetric and centrosymmetric: entry (n-1-r, j) equals
+    (n-1-j, r) by reversal and (r, n-1-j) by symmetry, so row n-1-r (0-based)
+    is row r reversed.  The first ceil(n/2) rows are encoded before this
+    returns; the rest are the cells of a kept row in reverse order, joined one
+    at a time as the rows are read.
+
+    ``saturation`` is K, the first k with ``f(k) == 1.0`` (n+1 if there is
+    none): in the block of rows and columns K..n+1-K (1-based) both ratios of
+    the kernel are 1, and entry (r, c) is ``base**|c-r|``.  Row K-1 (0-based) is
+    encoded in full and its cells in that block, the power row, are kept.
+    Each later kept row whose cells in the block equal, bit for bit, the
+    power row reflected about its diagonal is spliced from its encoded
+    boundary cells and the reversed and forward slices of the power cells;
+    every other row is encoded in full.  The bytes are those of encoding each
+    cell of the matrix as it is.
     """
+    import numpy as np
+
     n = len(matrix)
-    kept = _each_row(matrix[: (n + 1) // 2], encode, sep)
+    lo, hi = saturation - 1, n + 1 - saturation  # the block: rows and columns lo..hi-1, 0-based
+    kept, power = [], None
+    for i, row in enumerate(matrix[: (n + 1) // 2]):
+        block = row[lo:hi].view(np.uint64)
+        # reflected is base**d for d = hi-lo-1 .. 1, 0, 1 .. hi-lo-1; row i's block starts at hi-1-i
+        if power is not None and np.array_equal(block, reflected[hi - 1 - i : 2 * hi - lo - 1 - i]):
+            # K = 1 leaves no boundary, and an empty row would split into one empty cell
+            boundary = encode(row[:lo].tolist() + row[hi:].tolist()).split(sep) if lo else []
+            cells = boundary[:lo] + power[i - lo : 0 : -1] + power[: hi - i] + boundary[lo:]
+            kept.append(sep.join(cells))
+        else:
+            kept.append(encode(row.tolist()))
+        if i == lo < hi:
+            power = kept[-1].split(sep)[lo:hi]
+            reflected = np.concatenate((block[:0:-1], block))
     # an odd n's middle row is its own mirror
     mirrored = (sep.join(line.split(sep)[::-1]) for line in reversed(kept[: n // 2]))
     return itertools.chain(kept, mirrored)
@@ -250,6 +320,7 @@ def _self_check(graph: GraphSpec, tau: float, matrix) -> dict:
 
 def cmd_corr(args) -> int:
     graph = _graph(args.graph, args.n)
+    _check_memory(graph, args.method)
     # each route yields what its rows are encoded from, and the matrix to check
     if args.method == "oracle":
         # an inverted matrix is neither exactly circulant nor exactly centrosymmetric
@@ -266,7 +337,10 @@ def cmd_corr(args) -> int:
             else centered_chain_correlation_matrix
         )
         matrix = source = build(graph.n, args.tau)
-        layout = _mirrored_rows
+        n = len(matrix)
+        # tau = 0 builds the identity, and decay_params refuses it
+        k = n + 1 if args.tau == 0.0 else _saturation(n, decay_params(args.tau).rate)
+        layout = functools.partial(_mirrored_rows, saturation=k)
     # checked before any row is encoded: the oracle's matrix and the encoded
     # rows are never held at once
     check = _self_check(graph, args.tau, matrix) if args.method == "both" else None
@@ -434,6 +508,9 @@ def main(argv=None) -> int:
     except InsufficientDataError as exc:
         print(f"ggchain: insufficient data: {exc}", file=sys.stderr)
         return 4
+    except ResourceLimitError as exc:
+        print(f"ggchain: resource limit: {exc}", file=sys.stderr)
+        return 6
 
 
 if __name__ == "__main__":

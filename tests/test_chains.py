@@ -28,6 +28,7 @@ from ggchain import (
     rel_error_coefficient_centered,
     rel_error_coefficient_open,
 )
+from ggchain.chains import _f, _saturation
 
 TAU_GRID = (0.05, 0.15, 0.25, 0.35, 0.45, 0.49)
 BOUNDS_TAU_GRID = (0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45)
@@ -319,6 +320,41 @@ class TestReversalSymmetry:
             for i, j in mirror_pairs(range(-n, n + 1)):
                 a = centered_chain_correlation(n, i, j, tau)
                 assert a == centered_chain_correlation(n, -j, -i, tau), (n, i, j)
+
+
+# down to the smallest subnormal tau, where every factor is 1.0 from k = 1
+SATURATION_TAUS = (5e-324, 1e-310, 1e-300, 1e-3, 0.05, 0.4, 0.45, 0.49, 0.4999, 0.5 - 2.0**-40)
+
+
+class TestSaturation:
+    """K is the first k with ``_f(k) == 1.0`` exactly; from it on the chain's
+    finite-size ratios are 1 and its entries are exact powers of the base."""
+
+    @pytest.mark.parametrize("tau", SATURATION_TAUS)
+    def test_first_saturated_factor(self, tau):
+        rate = decay_params(tau).rate
+        k = _saturation(10**9, rate)
+        assert _f(k, rate) == 1.0 and _f(k + 1, rate) == 1.0
+        assert _f(k - 1, rate) < 1.0
+
+    @pytest.mark.parametrize("tau, k", [(1e-300, 1), (1e-3, 3), (0.4, 27), (0.45, 41), (0.49, 93)])
+    def test_values_and_none_below_n(self, tau, k):
+        rate = decay_params(tau).rate
+        assert _saturation(k, rate) == k
+        assert _saturation(k - 1, rate) == k  # n + 1: no factor up to n is 1.0
+
+    @pytest.mark.parametrize("tau", (1e-300, 1e-3, 0.4, 0.45, 0.49))
+    def test_saturated_block_is_powers(self, tau):
+        """Rows and columns K..n+1-K (1-based) of the open matrix hold
+        ``base**|c - r|`` bit for bit."""
+        n = 301
+        p = decay_params(tau)
+        k = _saturation(n, p.rate)
+        size = n + 2 - 2 * k
+        d = np.abs(np.subtract.outer(np.arange(size), np.arange(size)))
+        powers = np.array([p.base**e for e in range(size)])
+        block = open_chain_correlation_matrix(n, tau)[k - 1 : n + 1 - k, k - 1 : n + 1 - k]
+        assert np.array_equal(block.view(np.uint64), powers[d].view(np.uint64))
 
 
 class TestRelativeErrorKernels:

@@ -17,11 +17,13 @@ from ggchain import (
     centered_chain_correlation_matrix,
     circulant_matrix,
     cycle_correlation_sequence,
+    decay_params,
     model_correlation,
     open_chain_correlation,
     open_chain_correlation_matrix,
     __version__,
 )
+from ggchain.chains import _saturation
 from ggchain.cli import _csv_row, _dumps, main
 
 
@@ -43,6 +45,19 @@ def per_cell_csv(labels, matrix) -> str:
     for label, row in zip(labels, matrix):
         lines.append(",".join([str(label), *("%.9g" % v for v in row)]))
     return "\n".join(lines) + "\n"
+
+
+def whole_envelope(graph, n, tau, method, matrix) -> str:
+    """``corr --format json --deterministic`` as one ``_dumps`` of its envelope, ``matrix`` whole."""
+    spec = GraphSpec(GraphKind(graph), n)
+    parameters = {"graph": graph, "n": n, "tau": tau, "method": method}
+    metadata = {"command": "corr", "parameters": parameters, "version": __version__}
+    if method == "both":
+        metadata["self_check_tolerance"] = self_check_tolerance(spec, tau)
+        deviation = np.max(np.abs(matrix - model_correlation(spec, tau).correlation))
+        metadata["max_abs_deviation"] = float(deviation)
+    payload = {"indices": list(spec.indices), "matrix": matrix.tolist()}
+    return _dumps({"metadata": metadata, "payload": payload}) + "\n"
 
 
 def assert_same_lines(got, want, width=120) -> None:
@@ -174,6 +189,29 @@ class TestDecay:
         assert abs(row["rate"] - row["gff_rate"]) <= math.ulp(row["tau"]) / row["tau"]
 
 
+# (graph, n, tau, K): K is the first k whose factor 1 - exp(-2 k rate) is 1.0,
+# and node count + 1 where there is none; rows and columns K..dim+1-K are spliced
+SPLICE_CASES = [
+    ("open", 52, 0.4, 27),  # dim = 2K - 2: no spliced row
+    ("open", 53, 0.4, 27),  # dim = 2K - 1: the middle row alone, one power cell
+    ("open", 54, 0.4, 27),  # rows K-1, K, n+1-K and n+2-K are adjacent
+    ("open", 201, 0.4, 27),  # odd n: a spliced middle row
+    ("open", 1000, 0.4999, 936),  # K > n/2
+    ("open", 500, 0.5 - 2**-40, 501),
+    ("open", 7, 1e-3, 3),
+    ("open", 500, 1e-3, 3),
+    ("open", 1, 1e-300, 1),  # K = 1: pure splices, empty boundary slices
+    ("open", 2, 1e-300, 1),
+    ("open", 301, 1e-300, 1),
+    ("open", 5, 0.0, 6),  # the identity
+    ("open", 300, 0.0, 301),
+    ("centered", 26, 0.4, 27),  # negative labels, from here on
+    ("centered", 100, 0.4, 27),
+    ("centered", 3, 1e-300, 1),
+    ("centered", 2, 0.0, 6),
+]
+
+
 class TestCorr:
     def test_cycle_matrix(self, capsys):
         code, out, _ = run_cli(capsys, "corr", "--graph", "cycle", "--n", "3", "--tau", "0.4")
@@ -292,32 +330,87 @@ class TestCorr:
             "--method", method, "--format", "json", "--deterministic",
         )
         assert (code, err) == (0, "")
-        spec = GraphSpec(GraphKind(graph), n)
-        oracle = model_correlation(spec, tau).correlation
         if method == "oracle":
-            matrix = oracle
+            matrix = model_correlation(GraphSpec(GraphKind(graph), n), tau).correlation
         elif graph == "cycle":
             matrix = circulant_matrix(cycle_correlation_sequence(n, tau).correlations)
         else:
             build = open_chain_correlation_matrix if graph == "open" else centered_chain_correlation_matrix
             matrix = build(n, tau)
-        parameters = {"graph": graph, "n": n, "tau": tau, "method": method}
-        metadata = {"command": "corr", "parameters": parameters, "version": __version__}
-        if method == "both":
-            metadata["self_check_tolerance"] = self_check_tolerance(spec, tau)
-            metadata["max_abs_deviation"] = float(np.max(np.abs(matrix - oracle)))
-        payload = {"indices": list(spec.indices), "matrix": matrix.tolist()}
-        assert_same_lines(out, _dumps({"metadata": metadata, "payload": payload}) + "\n")
+        assert_same_lines(out, whole_envelope(graph, n, tau, method, matrix))
 
-    @pytest.mark.parametrize("route", ["cycle", "chain", "oracle"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("graph, n, tau, k", SPLICE_CASES)
+    def test_spliced_rows_equal_per_cell(self, capsys, graph, n, tau, k, fmt):
+        """Kept chain rows from K on are spliced from their boundary cells and
+        the encoded power row; the bytes must equal per-cell CSV and one
+        ``_dumps`` of the whole JSON envelope at every edge of the splice."""
+        spec = GraphSpec(GraphKind(graph), n)
+        dim = spec.node_count
+        assert (dim + 1 if tau == 0 else _saturation(dim, decay_params(tau).rate)) == k
+        code, out, err = run_cli(
+            capsys, "corr", "--graph", graph, "--n", str(n), "--tau", repr(tau),
+            "--format", fmt, "--deterministic",
+        )
+        assert (code, err) == (0, "")
+        build = open_chain_correlation_matrix if graph == "open" else centered_chain_correlation_matrix
+        matrix = build(n, tau)
+        if fmt == "csv":
+            assert_same_lines(out, per_cell_csv(spec.indices, matrix.tolist()))
+        else:
+            assert_same_lines(out, whole_envelope(graph, n, tau, "closed", matrix))
+
+    def test_interior_rows_are_spliced(self, capsys, monkeypatch):
+        """At n = 200 and tau = 0.4 (K = 27) rows 1..27 are encoded in full,
+        and each of rows 28..100 encodes only its 2 (K - 1) boundary cells."""
+        import ggchain.cli as cli_mod
+
+        encode, sep = cli_mod._ROW_ENCODERS["csv"]
+        lengths = []
+
+        def counted(row):
+            lengths.append(len(row))
+            return encode(row)
+
+        monkeypatch.setitem(cli_mod._ROW_ENCODERS, "csv", (counted, sep))
+        code, _, _ = run_cli(capsys, "corr", "--graph", "open", "--n", "200", "--tau", "0.4")
+        assert code == 0
+        assert lengths == [200] * 27 + [52] * 73
+
+    def test_nudged_interior_cell_printed_as_held(self, capsys, monkeypatch):
+        """A row whose saturated cells are not exactly the powers is encoded in
+        full: a cell inside the block, moved by 1e-6 of itself, is printed as
+        the matrix holds it, not as the power it would be spliced from.  Its
+        three images under symmetry and reversal move with it, so the matrix
+        stays one the mirrored rows describe."""
+        import ggchain.cli as cli_mod
+
+        real = cli_mod.open_chain_correlation_matrix
+
+        def nudged(n, tau):
+            matrix = real(n, tau)
+            for i, j in ((60, 100), (100, 60), (99, 139), (139, 99)):
+                matrix[i, j] *= 1 + 1e-6
+            return matrix
+
+        monkeypatch.setattr(cli_mod, "open_chain_correlation_matrix", nudged)
+        code, out, _ = run_cli(capsys, "corr", "--graph", "open", "--n", "200", "--tau", "0.4")
+        assert code == 0
+        matrix = nudged(200, 0.4)
+        assert "%.9g" % matrix[60, 100] != "%.9g" % matrix[60, 101]
+        assert_same_lines(out, per_cell_csv(range(1, 201), matrix.tolist()))
+
+    @pytest.mark.parametrize("route", ["cycle", "chain", "chain_interior", "oracle"])
     def test_non_finite_matrix_value_exits_2(self, capsys, monkeypatch, route):
         """Every distinct row is encoded before the first byte is written, so a
         non-finite value anywhere on a route leaves stdout empty: an entry of
-        the cycle's sequence, a chain entry in the upper half outside row 0, and
-        an oracle entry in the last row."""
+        the cycle's sequence, a chain entry in the upper half outside row 0, a
+        chain entry inside the saturated block of a row that would be spliced
+        (n = 200, tau = 0.4: K = 27), and an oracle entry in the last row."""
         import ggchain.cli as cli_mod
         from ggchain import CorrelationResult
 
+        n = "5"
         if route == "cycle":
             real_sequence = cli_mod.cycle_correlation_sequence
 
@@ -330,12 +423,13 @@ class TestCorr:
 
             monkeypatch.setattr(cli_mod, "cycle_correlation_sequence", poisoned)
             argv = ("--graph", "cycle", "--method", "closed")
-        elif route == "chain":
+        elif route.startswith("chain"):
             real_matrix = cli_mod.open_chain_correlation_matrix
+            cell, n = ((1, 3), "5") if route == "chain" else ((60, 100), "200")
 
             def poisoned(n, tau):
                 matrix = real_matrix(n, tau)
-                matrix[1, 3] = math.inf
+                matrix[cell] = math.inf
                 return matrix
 
             monkeypatch.setattr(cli_mod, "open_chain_correlation_matrix", poisoned)
@@ -351,7 +445,7 @@ class TestCorr:
 
             monkeypatch.setattr(cli_mod, "model_correlation", poisoned)
             argv = ("--graph", "cycle", "--method", "oracle")
-        code, out, err = run_cli(capsys, "corr", *argv, "--n", "5", "--tau", "0.4", "--format", "json")
+        code, out, err = run_cli(capsys, "corr", *argv, "--n", n, "--tau", "0.4", "--format", "json")
         assert code == 2
         assert out == ""
         assert err.startswith("ggchain: domain error: non-finite value in JSON output")
@@ -398,13 +492,16 @@ class TestSelfCheckTolerance:
     )
     def test_grid_never_exits_3(self, monkeypatch, graph, n):
         """3 and about 2000 nodes, every graph, tau up to 1/2 - 2**-40: ``corr
-        --method both`` exits 0 with the derived tolerance.  The writer is
-        stubbed out, as it takes no part in the check, and its metadata is kept:
-        the worst deviation measured on this grid is 0.17 eps min(kappa, n^2),
-        so the check keeps a margin of at least 8 below its tolerance."""
+        --method both`` exits 0 with the derived tolerance.  The row encoder
+        and the writer are stubbed out, as neither takes part in the check; the
+        encoder writes one placeholder cell per value, and the writer's
+        metadata is kept: the worst deviation measured on this grid is 0.17
+        eps min(kappa, n^2), so the check keeps a margin of at least 8 below
+        its tolerance."""
         import ggchain.cli as cli_mod
 
         written = []
+        monkeypatch.setitem(cli_mod._ROW_ENCODERS, "csv", (lambda row: ",".join(["0"] * len(row)), ","))
         monkeypatch.setattr(cli_mod, "_write", lambda *args, **kwargs: written.append(kwargs["metadata"]))
         spec = GraphSpec(GraphKind(graph), n)
         for tau in SELF_CHECK_TAUS:
@@ -436,6 +533,77 @@ class TestSelfCheckTolerance:
         assert err.startswith("ggchain: self-check failure: ")
         assert "(tolerance 1.279e-13)" in err
         assert 1e-13 < real(5, 0.4)[0, 1] * 1e-10 < 1e-8
+
+
+class TestResourceGuard:
+    """``corr`` predicts the bytes of its dense n x n arrays and exits 6 before
+    allocating when they exceed physical memory.  Nothing large is allocated
+    here: the memory probe is replaced, and so are the builders where a failing
+    guard would reach them."""
+
+    @pytest.mark.parametrize(
+        "graph, n, method, arrays",
+        [
+            ("open", 10, "closed", 1),
+            ("open", 10, "oracle", 2),
+            ("open", 10, "both", 3),
+            ("centered", 10, "closed", 1),  # 21 nodes
+            ("cycle", 10, "closed", 0),  # O(n): unguarded
+            ("cycle", 10, "oracle", 2),
+            ("cycle", 10, "both", 3),
+        ],
+    )
+    def test_predicted_bytes(self, graph, n, method, arrays):
+        from ggchain.cli import _dense_bytes
+
+        spec = GraphSpec(GraphKind(graph), n)
+        assert _dense_bytes(spec, method) == arrays * 8 * spec.node_count**2
+
+    @pytest.mark.parametrize("available, code", [(8 * 1000**2 - 1, 6), (8 * 1000**2, 0), (None, 0)])
+    def test_limit_is_physical_memory(self, capsys, monkeypatch, available, code):
+        import ggchain.cli as cli_mod
+
+        monkeypatch.setattr(cli_mod, "_physical_memory", lambda: available)
+        got, out, err = run_cli(capsys, "corr", "--graph", "open", "--n", "1000", "--tau", "0.4")
+        assert got == code
+        if code == 6:
+            assert out == ""
+            assert err.startswith("ggchain: resource limit: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("graph", ["open", "centered", "cycle"])
+    @pytest.mark.parametrize("method", ["closed", "oracle", "both"])
+    def test_million_nodes_refused_before_allocating(self, capsys, monkeypatch, graph, method):
+        """At a million nodes every guarded route needs terabytes; with a 1 TiB
+        machine each one exits 6 and no builder runs."""
+        import ggchain.cli as cli_mod
+
+        def unreachable(*args):
+            raise AssertionError("an array was built past the guard")
+
+        for name in ("open_chain_correlation_matrix", "centered_chain_correlation_matrix",
+                     "model_correlation", "circulant_matrix", "cycle_correlation_sequence"):
+            monkeypatch.setattr(cli_mod, name, unreachable)
+        monkeypatch.setattr(cli_mod, "_physical_memory", lambda: 2**40)
+        if graph == "cycle" and method == "closed":
+            # O(n): the guard lets it through to the sequence
+            with pytest.raises(AssertionError, match="past the guard"):
+                main(["corr", "--graph", graph, "--n", "1000000", "--tau", "0.4", "--method", method])
+            return
+        code, out, err = run_cli(
+            capsys, "corr", "--graph", graph, "--n", "1000000", "--tau", "0.4", "--method", method
+        )
+        assert (code, out) == (6, "")
+        assert err.startswith("ggchain: resource limit: corr --method ")
+
+    def test_physical_memory_probe(self, monkeypatch):
+        """The probe reports a positive size, or None where sysconf cannot
+        determine one (it returns -1) and the guard is then off."""
+        import ggchain.cli as cli_mod
+
+        size = cli_mod._physical_memory()
+        assert size is None or size > 0
+        monkeypatch.setattr(cli_mod.os, "sysconf", lambda name: -1)
+        assert cli_mod._physical_memory() is None
 
 
 CYCLE_SIZES = [3, 4, 5, 8, 1000]
