@@ -43,7 +43,6 @@ order, so every entry equals the scalar kernel's bit for bit.  numpy is
 imported when a matrix is built; the scalar kernels use ``math`` alone.
 """
 
-import bisect
 import math
 
 from .model import DecayParams, as_index, check_tau, decay_params, sqrt_one_minus_4tau2
@@ -79,16 +78,6 @@ def _pair(i, j, lo: int | None = None, hi: int | None = None) -> tuple[int, int]
 def _f(k: int, rate: float) -> float:
     """1 - exp(-2 k rate), with full relative precision for small arguments."""
     return -math.expm1(-2.0 * k * rate)
-
-
-def _saturation(n: int, rate: float) -> int:
-    """The smallest k in 1..n with ``_f(k, rate) == 1.0`` exactly, or n+1 if there is none.
-
-    ``_f`` is non-decreasing in k, so a bisection finds it.  Where ``lo >= k``
-    and ``n+1-hi >= k``, both ratios of the open-chain kernel are exactly 1 and
-    its entry is ``base**d`` bit for bit.
-    """
-    return 1 + bisect.bisect_left(range(1, n + 1), True, key=lambda k: _f(k, rate) == 1.0)
 
 
 def _log_f(k: int, rate: float) -> float:

@@ -6,18 +6,17 @@ digits; JSON carries full round-trip precision on one compact line, which
 ``python -m json.tool`` pretty-prints.  With ``--deterministic`` the envelope
 omits the timestamp, making reruns byte-identical.  Matrices are serialised
 from their structure, in CSV and JSON alike: the rows of a circulant (closed
-cycle) matrix are rotations of its one encoded first row, and the lower half
-of a closed chain matrix, which is exactly reversal-symmetric, mirrors its
-encoded upper half.  Inside a chain's upper half, the cells more than K-1
-nodes from either end are exact powers ``base**d``, where K is the first k
-whose finite-size factor ``1 - exp(-2 k rate)`` rounds to 1.0; such a row is
-spliced from its encoded boundary cells and slices of one encoded power row,
-after a bitwise check that its cells are those powers.  Every distinct row
-(one, ceil(n/2), or all n for the oracle's matrix) is encoded before the first
-byte is written, so a non-finite value in JSON exits 2 with nothing on stdout;
-the rows are then written one at a time, and the whole matrix text is never
-held.  ``corr`` refuses a route whose dense n x n arrays would not fit in
-physical memory before it allocates them.
+cycle) matrix are rotations of its one encoded first row, and every other
+matrix goes through :func:`_matrix_rows`, which reuses an encoding only where
+the bits show the same value: the lower half mirrors the encoded upper half
+when the matrix is exactly centrosymmetric (every chain matrix is), and a row
+takes the run of cells around its diagonal that repeat the previous row, one
+column to the left (a chain's exact powers ``base**d``), from that row's
+encoded cells.  Every distinct row (one, or up to n) is encoded before the
+first byte is written, so a non-finite value in JSON exits 2 with nothing on
+stdout; the rows are then written one at a time, and the whole matrix text is
+never held.  ``corr`` predicts its peak allocation and refuses a route that
+would not fit in physical memory before it allocates.
 
 ``decay``, ``converge``, ``circulant`` and ``corr --graph cycle --method
 closed`` never load numpy: the cycle kernel is pure Python, and numpy is used
@@ -43,7 +42,7 @@ from operator import attrgetter
 
 from . import __version__
 from .analysis import ConvergenceRecord, fit_abs_error_rate, sweep
-from .chains import _saturation, centered_chain_correlation_matrix, open_chain_correlation_matrix
+from .chains import centered_chain_correlation_matrix, open_chain_correlation_matrix
 from .circulant import circulant_matrix, cycle_correlation_sequence
 from .errors import DomainError, GgchainError, InsufficientDataError, SelfCheckError
 from .model import (
@@ -163,25 +162,42 @@ def _physical_memory() -> int | None:
     return pages * page_size if pages > 0 and page_size > 0 else None
 
 
-def _dense_bytes(graph: GraphSpec, method: str) -> int:
-    """Bytes of the n x n float64 arrays that ``corr`` holds at once on this route.
+# the widest encoded cell with its separator: "%.9g" writes at most 16
+# characters ("-1.23456789e-308"), a float's repr at most 24
+_CELL_BYTES = {"csv": 17, "json": 26}
+# what a run allocates besides its n x n arrays and encoded rows: a fixed part
+# (the argument parser and other per-run objects) and a part per node (O(n)
+# tables, the cycle's sequences, a row split into cells), sized from
+# tracemalloc at 3 to 1000 nodes
+_FIXED_BYTES, _NODE_BYTES = 2**17, 512
 
-    A lower bound: the closed chain matrix, or the closed cycle matrix that
-    ``both`` checks, is one array (the closed cycle alone is O(n)), and the
-    oracle holds its covariance and its correlation.  Temporaries come on top.
+
+def _peak_bytes(graph: GraphSpec, method: str, fmt: str) -> int:
+    """Bytes ``corr`` allocates at its peak on this route, predicted before it allocates.
+
+    The peak is the larger of two phases: the oracle's inversion, with four
+    n x n arrays alive (the covariance, its copy, the scales' outer product
+    and the correlation) and, under ``both``, the closed-form matrix beside
+    them; then one matrix held with its encoded rows at their widest cells:
+    ceil(n/2) rows for a centrosymmetric chain, n for the oracle's, none for
+    the cycle's circulant.  The closed cycle holds no n x n array.
     """
-    closed = method != "oracle" and (graph.kind is not GraphKind.CYCLE or method == "both")
-    arrays = int(closed) + 2 * (method != "closed")
-    return arrays * 8 * graph.node_count**2
+    n = graph.node_count
+    square = 8 * n * n
+    inversion = {"closed": 0, "oracle": 4, "both": 5}[method] * square
+    rows = n if method == "oracle" else 0 if graph.kind is GraphKind.CYCLE else (n + 1) // 2
+    closed_cycle = graph.kind is GraphKind.CYCLE and method == "closed"
+    held = 0 if closed_cycle else square + rows * n * _CELL_BYTES[fmt]
+    return max(inversion, held) + _FIXED_BYTES + _NODE_BYTES * n
 
 
-def _check_memory(graph: GraphSpec, method: str) -> None:
-    """Raise :class:`ResourceLimitError` if the route's dense arrays exceed physical memory."""
-    needed, available = _dense_bytes(graph, method), _physical_memory()
+def _check_memory(graph: GraphSpec, method: str, fmt: str) -> None:
+    """Raise :class:`ResourceLimitError` if the route's predicted peak exceeds physical memory."""
+    needed, available = _peak_bytes(graph, method, fmt), _physical_memory()
     if available is not None and needed > available:
         raise ResourceLimitError(
-            f"corr --method {method} on {graph.node_count} nodes needs at least "
-            f"{needed / 2**30:.3g} GiB of dense arrays; physical memory is {available / 2**30:.3g} GiB"
+            f"corr --method {method} --format {fmt} on {graph.node_count} nodes needs about "
+            f"{needed / 2**30:.3g} GiB; physical memory is {available / 2**30:.3g} GiB"
         )
 
 
@@ -233,11 +249,6 @@ def _json_cells(row) -> str:
 _ROW_ENCODERS = {"csv": (_csv_row, ","), "json": (_json_cells, ", ")}
 
 
-def _each_row(matrix, encode, sep):
-    """Encoded rows of any matrix, each encoded before this returns (``sep`` unused)."""
-    return [encode(row.tolist()) for row in matrix]
-
-
 def _circulant_rows(first_row, encode, sep):
     """Encoded rows of the circulant matrix with ``first_row``, each value encoded once.
 
@@ -250,46 +261,47 @@ def _circulant_rows(first_row, encode, sep):
     return (sep.join(cells[n - r :] + cells[: n - r]) for r in range(n))
 
 
-def _mirrored_rows(matrix, encode, sep, saturation):
-    """Encoded rows of a closed chain matrix, each mirror pair encoded once.
+def _matrix_rows(matrix, encode, sep):
+    """Encoded rows of a dense matrix, reusing an encoding only where the bits are equal.
 
-    The matrix is symmetric and centrosymmetric: entry (n-1-r, j) equals
-    (n-1-j, r) by reversal and (r, n-1-j) by symmetry, so row n-1-r (0-based)
-    is row r reversed.  The first ceil(n/2) rows are encoded before this
-    returns; the rest are the cells of a kept row in reverse order, joined one
-    at a time as the rows are read.
-
-    ``saturation`` is K, the first k with ``f(k) == 1.0`` (n+1 if there is
-    none): in the block of rows and columns K..n+1-K (1-based) both ratios of
-    the kernel are 1, and entry (r, c) is ``base**|c-r|``.  Row K-1 (0-based) is
-    encoded in full and its cells in that block, the power row, are kept.
-    Each later kept row whose cells in the block equal, bit for bit, the
-    power row reflected about its diagonal is spliced from its encoded
-    boundary cells and the reversed and forward slices of the power cells;
-    every other row is encoded in full.  The bytes are those of encoding each
-    cell of the matrix as it is.
+    If the matrix equals itself reversed in both axes (every chain matrix
+    does), row n-1-r is row r reversed: only the first ceil(n/2) rows are
+    encoded before this returns, and the others are a kept row's cells in
+    reverse order, joined one at a time as they are read.  In each encoded row
+    after the first, the run of columns c around the diagonal where entry
+    (r, c) equals (r-1, c-1) (a chain's powers ``base**|c-r|`` past
+    saturation) takes its cells from the previous row's; the other cells are
+    encoded in one call.  Column 0 is never in a run, and a run of one cell is
+    encoded with its row.  The bytes are those of encoding each cell as it is.
     """
     import numpy as np
 
     n = len(matrix)
-    lo, hi = saturation - 1, n + 1 - saturation  # the block: rows and columns lo..hi-1, 0-based
-    kept, power = [], None
-    for i, row in enumerate(matrix[: (n + 1) // 2]):
-        block = row[lo:hi].view(np.uint64)
-        # reflected is base**d for d = hi-lo-1 .. 1, 0, 1 .. hi-lo-1; row i's block starts at hi-1-i
-        if power is not None and np.array_equal(block, reflected[hi - 1 - i : 2 * hi - lo - 1 - i]):
-            # K = 1 leaves no boundary, and an empty row would split into one empty cell
-            boundary = encode(row[:lo].tolist() + row[hi:].tolist()).split(sep) if lo else []
-            cells = boundary[:lo] + power[i - lo : 0 : -1] + power[: hi - i] + boundary[lo:]
+    bits = matrix.view(np.uint64)
+    mirrored = np.array_equal(bits, bits[::-1, ::-1])
+    kept = [encode(matrix[0].tolist())]
+    cells = None  # the previous row's encoded cells, split only when a run reuses them
+    for i in range(1, (n + 1) // 2 if mirrored else n):
+        # column j + 1 does not continue the previous row for each j in stops; the
+        # run lies between two such columns, or column 0 and the row's end
+        stops = np.flatnonzero(bits[i, 1:] != bits[i - 1, :-1])
+        k = stops.searchsorted(i - 1)
+        start = stops[k - 1] + 2 if k else 1
+        stop = stops[k] + 1 if k < len(stops) else n
+        if stop - start > 1:
+            if cells is None:
+                cells = kept[-1].split(sep)
+            outside = encode(matrix[i, :start].tolist() + matrix[i, stop:].tolist()).split(sep)
+            cells = outside[:start] + cells[start - 1 : stop - 1] + outside[start:]
             kept.append(sep.join(cells))
         else:
-            kept.append(encode(row.tolist()))
-        if i == lo < hi:
-            power = kept[-1].split(sep)[lo:hi]
-            reflected = np.concatenate((block[:0:-1], block))
+            kept.append(encode(matrix[i].tolist()))
+            cells = None
+    if not mirrored:
+        return kept
     # an odd n's middle row is its own mirror
-    mirrored = (sep.join(line.split(sep)[::-1]) for line in reversed(kept[: n // 2]))
-    return itertools.chain(kept, mirrored)
+    reflected = (sep.join(line.split(sep)[::-1]) for line in reversed(kept[: n // 2]))
+    return itertools.chain(kept, reflected)
 
 
 def _self_check(graph: GraphSpec, tau: float, matrix) -> dict:
@@ -320,12 +332,11 @@ def _self_check(graph: GraphSpec, tau: float, matrix) -> dict:
 
 def cmd_corr(args) -> int:
     graph = _graph(args.graph, args.n)
-    _check_memory(graph, args.method)
+    _check_memory(graph, args.method, args.format)
     # each route yields what its rows are encoded from, and the matrix to check
+    layout = _matrix_rows
     if args.method == "oracle":
-        # an inverted matrix is neither exactly circulant nor exactly centrosymmetric
         matrix = source = model_correlation(graph, args.tau).correlation
-        layout = _each_row
     elif graph.kind is GraphKind.CYCLE:
         source = cycle_correlation_sequence(graph.n, args.tau).correlations
         matrix = circulant_matrix(source) if args.method == "both" else None
@@ -337,10 +348,6 @@ def cmd_corr(args) -> int:
             else centered_chain_correlation_matrix
         )
         matrix = source = build(graph.n, args.tau)
-        n = len(matrix)
-        # tau = 0 builds the identity, and decay_params refuses it
-        k = n + 1 if args.tau == 0.0 else _saturation(n, decay_params(args.tau).rate)
-        layout = functools.partial(_mirrored_rows, saturation=k)
     # checked before any row is encoded: the oracle's matrix and the encoded
     # rows are never held at once
     check = _self_check(graph, args.tau, matrix) if args.method == "both" else None

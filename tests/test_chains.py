@@ -6,6 +6,7 @@ library's own inversion module is a separate implementation and is compared
 elsewhere.
 """
 
+import bisect
 import math
 from functools import partial
 
@@ -28,7 +29,7 @@ from ggchain import (
     rel_error_coefficient_centered,
     rel_error_coefficient_open,
 )
-from ggchain.chains import _f, _saturation
+from ggchain.chains import _f
 
 TAU_GRID = (0.05, 0.15, 0.25, 0.35, 0.45, 0.49)
 BOUNDS_TAU_GRID = (0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45)
@@ -326,22 +327,33 @@ class TestReversalSymmetry:
 SATURATION_TAUS = (5e-324, 1e-310, 1e-300, 1e-3, 0.05, 0.4, 0.45, 0.49, 0.4999, 0.5 - 2.0**-40)
 
 
+def first_saturated(n: int, rate: float) -> int:
+    """K: the smallest k in 1..n with ``_f(k, rate) == 1.0`` exactly, or n + 1 if there is none.
+
+    ``_f`` is non-decreasing in k, so a bisection finds it.
+    """
+    return 1 + bisect.bisect_left(range(1, n + 1), True, key=lambda k: _f(k, rate) == 1.0)
+
+
 class TestSaturation:
-    """K is the first k with ``_f(k) == 1.0`` exactly; from it on the chain's
-    finite-size ratios are 1 and its entries are exact powers of the base."""
+    """The factor ``_f(k) = 1 - exp(-2 k rate)`` rounds to 1.0 exactly from
+    some K on; from there the chain's finite-size ratios are 1 and its entries
+    are exact powers of the base, which the CLI's row layout reuses."""
 
     @pytest.mark.parametrize("tau", SATURATION_TAUS)
     def test_first_saturated_factor(self, tau):
+        """Below 10**9 the factor reaches 1.0 and stays there."""
         rate = decay_params(tau).rate
-        k = _saturation(10**9, rate)
+        k = first_saturated(10**9, rate)
+        assert k <= 10**9
         assert _f(k, rate) == 1.0 and _f(k + 1, rate) == 1.0
         assert _f(k - 1, rate) < 1.0
 
     @pytest.mark.parametrize("tau, k", [(1e-300, 1), (1e-3, 3), (0.4, 27), (0.45, 41), (0.49, 93)])
     def test_values_and_none_below_n(self, tau, k):
+        """K at the edge weights the CLI tests use; no factor below it is 1.0."""
         rate = decay_params(tau).rate
-        assert _saturation(k, rate) == k
-        assert _saturation(k - 1, rate) == k  # n + 1: no factor up to n is 1.0
+        assert _f(k - 1, rate) < 1.0 == _f(k, rate)
 
     @pytest.mark.parametrize("tau", (1e-300, 1e-3, 0.4, 0.45, 0.49))
     def test_saturated_block_is_powers(self, tau):
@@ -349,7 +361,7 @@ class TestSaturation:
         ``base**|c - r|`` bit for bit."""
         n = 301
         p = decay_params(tau)
-        k = _saturation(n, p.rate)
+        k = first_saturated(n, p.rate)
         size = n + 2 - 2 * k
         d = np.abs(np.subtract.outer(np.arange(size), np.arange(size)))
         powers = np.array([p.base**e for e in range(size)])

@@ -23,7 +23,7 @@ from ggchain import (
     open_chain_correlation_matrix,
     __version__,
 )
-from ggchain.chains import _saturation
+from ggchain.chains import _f
 from ggchain.cli import _csv_row, _dumps, main
 
 
@@ -190,9 +190,10 @@ class TestDecay:
 
 
 # (graph, n, tau, K): K is the first k whose factor 1 - exp(-2 k rate) is 1.0,
-# and node count + 1 where there is none; rows and columns K..dim+1-K are spliced
+# and node count + 1 where there is none; in rows and columns K..dim+1-K every
+# entry is base**|c - r|, so a row there continues the previous row
 SPLICE_CASES = [
-    ("open", 52, 0.4, 27),  # dim = 2K - 2: no spliced row
+    ("open", 52, 0.4, 27),  # dim = 2K - 2: no row continues the previous one
     ("open", 53, 0.4, 27),  # dim = 2K - 1: the middle row alone, one power cell
     ("open", 54, 0.4, 27),  # rows K-1, K, n+1-K and n+2-K are adjacent
     ("open", 201, 0.4, 27),  # odd n: a spliced middle row
@@ -275,8 +276,13 @@ class TestCorr:
                 "cycle", 257, 0.45, "oracle",
                 lambda: model_correlation(GraphSpec(GraphKind.CYCLE, 257), 0.45).correlation,
             ),
+            # not centrosymmetric, and some rows continue the previous one
+            (
+                "open", 1000, 0.45, "oracle",
+                lambda: model_correlation(GraphSpec(GraphKind.OPEN_CHAIN, 1000), 0.45).correlation,
+            ),
         ],
-        ids=["open", "centered", "cycle_oracle"],
+        ids=["open", "centered", "cycle_oracle", "open_oracle"],
     )
     def test_csv_bytes_at_scale(self, capsys, graph, n, tau, method, expected):
         """CSV bytes against per-cell formatting with the documented .9g spec."""
@@ -285,7 +291,7 @@ class TestCorr:
         )
         assert code == 0
         assert_same_lines(out, per_cell_csv(GraphSpec(GraphKind(graph), n).indices, expected().tolist()))
-        if graph == "open":
+        if graph == "open" and method == "closed":
             assert ",0," in out and "e-" in out
 
     @pytest.mark.parametrize("method", ["closed", "both"])
@@ -342,12 +348,14 @@ class TestCorr:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("graph, n, tau, k", SPLICE_CASES)
     def test_spliced_rows_equal_per_cell(self, capsys, graph, n, tau, k, fmt):
-        """Kept chain rows from K on are spliced from their boundary cells and
-        the encoded power row; the bytes must equal per-cell CSV and one
-        ``_dumps`` of the whole JSON envelope at every edge of the splice."""
+        """A kept chain row past row K reuses the previous row's cells around
+        its diagonal; the bytes must equal per-cell CSV and one ``_dumps`` of
+        the whole JSON envelope at every edge of the reused runs."""
         spec = GraphSpec(GraphKind(graph), n)
         dim = spec.node_count
-        assert (dim + 1 if tau == 0 else _saturation(dim, decay_params(tau).rate)) == k
+        # tau = 0 builds the identity, and decay_params refuses it
+        rate = decay_params(tau).rate if tau else 0.0
+        assert next((k for k in range(1, dim + 1) if _f(k, rate) == 1.0), dim + 1) == k
         code, out, err = run_cli(
             capsys, "corr", "--graph", graph, "--n", str(n), "--tau", repr(tau),
             "--format", fmt, "--deterministic",
@@ -361,8 +369,10 @@ class TestCorr:
             assert_same_lines(out, whole_envelope(graph, n, tau, "closed", matrix))
 
     def test_interior_rows_are_spliced(self, capsys, monkeypatch):
-        """At n = 200 and tau = 0.4 (K = 27) rows 1..27 are encoded in full,
-        and each of rows 28..100 encodes only its 2 (K - 1) boundary cells."""
+        """At n = 200 and tau = 0.4 (K = 27) rows 1..27 are encoded in full.
+        Each of rows 28..100 reuses the previous row's cells in columns
+        28..174, where both rows hold powers of the base, and encodes only
+        the other 2K - 1 cells."""
         import ggchain.cli as cli_mod
 
         encode, sep = cli_mod._ROW_ENCODERS["csv"]
@@ -375,7 +385,7 @@ class TestCorr:
         monkeypatch.setitem(cli_mod._ROW_ENCODERS, "csv", (counted, sep))
         code, _, _ = run_cli(capsys, "corr", "--graph", "open", "--n", "200", "--tau", "0.4")
         assert code == 0
-        assert lengths == [200] * 27 + [52] * 73
+        assert lengths == [200] * 27 + [53] * 73
 
     def test_nudged_interior_cell_printed_as_held(self, capsys, monkeypatch):
         """A row whose saturated cells are not exactly the powers is encoded in
@@ -400,13 +410,41 @@ class TestCorr:
         assert "%.9g" % matrix[60, 100] != "%.9g" % matrix[60, 101]
         assert_same_lines(out, per_cell_csv(range(1, 201), matrix.tolist()))
 
-    @pytest.mark.parametrize("route", ["cycle", "chain", "chain_interior", "oracle"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_lower_half_cell_printed_as_held(self, capsys, monkeypatch, fmt):
+        """Regression: the lower half of a chain matrix was written as the
+        mirror of its upper half without a check, so a cell moved by 1e-6 of
+        itself in the lower half alone was printed as its unmoved image.  The
+        matrix is no longer centrosymmetric, and every row is encoded."""
+        import ggchain.cli as cli_mod
+
+        real = cli_mod.open_chain_correlation_matrix
+
+        def nudged(n, tau):
+            matrix = real(n, tau)
+            matrix[139, 99] *= 1 + 1e-6
+            return matrix
+
+        monkeypatch.setattr(cli_mod, "open_chain_correlation_matrix", nudged)
+        code, out, err = run_cli(
+            capsys, "corr", "--graph", "open", "--n", "200", "--tau", "0.4", "--format", fmt, "--deterministic"
+        )
+        assert (code, err) == (0, "")
+        matrix = nudged(200, 0.4)
+        assert "%.9g" % matrix[139, 99] != "%.9g" % matrix[60, 100]
+        if fmt == "csv":
+            assert_same_lines(out, per_cell_csv(range(1, 201), matrix.tolist()))
+        else:
+            assert_same_lines(out, whole_envelope("open", 200, 0.4, "closed", matrix))
+
+    @pytest.mark.parametrize("route", ["cycle", "chain", "chain_interior", "chain_lower", "oracle"])
     def test_non_finite_matrix_value_exits_2(self, capsys, monkeypatch, route):
         """Every distinct row is encoded before the first byte is written, so a
         non-finite value anywhere on a route leaves stdout empty: an entry of
         the cycle's sequence, a chain entry in the upper half outside row 0, a
-        chain entry inside the saturated block of a row that would be spliced
-        (n = 200, tau = 0.4: K = 27), and an oracle entry in the last row."""
+        chain entry among the powers of a row that reuses the previous row's
+        cells (n = 200, tau = 0.4: K = 27), the same entry's image in the lower
+        half alone, and an oracle entry in the last row."""
         import ggchain.cli as cli_mod
         from ggchain import CorrelationResult
 
@@ -425,7 +463,8 @@ class TestCorr:
             argv = ("--graph", "cycle", "--method", "closed")
         elif route.startswith("chain"):
             real_matrix = cli_mod.open_chain_correlation_matrix
-            cell, n = ((1, 3), "5") if route == "chain" else ((60, 100), "200")
+            cells = {"chain": (1, 3), "chain_interior": (60, 100), "chain_lower": (139, 99)}
+            cell, n = cells[route], "5" if route == "chain" else "200"
 
             def poisoned(n, tau):
                 matrix = real_matrix(n, tau)
@@ -536,33 +575,67 @@ class TestSelfCheckTolerance:
 
 
 class TestResourceGuard:
-    """``corr`` predicts the bytes of its dense n x n arrays and exits 6 before
+    """``corr`` predicts the bytes it allocates at its peak and exits 6 before
     allocating when they exceed physical memory.  Nothing large is allocated
     here: the memory probe is replaced, and so are the builders where a failing
     guard would reach them."""
 
     @pytest.mark.parametrize(
-        "graph, n, method, arrays",
+        "graph, n, method, fmt, square_bytes",
         [
-            ("open", 10, "closed", 1),
-            ("open", 10, "oracle", 2),
-            ("open", 10, "both", 3),
-            ("centered", 10, "closed", 1),  # 21 nodes
-            ("cycle", 10, "closed", 0),  # O(n): unguarded
-            ("cycle", 10, "oracle", 2),
-            ("cycle", 10, "both", 3),
+            ("open", 10, "closed", "csv", 8 * 100 + 5 * 10 * 17),  # the matrix and its first 5 rows
+            ("open", 10, "closed", "json", 8 * 100 + 5 * 10 * 26),
+            ("open", 10, "oracle", "json", 8 * 100 + 10 * 10 * 26),  # all 10 rows outgrow the inversion
+            ("open", 10, "both", "json", 5 * 8 * 100),  # the closed-form matrix beside the inversion
+            ("centered", 10, "closed", "csv", 8 * 21**2 + 11 * 21 * 17),  # 21 nodes
+            ("cycle", 10, "closed", "json", 0),  # O(n): one encoded row
+            ("cycle", 10, "oracle", "csv", 4 * 8 * 100),  # the inversion's four arrays
+            ("cycle", 10, "both", "csv", 5 * 8 * 100),
         ],
     )
-    def test_predicted_bytes(self, graph, n, method, arrays):
-        from ggchain.cli import _dense_bytes
+    def test_predicted_bytes(self, graph, n, method, fmt, square_bytes):
+        """The n x n terms of the prediction, at the widest cells: 17 bytes in
+        CSV and 26 in JSON, with their separators."""
+        from ggchain.cli import _FIXED_BYTES, _NODE_BYTES, _peak_bytes
 
         spec = GraphSpec(GraphKind(graph), n)
-        assert _dense_bytes(spec, method) == arrays * 8 * spec.node_count**2
+        linear = _FIXED_BYTES + _NODE_BYTES * spec.node_count
+        assert _peak_bytes(spec, method, fmt) == square_bytes + linear
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("method", ["closed", "oracle", "both"])
+    @pytest.mark.parametrize(
+        "graph, n", [("open", 3), ("open", 300), ("centered", 150), ("cycle", 3), ("cycle", 300)]
+    )
+    def test_prediction_covers_traced_peak(self, graph, n, method, fmt):
+        """On every route the prediction is at least the peak that tracemalloc
+        records while ``corr`` runs, stdout going to the null device.  The
+        command runs once untraced first, so first-use caches are not counted."""
+        import contextlib
+        import os
+        import tracemalloc
+
+        from ggchain.cli import _peak_bytes
+
+        argv = ["corr", "--graph", graph, "--n", str(n), "--tau", "0.45", "--method", method]
+        argv += ["--format", fmt]
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            assert main(argv) == 0
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert _peak_bytes(GraphSpec(GraphKind(graph), n), method, fmt) >= peak
 
     @pytest.mark.parametrize("available, code", [(8 * 1000**2 - 1, 6), (8 * 1000**2, 0), (None, 0)])
     def test_limit_is_physical_memory(self, capsys, monkeypatch, available, code):
+        """The route runs when its prediction, here fixed at 8e6 bytes, is at
+        most physical memory, and exits 6 with one stderr line above it."""
         import ggchain.cli as cli_mod
 
+        monkeypatch.setattr(cli_mod, "_peak_bytes", lambda graph, method, fmt: 8 * 1000**2)
         monkeypatch.setattr(cli_mod, "_physical_memory", lambda: available)
         got, out, err = run_cli(capsys, "corr", "--graph", "open", "--n", "1000", "--tau", "0.4")
         assert got == code

@@ -206,6 +206,30 @@ def test_no_unused_imports():
     assert [entry for path in paths for entry in _unused_imports(path)] == []
 
 
+def _private_imports(path: Path) -> list[str]:
+    """Each ``_``-prefixed name that ``path`` imports from another ggchain module.
+
+    A relative import, or an absolute one from ``ggchain``, counts; dunder
+    names such as ``__version__`` are public.
+    """
+    sites = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level or (node.module or "").partition(".")[0] == "ggchain":
+            for alias in node.names:
+                if alias.name.startswith("_") and not alias.name.endswith("__"):
+                    sites.append(f"{path.name}:{node.lineno} {alias.name}")
+    return sites
+
+
+def test_no_private_cross_module_import():
+    """No module of the package imports another module's private name: what
+    two modules share is public in its owner, or it is not shared."""
+    paths = sorted((README.parent / "src" / "ggchain").glob("*.py"))
+    assert [site for path in paths for site in _private_imports(path)] == []
+
+
 def _writer_sites(path: Path) -> list[tuple[str, str]]:
     """Each place in ``path`` that spells an output writer, as (what, enclosing function).
 
