@@ -64,9 +64,12 @@ def circulant_matrix(first_row) -> "numpy.ndarray":
     """Dense symmetric circulant matrix: entry (i, j) is ``first_row[(j - i) % n]``.
 
     The row must be mirror symmetric (entry k equals entry n-k), which is what
-    makes the matrix symmetric.
+    makes the matrix symmetric.  Row i is the length-n window of the row
+    written twice that starts at n - i, so the matrix is one copy of n
+    overlapping windows, with no n x n index array.
     """
     import numpy as np
+    from numpy.lib.stride_tricks import sliding_window_view
 
     row = np.asarray(first_row, dtype=float)
     if row.ndim != 1 or row.size < 1:
@@ -76,8 +79,8 @@ def circulant_matrix(first_row) -> "numpy.ndarray":
     if asymmetric.size:
         k = int(asymmetric[0]) + 1
         raise DomainError(f"first row is not symmetric: entry {k} != entry {n - k}")
-    shift = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
-    return row[shift]
+    doubled = np.concatenate((row, row))
+    return sliding_window_view(doubled[1:], n)[::-1].copy()
 
 
 def _angle_tables(n: int) -> tuple["numpy.ndarray", "numpy.ndarray"]:

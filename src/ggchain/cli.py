@@ -15,8 +15,8 @@ column to the left (a chain's exact powers ``base**d``), from that row's
 encoded cells.  Every distinct row (one, or up to n) is encoded before the
 first byte is written, so a non-finite value in JSON exits 2 with nothing on
 stdout; the rows are then written one at a time, and the whole matrix text is
-never held.  ``corr`` predicts its peak allocation and refuses a route that
-would not fit in physical memory before it allocates.
+never held.  ``corr`` and ``sample`` predict their peak allocation and refuse
+a run that would not fit in physical memory before they allocate.
 
 ``decay``, ``converge``, ``circulant`` and ``corr --graph cycle --method
 closed`` never load numpy: the cycle kernel is pure Python, and numpy is used
@@ -24,7 +24,8 @@ only by the chain matrices, the oracles and ``circulant_matrix``.
 
 Exit codes: 0 ok, 2 domain error (including a non-finite value in JSON
 output), 3 self-check failure, 4 insufficient data, 5 statistical failure,
-6 resource limit (``corr`` arrays larger than physical memory), 141 (128 +
+6 resource limit (``corr`` or ``sample`` arrays larger than physical
+memory), 141 (128 +
 SIGPIPE) the reader closed stdout before the output ended.
 """
 
@@ -55,7 +56,7 @@ from .model import (
     sqrt_one_minus_4tau2,
     tau_from_gff,
 )
-from .oracle import SAMPLE_BLOCK, fisher_z_discrepancies, model_correlation, sample
+from .oracle import SAMPLE_BLOCK, SAMPLE_BUFFER, fisher_z_discrepancies, model_correlation, sample
 
 # corr --method both admits SELF_CHECK_FACTOR * eps * min(kappa, n^2) between
 # its two matrices (see _self_check); the factor was fixed before measuring
@@ -170,34 +171,59 @@ _CELL_BYTES = {"csv": 17, "json": 26}
 # tables, the cycle's sequences, a row split into cells), sized from
 # tracemalloc at 3 to 1000 nodes
 _FIXED_BYTES, _NODE_BYTES = 2**17, 512
+# what ``sample`` holds per pair of nodes i < j for its output rows: five
+# numbers, the arrays they come from and their row tuple, and in JSON the
+# row's dict and text; sized from tracemalloc at 20 to 400 nodes
+_PAIR_BYTES = {"csv": 320, "json": 1300}
 
 
 def _peak_bytes(graph: GraphSpec, method: str, fmt: str) -> int:
     """Bytes ``corr`` allocates at its peak on this route, predicted before it allocates.
 
-    The peak is the larger of two phases: the oracle's inversion, with four
-    n x n arrays alive (the covariance, its copy, the scales' outer product
-    and the correlation) and, under ``both``, the closed-form matrix beside
-    them; then one matrix held with its encoded rows at their widest cells:
-    ceil(n/2) rows for a centrosymmetric chain, n for the oracle's, none for
-    the cycle's circulant.  The closed cycle holds no n x n array.
+    The peak is the larger of two phases.  First the oracle's inversion: two
+    n x n arrays for a chain (the covariance and the correlation), three for
+    the cycle (its precision matrix, numpy's working copy of it and the
+    Cholesky factor); under ``both`` the closed-form matrix is built after
+    it, beside the oracle's correlation alone.  Then one matrix held with its
+    encoded rows at their widest cells: ceil(n/2) rows for a centrosymmetric
+    chain, n for the oracle's.  The cycle's circulant is built only to be
+    checked and freed before its rows, which need no n x n array, are
+    encoded.
     """
     n = graph.node_count
     square = 8 * n * n
-    inversion = {"closed": 0, "oracle": 4, "both": 5}[method] * square
-    rows = n if method == "oracle" else 0 if graph.kind is GraphKind.CYCLE else (n + 1) // 2
-    closed_cycle = graph.kind is GraphKind.CYCLE and method == "closed"
-    held = 0 if closed_cycle else square + rows * n * _CELL_BYTES[fmt]
-    return max(inversion, held) + _FIXED_BYTES + _NODE_BYTES * n
+    cycle = graph.kind is GraphKind.CYCLE
+    inversion = 0 if method == "closed" else 3 if cycle else 2
+    rows = n if method == "oracle" else (n + 1) // 2
+    held = 0 if cycle and method != "oracle" else square + rows * n * _CELL_BYTES[fmt]
+    return max(inversion * square, held) + _FIXED_BYTES + _NODE_BYTES * n
 
 
-def _check_memory(graph: GraphSpec, method: str, fmt: str) -> None:
-    """Raise :class:`ResourceLimitError` if the route's predicted peak exceeds physical memory."""
-    needed, available = _peak_bytes(graph, method, fmt), _physical_memory()
+def _sample_peak_bytes(graph: GraphSpec, count: int, fmt: str) -> int:
+    """Bytes ``sample`` allocates at its peak, predicted before it allocates.
+
+    The peak is the larger of two phases.  First the sampler: three dim x dim
+    arrays (the precision matrix, numpy's working copy of it and the Cholesky
+    factor, then the factor, the cross products and one block's product)
+    beside one block of variates and the buffer that fills it.  Then the
+    output: four dim x dim arrays (cross products, empirical and exact
+    correlations, z-scores) with the rows of every pair of nodes.
+    """
+    dim = graph.node_count
+    square = 8 * dim * dim
+    draws = min(count, SAMPLE_BLOCK)
+    sampling = 3 * square + 8 * dim * (draws + min(draws, SAMPLE_BUFFER))
+    output = 4 * square + dim * (dim - 1) // 2 * _PAIR_BYTES[fmt]
+    return max(sampling, output) + _FIXED_BYTES + _NODE_BYTES * dim
+
+
+def _check_memory(needed: int, run: str) -> None:
+    """Raise :class:`ResourceLimitError` if ``needed``, ``run``'s predicted peak, exceeds physical memory."""
+    available = _physical_memory()
     if available is not None and needed > available:
         raise ResourceLimitError(
-            f"corr --method {method} --format {fmt} on {graph.node_count} nodes needs about "
-            f"{needed / 2**30:.3g} GiB; physical memory is {available / 2**30:.3g} GiB"
+            f"{run} needs about {needed / 2**30:.3g} GiB; "
+            f"physical memory is {available / 2**30:.3g} GiB"
         )
 
 
@@ -304,10 +330,14 @@ def _matrix_rows(matrix, encode, sep):
     return itertools.chain(kept, reflected)
 
 
-def _self_check(graph: GraphSpec, tau: float, matrix) -> dict:
-    """Compare a closed-form matrix with the inversion oracle's; raise if they disagree.
+def _self_check(graph: GraphSpec, tau: float, build) -> tuple:
+    """Build the closed-form matrix and compare it with the oracle's; raise if they disagree.
 
-    Returns ``self_check_tolerance``, ``SELF_CHECK_FACTOR * eps * min(kappa, n**2)``
+    The oracle runs first, so its temporaries are freed before ``build()``
+    allocates the closed-form matrix, and the gap is computed in the
+    oracle's correlation, which is dropped before this returns.  Returns the
+    built matrix and a dict of ``self_check_tolerance``,
+    ``SELF_CHECK_FACTOR * eps * min(kappa, n**2)``
     with ``kappa = (1 + 2 tau) / (1 - 2 tau)``, the bound on the precision
     matrix's condition number, and ``n`` the node count, then
     ``max_abs_deviation``, the largest entry-wise gap.  The tolerance is an
@@ -317,8 +347,11 @@ def _self_check(graph: GraphSpec, tau: float, matrix) -> dict:
     """
     import numpy as np
 
-    reference = model_correlation(graph, tau).correlation
-    deviation = float(np.max(np.abs(matrix - reference)))
+    gap = model_correlation(graph, tau).correlation
+    matrix = build()
+    np.subtract(matrix, gap, out=gap)
+    deviation = float(np.max(np.abs(gap, out=gap)))
+    del gap
     kappa = (1.0 + 2.0 * tau) / (1.0 - 2.0 * tau)
     n = graph.node_count
     tolerance = SELF_CHECK_FACTOR * sys.float_info.epsilon * min(kappa, n * n)
@@ -327,30 +360,36 @@ def _self_check(graph: GraphSpec, tau: float, matrix) -> dict:
             f"closed-form and inversion matrices deviate by {deviation:.3e} "
             f"(tolerance {tolerance:.3e})"
         )
-    return {"self_check_tolerance": tolerance, "max_abs_deviation": deviation}
+    return matrix, {"self_check_tolerance": tolerance, "max_abs_deviation": deviation}
 
 
 def cmd_corr(args) -> int:
     graph = _graph(args.graph, args.n)
-    _check_memory(graph, args.method, args.format)
-    # each route yields what its rows are encoded from, and the matrix to check
-    layout = _matrix_rows
+    run = f"corr --method {args.method} --format {args.format} on {graph.node_count} nodes"
+    _check_memory(_peak_bytes(graph, args.method, args.format), run)
+    # each route yields what its rows are encoded from; under both the matrix
+    # is checked before any row is encoded, so the oracle's matrix and the
+    # encoded rows are never held at once
+    layout, check = _matrix_rows, None
     if args.method == "oracle":
-        matrix = source = model_correlation(graph, args.tau).correlation
+        source = model_correlation(graph, args.tau).correlation
     elif graph.kind is GraphKind.CYCLE:
         source = cycle_correlation_sequence(graph.n, args.tau).correlations
-        matrix = circulant_matrix(source) if args.method == "both" else None
         layout = _circulant_rows
+        if args.method == "both":
+            # the circulant is built only to be checked: its rows are rotations of source
+            _, check = _self_check(graph, args.tau, functools.partial(circulant_matrix, source))
     else:
-        build = (
+        builder = (
             open_chain_correlation_matrix
             if graph.kind is GraphKind.OPEN_CHAIN
             else centered_chain_correlation_matrix
         )
-        matrix = source = build(graph.n, args.tau)
-    # checked before any row is encoded: the oracle's matrix and the encoded
-    # rows are never held at once
-    check = _self_check(graph, args.tau, matrix) if args.method == "both" else None
+        build = functools.partial(builder, graph.n, args.tau)
+        if args.method == "both":
+            source, check = _self_check(graph, args.tau, build)
+        else:
+            source = build()
     lines = layout(source, *_ROW_ENCODERS[args.format])
 
     labels = list(graph.indices)
@@ -408,6 +447,8 @@ def cmd_sample(args) -> int:
 
     count = as_index(args.count, "count", 100)
     graph = _graph(args.graph, args.n)
+    run = f"sample --count {count} --format {args.format} on {graph.node_count} nodes"
+    _check_memory(_sample_peak_bytes(graph, count, args.format), run)
     batch = sample(graph, args.tau, count, args.seed)
     exact = model_correlation(graph, args.tau).correlation
     scores = fisher_z_discrepancies(batch, exact)

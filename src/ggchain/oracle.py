@@ -23,7 +23,12 @@ stream word ``d * dim + c``.  The mapping is part of the output contract:
 identical seeds give bit-identical batches, and any parallel generation
 scheme must reproduce the same word addressing.  Draws are generated, solved
 and reduced in blocks of :data:`SAMPLE_BLOCK`, so the sampler's memory is
-bounded by the block, not by the number of draws.  The module has one
+bounded by the block, not by the number of draws: one block of variates is
+held, filled from a buffer of a few hundred draws at a time.  The inversions
+symmetrise their result in place and the correlation transform divides in
+row blocks, so :func:`model_correlation` holds at most three n x n arrays at
+once (the cycle's precision matrix, numpy's working copy of it inside the
+Cholesky factorisation and the factor) and returns two.  The module has one
 factorisation (numpy's Cholesky) and one back-substitution, shared by the
 sampler and the cycle inversion, which solves ``L^T x = I`` for ``x = L^-T``
 and forms ``P^-1 = x x^T``.  numpy is imported at call time by the functions
@@ -54,6 +59,13 @@ NORMAL_METHOD = "philox4x64-inverse-cdf"
 # draws per block in `sample`; the statistics are summed block by block, so
 # changing it moves them in the last bits
 SAMPLE_BLOCK = 8192
+
+# draws per refill of the sampler's uniform buffer; the Philox words are
+# consumed in the same order whatever its size
+SAMPLE_BUFFER = 256
+
+# rows per block of the correlation transform's division
+_ROW_BLOCK = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,7 +126,23 @@ def invert_tridiagonal(diag: float, off: float, n: int) -> "numpy.ndarray":
     out /= piv[:, None]
     for i in range(n - 2, -1, -1):
         out[i] -= mult[i] * out[i + 1]
-    return 0.5 * (out + out.T)
+    return _symmetrise(out)
+
+
+def _symmetrise(a: "numpy.ndarray") -> "numpy.ndarray":
+    """Overwrite square ``a`` with ``0.5 * (a + a.T)``, bit for bit, and return it.
+
+    Row i right of the diagonal and column i below it are replaced by their
+    half sum, so no n x n temporary is made.  The bits are those of the
+    out-of-place expression: addition commutes, and ``0.5 * (d + d) == d``
+    on the diagonal.
+    """
+    for i in range(len(a) - 1):
+        row, col = a[i, i + 1 :], a[i + 1 :, i]
+        row += col
+        row *= 0.5
+        col[...] = row
+    return a
 
 
 def _cholesky(a: "numpy.ndarray") -> "numpy.ndarray":
@@ -156,28 +184,48 @@ def _cholesky_inverse(precision: "numpy.ndarray") -> "numpy.ndarray":
 
     With ``P = L L^T``, ``x = L^-T`` solves ``L^T x = I`` by
     :func:`_back_substitute` and ``P^-1 = x x^T``; the factorisation is the
-    definiteness check.  The result is symmetrised before returning.
+    definiteness check.  The result is symmetrised before returning.  The
+    precision matrix is released before ``x`` is allocated and the factor
+    before ``x x^T``; the caller's own reference, if it keeps one, stays.
     """
     import numpy as np
 
-    x = _back_substitute(_cholesky(precision), np.eye(len(precision)))
-    inv = x @ x.T
-    return 0.5 * (inv + inv.T)
+    n = len(precision)
+    lower = _cholesky(precision)
+    del precision
+    x = _back_substitute(lower, np.eye(n))
+    del lower
+    return _symmetrise(x @ x.T)
 
 
 def correlation_transform(sigma: "numpy.ndarray") -> CorrelationResult:
     """Rescale a covariance matrix to unit diagonal.
 
     The diagonal of the result is set to exactly 1 rather than recomputed.
+    The input is copied, never changed: the result's ``covariance`` is a new
+    array.
     """
     import numpy as np
 
-    sigma = np.array(sigma, dtype=float)
+    return _transform(np.array(sigma, dtype=float))
+
+
+def _transform(sigma: "numpy.ndarray") -> CorrelationResult:
+    """:func:`correlation_transform` of a float covariance the result may keep, uncopied.
+
+    The division runs in blocks of rows, each over its own slice of the
+    scales' outer product, so the only n x n allocation is the correlation.
+    """
+    import numpy as np
+
     d = np.diag(sigma)
     if np.any(d <= 0.0):
         raise DomainError("covariance diagonal must be strictly positive")
     scale = np.sqrt(d)
-    corr = sigma / np.outer(scale, scale)
+    corr = np.empty_like(sigma)
+    for start in range(0, len(sigma), _ROW_BLOCK):
+        rows = slice(start, start + _ROW_BLOCK)
+        np.divide(sigma[rows], np.outer(scale[rows], scale), out=corr[rows])
     np.fill_diagonal(corr, 1.0)
     return CorrelationResult(covariance=sigma, scale=scale, correlation=corr)
 
@@ -194,7 +242,7 @@ def model_correlation(graph: GraphSpec, tau: float) -> CorrelationResult:
         sigma = _cholesky_inverse(precision_matrix(graph, tau))
     else:
         sigma = invert_tridiagonal(1.0, -tau, graph.node_count)
-    return correlation_transform(sigma)
+    return _transform(sigma)
 
 
 def sample(graph: GraphSpec, tau: float, count: int, seed: int) -> SampleBatch:
@@ -204,7 +252,10 @@ def sample(graph: GraphSpec, tau: float, count: int, seed: int) -> SampleBatch:
     the seed alone and consumed in a fixed order.  Draws are taken in blocks
     of :data:`SAMPLE_BLOCK` (the last one shorter); each block is reduced with
     numpy's pairwise sum and one matrix product, and the block results are
-    added in stream order, so the reduction order is fixed as well.
+    added in stream order, so the reduction order is fixed as well.  The
+    uniforms of a block are drawn :data:`SAMPLE_BUFFER` draws at a time into one
+    small buffer and written transposed, one row per coordinate, into the one
+    block array that the transform, the solve and the reductions reuse.
     """
     import numpy as np
     from numpy.random import Generator, Philox
@@ -220,21 +271,27 @@ def sample(graph: GraphSpec, tau: float, count: int, seed: int) -> SampleBatch:
     rng = Generator(Philox(key=seed))
     sums = np.zeros(dim)
     cross = np.zeros((dim, dim))
+    block = np.empty((dim, min(SAMPLE_BLOCK, count)))  # one row per coordinate
+    u = np.empty((min(SAMPLE_BUFFER, count), dim))
     for start in range(0, count, SAMPLE_BLOCK):
-        u = rng.random((min(SAMPLE_BLOCK, count - start), dim))
-        # ndtri(0) is -inf; the generator emits 0.0 with probability 2^-53 per word
-        np.maximum(u, 2.0**-53, out=u)
-        ndtri(u, out=u)
-        x = u.T.copy()  # one contiguous row per coordinate
-        del u  # at most two blocks are alive at once
+        x = block[:, : min(SAMPLE_BLOCK, count - start)]
+        for s in range(0, x.shape[1], SAMPLE_BUFFER):
+            part = u[: min(SAMPLE_BUFFER, x.shape[1] - s)]
+            rng.random(out=part)
+            # ndtri(0) is -inf; the generator emits 0.0 with probability 2^-53 per word
+            np.maximum(part.T, 2.0**-53, out=x[:, s : s + len(part)])
+        ndtri(x, out=x)
         _back_substitute(lower, x)  # L^T x = z, all draws of the block at once
         sums += x.sum(axis=1)
         cross += x @ x.T
-        del x
+    del block, u, x
 
-    cross = 0.5 * (cross + cross.T)
-    cov = (cross - np.outer(sums, sums) / count) / (count - 1)
-    corr = correlation_transform(cov).correlation
+    _symmetrise(cross)
+    cov = np.outer(sums, sums)
+    cov /= count
+    np.subtract(cross, cov, out=cov)
+    cov /= count - 1
+    corr = _transform(cov).correlation
     # only entries that rounding pushed past +-1 move (1 + 4.4e-16 near tau = 1/2)
     np.clip(corr, -1.0, 1.0, out=corr)
     stderr = 1.0 / math.sqrt(count - 3) if count > 3 else math.inf

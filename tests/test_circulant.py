@@ -252,6 +252,29 @@ class TestCirculantMatrix:
         row = [1.0, -0.3, 0.0, 0.0, -0.3]
         np.testing.assert_array_equal(circulant_matrix(row), precision_matrix(GraphSpec(GraphKind.CYCLE, 5), 0.3))
 
+    @pytest.mark.parametrize("n", [3, 4, 8, 301])
+    def test_entries_are_the_row_rotated(self, n):
+        """Entry (i, j) is ``first_row[(j - i) % n]``, in one C-contiguous array."""
+        row = np.array(cycle_correlation_sequence(n, 0.45).correlations)
+        got = circulant_matrix(row)
+        assert got.flags.c_contiguous
+        for i in range(n):
+            np.testing.assert_array_equal(got[i], np.roll(row, i))
+
+    def test_peak_memory_is_the_output(self):
+        """At n = 1001 the build peaks within 1.25x its 8 MB output (an n x n
+        index array would double it)."""
+        import tracemalloc
+
+        row = cycle_correlation_sequence(1001, 0.45).correlations
+        tracemalloc.start()
+        try:
+            mat = circulant_matrix(row)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert mat.nbytes <= peak <= 1.25 * mat.nbytes
+
 
 class TestRiemannSum:
     def test_hand_value(self):

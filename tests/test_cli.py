@@ -519,6 +519,28 @@ class TestCorr:
         assert out == ""
         assert "self-check" in err
 
+    @pytest.mark.parametrize("graph", ["open", "centered", "cycle"])
+    def test_self_check_leaves_the_printed_matrix(self, capsys, graph):
+        """The gap is computed in the oracle's own matrix: under ``both`` stdout
+        is the bytes of ``closed``, and the reported deviation is the largest
+        gap between the closed-form matrix and the oracle's, computed here apart."""
+        n, tau = 61, 0.45
+        argv = ["corr", "--graph", graph, "--n", str(n), "--tau", str(tau)]
+        _, closed_out, _ = run_cli(capsys, *argv, "--method", "closed")
+        code, both_out, _ = run_cli(capsys, *argv, "--method", "both")
+        assert code == 0 and both_out == closed_out
+        code, out, _ = run_cli(capsys, *argv, "--method", "both", "--format", "json", "--deterministic")
+        assert code == 0
+        spec = GraphSpec(GraphKind(graph), n)
+        if graph == "cycle":
+            closed = circulant_matrix(cycle_correlation_sequence(n, tau).correlations)
+        elif graph == "open":
+            closed = open_chain_correlation_matrix(n, tau)
+        else:
+            closed = centered_chain_correlation_matrix(n, tau)
+        want = float(np.max(np.abs(closed - model_correlation(spec, tau).correlation)))
+        assert json.loads(out)["metadata"]["max_abs_deviation"] == want > 0.0
+
 
 # ROADMAP item 3's grid of edge weights, up to 2**-40 below the boundary 1/2
 SELF_CHECK_TAUS = [0.05, 0.45, 0.49, 0.4999, 0.5 - 2**-20, 0.5 - 2**-40]
@@ -586,11 +608,11 @@ class TestResourceGuard:
             ("open", 10, "closed", "csv", 8 * 100 + 5 * 10 * 17),  # the matrix and its first 5 rows
             ("open", 10, "closed", "json", 8 * 100 + 5 * 10 * 26),
             ("open", 10, "oracle", "json", 8 * 100 + 10 * 10 * 26),  # all 10 rows outgrow the inversion
-            ("open", 10, "both", "json", 5 * 8 * 100),  # the closed-form matrix beside the inversion
+            ("open", 10, "both", "json", 8 * 100 + 5 * 10 * 26),  # the rows outgrow the inversion's two arrays
             ("centered", 10, "closed", "csv", 8 * 21**2 + 11 * 21 * 17),  # 21 nodes
             ("cycle", 10, "closed", "json", 0),  # O(n): one encoded row
-            ("cycle", 10, "oracle", "csv", 4 * 8 * 100),  # the inversion's four arrays
-            ("cycle", 10, "both", "csv", 5 * 8 * 100),
+            ("cycle", 10, "oracle", "csv", 8 * 100 + 10 * 10 * 17),  # all 10 rows outgrow three arrays
+            ("cycle", 10, "both", "csv", 3 * 8 * 100),  # precision matrix, working copy, factor
         ],
     )
     def test_predicted_bytes(self, graph, n, method, fmt, square_bytes):
@@ -642,6 +664,70 @@ class TestResourceGuard:
         if code == 6:
             assert out == ""
             assert err.startswith("ggchain: resource limit: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "graph, n, count, fmt, want",
+        [
+            ("open", 10, 100, "csv", 3 * 800 + 8 * 10 * (100 + 100)),  # the sampler and its 100 draws
+            ("open", 10, 100, "json", 4 * 800 + 45 * 1300),  # the 45 pairs' rows
+            ("cycle", 10, 20000, "csv", 3 * 800 + 8 * 10 * (8192 + 256)),  # one block and its buffer
+            ("centered", 10, 100, "csv", 4 * 8 * 21**2 + 210 * 320),  # 21 nodes, 210 pairs
+        ],
+    )
+    def test_predicted_sample_bytes(self, graph, n, count, fmt, want):
+        """``sample``: the larger of three dim x dim arrays with the variate
+        block and its buffer, and four dim x dim arrays with every pair's
+        output row (320 bytes in CSV, 1300 in JSON)."""
+        from ggchain.cli import _FIXED_BYTES, _NODE_BYTES, _sample_peak_bytes
+
+        spec = GraphSpec(GraphKind(graph), n)
+        linear = _FIXED_BYTES + _NODE_BYTES * spec.node_count
+        assert _sample_peak_bytes(spec, count, fmt) == want + linear
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "graph, n, count", [("open", 2, 100), ("open", 40, 100), ("centered", 20, 100), ("cycle", 64, 9000)]
+    )
+    def test_sample_prediction_covers_traced_peak(self, graph, n, count, fmt):
+        """As for ``corr``: the prediction is at least the traced peak of a
+        second, warmed ``sample`` run, whether or not its z-scores pass."""
+        import contextlib
+        import os
+        import tracemalloc
+
+        from ggchain.cli import _sample_peak_bytes
+
+        argv = ["sample", "--graph", graph, "--n", str(n), "--tau", "0.45", "--count", str(count)]
+        argv += ["--seed", "3", "--format", fmt]
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            assert main(argv) in (0, 5)
+            tracemalloc.start()
+            try:
+                assert main(argv) in (0, 5)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert _sample_peak_bytes(GraphSpec(GraphKind(graph), n), count, fmt) >= peak
+
+    @pytest.mark.parametrize("graph", ["open", "centered", "cycle"])
+    def test_sample_refused_before_allocating(self, capsys, monkeypatch, graph):
+        """A million-node ``sample`` needs terabytes: with a 1 TiB machine it
+        exits 6 with one stderr line, and neither the sampler nor the oracle runs."""
+        import ggchain.cli as cli_mod
+
+        def unreachable(*args):
+            raise AssertionError("an array was built past the guard")
+
+        for name in ("sample", "model_correlation"):
+            monkeypatch.setattr(cli_mod, name, unreachable)
+        monkeypatch.setattr(cli_mod, "_physical_memory", lambda: 2**40)
+        code, out, err = run_cli(
+            capsys, "sample", "--graph", graph, "--n", "1000000", "--tau", "0.4",
+            "--count", "100", "--seed", "0",
+        )
+        assert (code, out) == (6, "")
+        assert err.startswith("ggchain: resource limit: sample --count 100 --format csv on ")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("graph", ["open", "centered", "cycle"])
     @pytest.mark.parametrize("method", ["closed", "oracle", "both"])
