@@ -14,8 +14,8 @@ magnitudes.
 """
 
 import math
-from dataclasses import dataclass, field
 
+from ._record import record
 from .chains import (
     centered_chain_correlation,
     centered_chain_correlation_limit,
@@ -43,7 +43,7 @@ ERROR_FLOOR = 1e-14
 ERROR_CEILING = 1e-2
 
 
-@dataclass(frozen=True)
+@record
 class ConvergenceRecord:
     """One size of a sweep.
 
@@ -61,7 +61,7 @@ class ConvergenceRecord:
     scaled_rel: float
 
 
-@dataclass(frozen=True)
+@record(hide=("records",))
 class ConvergenceSweep:
     """Sweep records plus the context needed to interpret them."""
 
@@ -70,13 +70,13 @@ class ConvergenceSweep:
     j: int
     tau: float
     rate: float
-    records: tuple[ConvergenceRecord, ...] = field(repr=False)
+    records: tuple[ConvergenceRecord, ...]
 
     def __iter__(self):
         return iter(self.records)
 
 
-@dataclass(frozen=True)
+@record
 class RateFit:
     """Least-squares slope of log |abs_err| against n.
 
@@ -186,7 +186,7 @@ def fit_abs_error_rate(sweep: ConvergenceSweep) -> RateFit:
     )
 
 
-@dataclass(frozen=True)
+@record
 class GffRow:
     """One mass of the free-field consistency table."""
 

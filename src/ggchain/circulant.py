@@ -8,7 +8,8 @@ factor) around the ring; summing the images ``k + m n`` gives in O(n) work
     cov_k = (base**k + base**(n-k)) / ((1 - base**n) s),
 
 so correlations ``(base**k + base**(n-k)) / (1 + base**n)`` tend to
-``base**k`` from above as n grows.  The powers are the same doubles that
+``base**k`` from above as n grows.  :func:`cycle_correlation` evaluates one
+lag of it in O(1), with the same bits.  The powers are the same doubles that
 :func:`cycle_correlation_limit` returns, so the finite-size gap is never
 negative by more than the rounding of that quotient.
 
@@ -33,8 +34,8 @@ symmetries bit-exactly, and sums run through numpy's pairwise reduction.
 """
 
 import math
-from dataclasses import dataclass
 
+from ._record import record
 from .errors import DomainError
 from .model import (
     GraphKind,
@@ -52,6 +53,7 @@ __all__ = [
     "cycle_inverse_sum",
     "cycle_inverse_sum_imag",
     "cycle_correlation_sequence",
+    "cycle_correlation",
     "riemann_sum",
     "limit_integral",
     "cycle_correlation_limit",
@@ -153,7 +155,7 @@ def cycle_inverse_sum_imag(n, k, tau: float) -> float:
     return _spectral_lag_sum(n, k, tau, 1)
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class CycleCorrelation:
     """Full lag-indexed description of the cycle model of size n.
 
@@ -196,6 +198,27 @@ def cycle_correlation_sequence(n, tau: float) -> CycleCorrelation:
     covariances = tuple(x / scale for x in num)
     correlations = tuple(x / num[0] for x in num)
     return CycleCorrelation(n, tau, covariances, correlations, limits=tuple(powers[:n]))
+
+
+def cycle_correlation(n, k, tau: float) -> tuple[float, float, float]:
+    """Covariance, correlation and limit ``base**k`` of the cycle model at lag k.
+
+    Entry k of the three tuples of :func:`cycle_correlation_sequence`, bit for
+    bit, in O(1): the same powers, sums and quotients, with the lag-0
+    numerator ``base**0 + base**n`` written ``1.0 + base**n``.  The lag
+    runs over 0..n-1.
+    """
+    n = GraphSpec(GraphKind.CYCLE, n).n
+    k = as_index(k, "lag", 0, n - 1)
+    tau = check_tau(tau)
+    if tau == 0.0:
+        unit = 1.0 if k == 0 else 0.0
+        return unit, unit, unit
+    p = decay_params(tau)
+    limit = p.base**k
+    num = limit + p.base ** (n - k)
+    scale = -math.expm1(-n * p.rate) * sqrt_one_minus_4tau2(tau)
+    return num / scale, num / (1.0 + p.base**n), limit
 
 
 def riemann_sum(n, k, tau: float) -> float:

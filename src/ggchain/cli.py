@@ -37,14 +37,13 @@ import math
 import numbers
 import os
 import sys
-from dataclasses import asdict, fields
 from datetime import datetime, timezone
 from operator import attrgetter
 
 from . import __version__
 from .analysis import ConvergenceRecord, fit_abs_error_rate, sweep
 from .chains import centered_chain_correlation_matrix, open_chain_correlation_matrix
-from .circulant import circulant_matrix, cycle_correlation_sequence
+from .circulant import circulant_matrix, cycle_correlation, cycle_correlation_sequence
 from .errors import DomainError, GgchainError, InsufficientDataError, SelfCheckError
 from .model import (
     GffParams,
@@ -143,10 +142,6 @@ def _write(args, columns, rows, *, payload=None, json_rows=None, metadata=None, 
         print(_csv_row(row))
     for note in notes:
         print(_csv_row(note), file=sys.stderr)
-
-
-def _graph(kind: str, n: int) -> GraphSpec:
-    return GraphSpec(GraphKind(kind), n)
 
 
 class ResourceLimitError(GgchainError):
@@ -364,7 +359,7 @@ def _self_check(graph: GraphSpec, tau: float, build) -> tuple:
 
 
 def cmd_corr(args) -> int:
-    graph = _graph(args.graph, args.n)
+    graph = GraphSpec(args.graph, args.n)
     run = f"corr --method {args.method} --format {args.format} on {graph.node_count} nodes"
     _check_memory(_peak_bytes(graph, args.method, args.format), run)
     # each route yields what its rows are encoded from; under both the matrix
@@ -409,8 +404,9 @@ def cmd_corr(args) -> int:
 def cmd_converge(args) -> int:
     result = sweep(GraphKind(args.graph), args.i, args.j, args.tau, args.n_min, args.n_max)
 
-    fit_info = asdict(fit_abs_error_rate(result)) if args.fit else None
-    columns = [f.name for f in fields(ConvergenceRecord)]
+    fit = fit_abs_error_rate(result) if args.fit else None
+    fit_info = None if fit is None else {name: getattr(fit, name) for name in fit._fields}
+    columns = list(ConvergenceRecord._fields)
     rows = list(map(attrgetter(*columns), result))
     _write(
         args,
@@ -423,21 +419,23 @@ def cmd_converge(args) -> int:
 
 
 def cmd_circulant(args) -> int:
-    graph = _graph("cycle", args.n)
-    lags = [as_index(args.k, "lag", 0, graph.n - 1)] if args.k is not None else range(graph.n)
-    seq = cycle_correlation_sequence(graph.n, args.tau)
+    n = GraphSpec(GraphKind.CYCLE, args.n).n
+    # (k, covariance, correlation, limit) at one lag, or at every lag
+    if args.k is None:
+        seq = cycle_correlation_sequence(n, args.tau)
+        lags = zip(range(n), seq.covariances, seq.correlations, seq.limits)
+    else:
+        lags = [(args.k, *cycle_correlation(n, args.k, args.tau))]
     if args.riemann:
         # the n-point left Riemann sum of the spectral integrand is exactly 2 pi cov_k,
         # and its limit the integral 2 pi base**k / s
         columns = ["k", "riemann_sum", "integral", "gap"]
-        two_pi = 2.0 * math.pi
-        s = sqrt_one_minus_4tau2(seq.tau)
-        values = [two_pi * c for c in seq.covariances]
-        limits = [two_pi * (b / s) for b in seq.limits]
+        two_pi, s = 2.0 * math.pi, sqrt_one_minus_4tau2(args.tau)
+        values = ((k, two_pi * cov, two_pi * (b / s)) for k, cov, _, b in lags)
     else:
         columns = ["k", "correlation", "limit", "gap"]
-        values, limits = seq.correlations, seq.limits
-    rows = [(k, values[k], limits[k], values[k] - limits[k]) for k in lags]
+        values = ((k, corr, b) for k, _, corr, b in lags)
+    rows = [(k, value, limit, value - limit) for k, value, limit in values]
     _write(args, columns, rows)
     return 0
 
@@ -446,7 +444,7 @@ def cmd_sample(args) -> int:
     import numpy as np
 
     count = as_index(args.count, "count", 100)
-    graph = _graph(args.graph, args.n)
+    graph = GraphSpec(args.graph, args.n)
     run = f"sample --count {count} --format {args.format} on {graph.node_count} nodes"
     _check_memory(_sample_peak_bytes(graph, count, args.format), run)
     batch = sample(graph, args.tau, count, args.seed)

@@ -20,8 +20,8 @@ functions run without numpy loaded.
 import enum
 import math
 import numbers
-from dataclasses import dataclass
 
+from ._record import record
 from .errors import DomainError
 
 __all__ = [
@@ -83,21 +83,30 @@ class GraphKind(enum.Enum):
     CYCLE = "cycle"
 
 
-@dataclass(frozen=True)
+@record
 class GraphSpec:
     """A graph kind plus its size parameter.
 
     ``n`` counts nodes for the open chain and the cycle.  For the centered
     chain it is the half-width: nodes are indexed ``-n .. n`` (2n+1 of them),
-    which keeps the site 0 at the middle of the path.
+    which keeps the site 0 at the middle of the path.  ``kind`` may be given
+    as its value (``"open"``, ``"centered"``, ``"cycle"``) and is stored as
+    the :class:`GraphKind`; anything else raises :class:`DomainError`.
     """
 
     kind: GraphKind
     n: int
 
     def __post_init__(self):
+        kind = self.kind
+        if not isinstance(kind, GraphKind):
+            try:
+                kind = GraphKind(kind)
+            except ValueError:
+                raise DomainError(f"graph kind must be a GraphKind or its value, got {kind!r}") from None
+            object.__setattr__(self, "kind", kind)
         # a cycle on fewer than 3 nodes would duplicate edges
-        minimum = 3 if self.kind is GraphKind.CYCLE else 1
+        minimum = 3 if kind is GraphKind.CYCLE else 1
         object.__setattr__(self, "n", as_index(self.n, "graph size", minimum))
 
     @property
@@ -114,7 +123,7 @@ class GraphSpec:
         return range(1, self.n + 1)
 
 
-@dataclass(frozen=True)
+@record
 class DecayParams:
     """Decay rate and base of a chain model.
 
@@ -148,7 +157,7 @@ def decay_params(tau: float) -> DecayParams:
     return DecayParams(tau=tau, rate=rate, base=math.exp(-rate))
 
 
-@dataclass(frozen=True)
+@record
 class GffParams:
     """Coupling ``beta`` and mass of the massive free field on the 1-d lattice.
 

@@ -37,8 +37,8 @@ CDF, so importing ggchain loads neither.
 """
 
 import math
-from dataclasses import dataclass
 
+from ._record import record
 from .errors import DomainError, NotPositiveDefiniteError
 from .model import GraphKind, GraphSpec, as_index, check_tau, precision_matrix
 
@@ -68,7 +68,7 @@ SAMPLE_BUFFER = 256
 _ROW_BLOCK = 64
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class CorrelationResult:
     """Covariance, diagonal scale (sqrt of the variances) and correlation."""
 
@@ -77,7 +77,7 @@ class CorrelationResult:
     correlation: "numpy.ndarray"
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class SampleBatch:
     """Seeded draws reduced to sufficient statistics.
 
@@ -313,6 +313,8 @@ def fisher_z_discrepancies(batch: SampleBatch, exact: "numpy.ndarray") -> "numpy
     entry when the model holds, so values above ~4 flag disagreement.  An
     off-diagonal correlation of exactly +-1 in either matrix has no finite
     Fisher z and raises :class:`DomainError` naming the first such entry.
+    The scores are formed in the returned array, a block of rows at a time,
+    so the only n x n allocation is the result.
     """
     import numpy as np
 
@@ -321,15 +323,29 @@ def fisher_z_discrepancies(batch: SampleBatch, exact: "numpy.ndarray") -> "numpy
         raise DomainError(
             f"shape mismatch: batch {batch.correlation.shape}, exact {exact.shape}"
         )
-    z = np.zeros_like(exact)
-    off = ~np.eye(exact.shape[0], dtype=bool)
-    saturated = np.argwhere(off & ((np.abs(batch.correlation) == 1.0) | (np.abs(exact) == 1.0)))
-    if saturated.size:
-        a, b = saturated[0].tolist()
-        empirical, expected = float(batch.correlation[a, b]), float(exact[a, b])
-        raise DomainError(
-            f"correlation at matrix entry ({a}, {b}) is +-1 (empirical {empirical!r}, "
-            f"exact {expected!r}): its Fisher z is infinite"
-        )
-    z[off] = np.abs(np.arctanh(batch.correlation[off]) - np.arctanh(exact[off]))
-    return z / batch.fisher_stderr
+    z = np.array(batch.correlation, dtype=float)  # turned into the scores a block of rows at a time
+    block = np.empty((min(_ROW_BLOCK, len(z)), len(z)))  # a block of exact's rows
+    for start in range(0, len(z), _ROW_BLOCK):
+        empirical = z[start : start + _ROW_BLOCK]
+        expected = block[: len(empirical)]
+        expected[...] = exact[start : start + len(empirical)]
+        # the diagonal has no score, and artanh is infinite exactly at +-1
+        np.fill_diagonal(empirical[:, start:], 0.0)
+        np.fill_diagonal(expected[:, start:], 0.0)
+        with np.errstate(divide="ignore"):
+            np.arctanh(empirical, out=empirical)
+            np.arctanh(expected, out=expected)
+        saturated = np.isinf(empirical)
+        saturated |= np.isinf(expected)
+        if saturated.any():
+            a, b = np.argwhere(saturated)[0].tolist()
+            a += start
+            raise DomainError(
+                f"correlation at matrix entry ({a}, {b}) is +-1 (empirical "
+                f"{float(batch.correlation[a, b])!r}, exact {float(exact[a, b])!r}): "
+                "its Fisher z is infinite"
+            )
+        empirical -= expected
+        np.abs(empirical, out=empirical)
+    z /= batch.fisher_stderr
+    return z

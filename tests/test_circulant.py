@@ -14,6 +14,7 @@ from ggchain import (
     GraphKind,
     GraphSpec,
     circulant_matrix,
+    cycle_correlation,
     cycle_correlation_limit,
     cycle_correlation_sequence,
     cycle_inverse_sum,
@@ -322,6 +323,40 @@ class TestLimitIntegral:
             limit_integral(-1, 0.3)
         with pytest.raises(DomainError):
             limit_integral(0, 0.5)
+
+
+def lag_bits(seq, k) -> tuple[str, ...]:
+    """Covariance, correlation and limit at lag k of a sequence, as exact hex strings."""
+    return tuple(float.hex(x[k]) for x in (seq.covariances, seq.correlations, seq.limits))
+
+
+class TestCycleCorrelation:
+    """The scalar kernel is one lag of the sequence, bit for bit."""
+
+    @pytest.mark.parametrize("tau", (0.0, 5e-324) + TAU_GRID + (0.4, 0.5 - 2.0**-40))
+    def test_every_lag_is_the_sequence_entry(self, tau):
+        """Covariance, correlation and limit at every lag, k = 0 and the
+        mirrored lags n - k included, on small, odd, even and (n = 1000 near
+        tau = 0) underflowing cycles."""
+        for n in (3, 4, 5, 16, 17, 1000):
+            seq = cycle_correlation_sequence(n, tau)
+            for k in range(n):
+                assert tuple(map(float.hex, cycle_correlation(n, k, tau))) == lag_bits(seq, k), (n, k)
+
+    def test_sparse_lags_of_a_large_cycle(self):
+        n, tau = 20000, 0.45
+        seq = cycle_correlation_sequence(n, tau)
+        for k in (0, 1, 5, 32, 1512, n // 2, n - 1512, n - 1):
+            assert tuple(map(float.hex, cycle_correlation(n, k, tau))) == lag_bits(seq, k), k
+
+    def test_limit_is_the_cycle_limit(self):
+        for k in (0, 1, 7, 300):
+            assert cycle_correlation(1000, k, 0.45)[2] == cycle_correlation_limit(k, 0.45)
+
+    def test_domain(self):
+        for args in ((2, 0, 0.4), (5, 5, 0.4), (5, -1, 0.4), (5, 1.0, 0.4), (5, 1, 0.5)):
+            with pytest.raises(DomainError):
+                cycle_correlation(*args)
 
 
 class TestCycleLimit:

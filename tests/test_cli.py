@@ -1,6 +1,5 @@
 """Command-line contract: outputs, formats, determinism, exit codes."""
 
-import dataclasses
 import itertools
 import json
 import math
@@ -446,7 +445,7 @@ class TestCorr:
         cells (n = 200, tau = 0.4: K = 27), the same entry's image in the lower
         half alone, and an oracle entry in the last row."""
         import ggchain.cli as cli_mod
-        from ggchain import CorrelationResult
+        from ggchain import CorrelationResult, CycleCorrelation
 
         n = "5"
         if route == "cycle":
@@ -457,7 +456,7 @@ class TestCorr:
                 corr = list(seq.correlations)
                 # lags k and n - k coincide, as circulant_matrix checks
                 corr[2] = corr[-2] = math.inf
-                return dataclasses.replace(seq, correlations=tuple(corr))
+                return CycleCorrelation(seq.n, seq.tau, seq.covariances, tuple(corr), seq.limits)
 
             monkeypatch.setattr(cli_mod, "cycle_correlation_sequence", poisoned)
             argv = ("--graph", "cycle", "--method", "closed")

@@ -18,6 +18,7 @@ from ggchain import (
     check_tau,
     decay_params,
     gff_decay_rate,
+    model_correlation,
     precision_matrix,
     tau_from_gff,
 )
@@ -315,6 +316,31 @@ class TestGraphSpec:
     def test_bad_sizes(self, n):
         with pytest.raises(DomainError):
             GraphSpec(GraphKind.OPEN_CHAIN, n)
+
+    @pytest.mark.parametrize("kind", list(GraphKind))
+    def test_kind_value_names_the_kind(self, kind):
+        """A kind given as its value is stored as the GraphKind, by position or keyword."""
+        assert GraphSpec(kind.value, 5).kind is kind
+        assert GraphSpec(kind=kind.value, n=5) == GraphSpec(kind, 5)
+
+    def test_cycle_by_value_is_the_cycle(self):
+        """Regression: GraphSpec("cycle", 5) was kept with a string kind, which
+        every ``kind is GraphKind.CYCLE`` test read as the open chain, so its
+        model correlation was the open chain's (0.316 at lag 1, not 0.344)."""
+        got = model_correlation(GraphSpec("cycle", 5), 0.3).correlation
+        want = model_correlation(GraphSpec(GraphKind.CYCLE, 5), 0.3).correlation
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_allclose(got[0], gg.cycle_correlation_sequence(5, 0.3).correlations, rtol=1e-13)
+
+    def test_cycle_minimum_size_by_value(self):
+        """Regression: the string kind skipped the cycle's 3-node minimum."""
+        with pytest.raises(DomainError, match="graph size must be >= 3, got 2"):
+            GraphSpec("cycle", 2)
+
+    @pytest.mark.parametrize("kind", [None, "chain", "Cycle", 0, 1.5, ["open"]])
+    def test_bad_kinds(self, kind):
+        with pytest.raises(DomainError, match="graph kind must be a GraphKind or its value"):
+            GraphSpec(kind, 5)
 
 
 def partial_correlation(graph: GraphSpec, tau: float) -> np.ndarray:

@@ -325,6 +325,58 @@ class TestSampler:
         with pytest.raises(DomainError, match=r"entry \(1, 3\) is \+-1 \(empirical 0\.\d+, exact -1\.0\)"):
             fisher_z_discrepancies(batch, exact)
 
+    @staticmethod
+    def _masked_reference(batch, exact):
+        """The scores through an off-diagonal mask and fancy-indexed copies."""
+        z = np.zeros_like(exact)
+        off = ~np.eye(len(exact), dtype=bool)
+        z[off] = np.abs(np.arctanh(batch.correlation[off]) - np.arctanh(exact[off]))
+        return z / batch.fisher_stderr
+
+    @pytest.mark.parametrize("graph", [GraphSpec(GraphKind.CENTERED_CHAIN, 2),
+                                       GraphSpec(GraphKind.OPEN_CHAIN, 130),
+                                       GraphSpec(GraphKind.CYCLE, 64)])
+    def test_fisher_scores_are_the_masked_reference(self, graph):
+        """Bit for bit, on one block of rows and across block boundaries, with a
+        zero diagonal and every entry finite."""
+        batch = sample(graph, 0.45, 500, 17)
+        exact = model_correlation(graph, 0.45).correlation
+        got = fisher_z_discrepancies(batch, exact)
+        np.testing.assert_array_equal(got.view(np.uint64), self._masked_reference(batch, exact).view(np.uint64))
+        assert np.all(np.diag(got) == 0.0)
+
+    def test_fisher_names_the_first_saturated_entry_of_a_later_block(self):
+        """The first +-1 in row-major order is named, here in the third block of
+        rows, whichever matrix holds it; the input arrays are left unchanged."""
+        graph = GraphSpec(GraphKind.OPEN_CHAIN, 200)
+        batch = sample(graph, 0.4, 300, 5)
+        exact = model_correlation(graph, 0.4).correlation
+        exact[150, 7] = 1.0
+        batch.correlation[150, 120] = -1.0
+        batch.correlation[170, 3] = 1.0
+        before = exact.copy(), batch.correlation.copy()
+        with pytest.raises(DomainError, match=r"entry \(150, 7\) is \+-1 \(empirical -?0\.\d+, exact 1\.0\)"):
+            fisher_z_discrepancies(batch, exact)
+        np.testing.assert_array_equal(exact, before[0])
+        np.testing.assert_array_equal(batch.correlation, before[1])
+
+    def test_fisher_peak_is_the_result(self):
+        """At n = 400 the only n x n allocation is the returned scores, plus one
+        64-row block of artanh values and its masks (the masked route peaked
+        at 4.1 n x n arrays)."""
+        import tracemalloc
+
+        graph = GraphSpec(GraphKind.OPEN_CHAIN, 400)
+        batch = sample(graph, 0.45, 200, 3)
+        exact = model_correlation(graph, 0.45).correlation
+        tracemalloc.start()
+        try:
+            scores = fisher_z_discrepancies(batch, exact)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert scores.nbytes <= peak <= 1.25 * scores.nbytes
+
 
 def _unblocked_reference(graph, tau, count, seed):
     """The sampler without blocks: the whole Philox stream at once, then the

@@ -29,7 +29,7 @@ PUBLIC_NAMES = {
     "rel_error_coefficient_open", "rel_error_coefficient_centered",
     # circulant
     "CycleCorrelation", "circulant_matrix", "precision_eigenvalues", "cycle_inverse_sum",
-    "cycle_inverse_sum_imag", "cycle_correlation_sequence", "riemann_sum", "limit_integral", "cycle_correlation_limit",
+    "cycle_inverse_sum_imag", "cycle_correlation_sequence", "cycle_correlation", "riemann_sum", "limit_integral", "cycle_correlation_limit",
     # oracle
     "CorrelationResult", "SampleBatch", "invert_tridiagonal",
     "correlation_transform", "model_correlation", "sample", "fisher_z_discrepancies",
@@ -41,7 +41,7 @@ PUBLIC_NAMES = {
 
 
 def test_exported_names():
-    assert len(gg.__all__) == len(set(gg.__all__)) == 54
+    assert len(gg.__all__) == len(set(gg.__all__)) == 55
     assert set(gg.__all__) == PUBLIC_NAMES
 
 
@@ -128,6 +128,16 @@ def test_numpy_stays_off_the_scalar_path():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_import_compiles_no_record_code():
+    """Importing the CLI loads neither ``dataclasses`` nor ``inspect`` (with
+    ``ast``, ``dis`` and ``tokenize`` about 15 ms of every process): the record
+    types are built by ``ggchain._record``, which generates no code."""
+    script = "import sys, ggchain.cli; print(*sorted({'dataclasses', 'inspect', 'ast', 'dis'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""
 
 
 def test_chain_sampling_loads_only_scipy_special():
