@@ -44,12 +44,8 @@ def record(cls=None, *, eq: bool = True, hide: tuple = ()):
     set_dict = cls.__dict__["__dict__"].__set__
 
     def __init__(self, *args, **kwargs):
-        # the fast paths: every field by keyword, adopting the call's own new
-        # dict, or every field by position
-        if args:
-            positional = len(args) == count and not kwargs
-            kwargs = dict(zip(names, args)) if positional else _bind(cls, args, kwargs)
-        elif len(kwargs) != count or not known.issuperset(kwargs):
+        # the fast path: every field by keyword, adopting the call's own new dict
+        if args or len(kwargs) != count or not known.issuperset(kwargs):
             kwargs = _bind(cls, args, kwargs)
         set_dict(self, kwargs)
         if post_init is not None:

@@ -38,6 +38,7 @@ import math
 from ._record import record
 from .errors import DomainError
 from .model import (
+    DecayParams,
     GraphKind,
     GraphSpec,
     as_index,
@@ -175,16 +176,24 @@ class CycleCorrelation:
     limits: tuple[float, ...]
 
 
+def _covariance_scale(n: int, p: DecayParams) -> float:
+    """``(1 - base**n) * sqrt(1 - 4 tau**2)``, the cycle's covariance denominator.
+
+    ``1 - base**n`` is ``-expm1(-n rate)``, which keeps full relative
+    precision as tau approaches 1/2.
+    """
+    return -math.expm1(-n * p.rate) * sqrt_one_minus_4tau2(p.tau)
+
+
 def cycle_correlation_sequence(n, tau: float) -> CycleCorrelation:
     """Covariance and correlation vectors of the cycle model at every lag.
 
     Images form: the numerator ``base**k + base**(n-k)`` is symmetric in
     k <-> n-k and a sum of positive powers, so lags mirror bit-exactly and no
     entry cancels to zero.  The powers are scalar ``base**j``, bit-identical
-    to :func:`cycle_correlation_limit`.  ``1 - base**n`` is
-    ``-expm1(-n rate)``, which keeps full relative precision as tau approaches
-    1/2.  At tau = 0 the nodes are independent and the exact unit vector is
-    returned.
+    to :func:`cycle_correlation_limit`.  The covariances divide by
+    :func:`_covariance_scale`.  At tau = 0 the nodes are independent and the
+    exact unit vector is returned.
     """
     n = GraphSpec(GraphKind.CYCLE, n).n
     tau = check_tau(tau)
@@ -194,7 +203,7 @@ def cycle_correlation_sequence(n, tau: float) -> CycleCorrelation:
     p = decay_params(tau)
     powers = [p.base**j for j in range(n + 1)]
     num = [powers[k] + powers[n - k] for k in range(n)]
-    scale = -math.expm1(-n * p.rate) * sqrt_one_minus_4tau2(tau)
+    scale = _covariance_scale(n, p)
     covariances = tuple(x / scale for x in num)
     correlations = tuple(x / num[0] for x in num)
     return CycleCorrelation(n, tau, covariances, correlations, limits=tuple(powers[:n]))
@@ -217,8 +226,7 @@ def cycle_correlation(n, k, tau: float) -> tuple[float, float, float]:
     p = decay_params(tau)
     limit = p.base**k
     num = limit + p.base ** (n - k)
-    scale = -math.expm1(-n * p.rate) * sqrt_one_minus_4tau2(tau)
-    return num / scale, num / (1.0 + p.base**n), limit
+    return num / _covariance_scale(n, p), num / (1.0 + p.base**n), limit
 
 
 def riemann_sum(n, k, tau: float) -> float:
