@@ -15,8 +15,8 @@ column to the left (a chain's exact powers ``base**d``), from that row's
 encoded cells.  Every distinct row (one, or up to n) is encoded before the
 first byte is written, so a non-finite value in JSON exits 2 with nothing on
 stdout; the rows are then written one at a time, and the whole matrix text is
-never held.  ``corr`` and ``sample`` predict their peak allocation and refuse
-a run that would not fit in physical memory before they allocate.
+never held.  ``corr``, ``sample`` and ``converge`` predict their peak
+allocation and refuse a run that physical memory cannot hold before it starts.
 
 ``decay``, ``converge``, ``circulant`` and ``corr --graph cycle --method
 closed`` never load numpy: the cycle kernel is pure Python, and numpy is used
@@ -24,9 +24,9 @@ only by the chain matrices, the oracles and ``circulant_matrix``.
 
 Exit codes: 0 ok, 2 domain error (including a non-finite value in JSON
 output), 3 self-check failure, 4 insufficient data, 5 statistical failure,
-6 resource limit (``corr`` or ``sample`` arrays larger than physical
-memory), 141 (128 +
-SIGPIPE) the reader closed stdout before the output ended.
+6 resource limit (``corr`` or ``sample`` arrays, or a ``converge`` window,
+larger than physical memory), 141 (128 + SIGPIPE) the reader closed stdout
+before the output ended.
 """
 
 import argparse
@@ -55,7 +55,7 @@ from .model import (
     sqrt_one_minus_4tau2,
     tau_from_gff,
 )
-from .oracle import SAMPLE_BLOCK, SAMPLE_BUFFER, fisher_z_discrepancies, model_correlation, sample
+from .oracle import ROW_BLOCK, SAMPLE_BLOCK, SAMPLE_BUFFER, fisher_z_discrepancies, model_correlation, sample
 
 # corr --method both admits SELF_CHECK_FACTOR * eps * min(kappa, n^2) between
 # its two matrices (see _self_check); the factor was fixed before measuring
@@ -108,11 +108,10 @@ def _write(args, columns, rows, *, payload=None, json_rows=None, metadata=None, 
     parser defines them; ``metadata`` extends it.  It is printed as one compact line by
     :func:`_dumps`, which keeps ``json`` on its C encoder.
 
-    ``json_rows``, if given, are the rows of the payload's last value, which
-    ``payload`` holds as an empty list: JSON arrays already encoded by
-    :func:`_json_cells`, so every value is checked before this is called.  The
-    envelope is split where that list goes and the rows are written into it
-    one at a time, without joining the whole matrix.
+    ``json_rows``, if given, are the items of the payload's last value, which
+    ``payload`` holds as an empty list: each is one or more JSON values joined
+    by ``", "``, already checked by :func:`_json_cells`.  The envelope, checked
+    first, is split where that list goes and the items are written one by one.
     """
     if args.format == "json":
         parameters = {k: v for k, v in vars(args).items() if k not in _NOT_PARAMETERS}
@@ -132,8 +131,8 @@ def _write(args, columns, rows, *, payload=None, json_rows=None, metadata=None, 
         out = sys.stdout.write
         out(head + "[")
         sep = ""
-        for line in json_rows:
-            out(f"{sep}[{line}]")
+        for item in json_rows:
+            out(sep + item)
             sep = ", "
         out("]" + tail + "\n")
         return
@@ -166,10 +165,9 @@ _CELL_BYTES = {"csv": 17, "json": 26}
 # tables, the cycle's sequences, a row split into cells), sized from
 # tracemalloc at 3 to 1000 nodes
 _FIXED_BYTES, _NODE_BYTES = 2**17, 512
-# what ``sample`` holds per pair of nodes i < j for its output rows: five
-# numbers, the arrays they come from and their row tuple, and in JSON the
-# row's dict and text; sized from tracemalloc at 20 to 400 nodes
-_PAIR_BYTES = {"csv": 320, "json": 1300}
+# what ``converge`` holds per size of its window in either format (record, row, JSON
+# dict and text); tracemalloc shows at most 1,110 at windows of 20,000 and 100,000
+_RECORD_BYTES = 1536
 
 
 def _peak_bytes(graph: GraphSpec, method: str, fmt: str) -> int:
@@ -194,22 +192,23 @@ def _peak_bytes(graph: GraphSpec, method: str, fmt: str) -> int:
     return max(inversion * square, held) + _FIXED_BYTES + _NODE_BYTES * n
 
 
-def _sample_peak_bytes(graph: GraphSpec, count: int, fmt: str) -> int:
+def _sample_peak_bytes(graph: GraphSpec, count: int) -> int:
     """Bytes ``sample`` allocates at its peak, predicted before it allocates.
 
     The peak is the larger of two phases.  First the sampler: three dim x dim
     arrays (the precision matrix, numpy's working copy of it and the Cholesky
     factor, then the factor, the cross products and one block's product)
-    beside one block of variates and the buffer that fills it.  Then the
-    output: four dim x dim arrays (cross products, empirical and exact
-    correlations, z-scores) with the rows of every pair of nodes.
+    beside one block of variates and the buffer that fills it.  Then four dim
+    x dim arrays (cross products, empirical and exact correlations, z-scores)
+    beside the z-scores' ``ROW_BLOCK``-row float block and its two boolean
+    masks.  Rows are written one node at a time after the cross products go.
     """
     dim = graph.node_count
     square = 8 * dim * dim
     draws = min(count, SAMPLE_BLOCK)
     sampling = 3 * square + 8 * dim * (draws + min(draws, SAMPLE_BUFFER))
-    output = 4 * square + dim * (dim - 1) // 2 * _PAIR_BYTES[fmt]
-    return max(sampling, output) + _FIXED_BYTES + _NODE_BYTES * dim
+    comparison = 4 * square + (8 + 2) * min(ROW_BLOCK, dim) * dim
+    return max(sampling, comparison) + _FIXED_BYTES + _NODE_BYTES * dim
 
 
 def _check_memory(needed: int, run: str) -> None:
@@ -261,9 +260,9 @@ def cmd_decay(args) -> int:
     return 0
 
 
-def _json_cells(row) -> str:
-    """One JSON row without its brackets: the cells of ``_dumps(row)``, joined by ``", "``."""
-    return _dumps(row)[1:-1]
+def _json_cells(values) -> str:
+    """A JSON array without its brackets: the values of ``_dumps(values)``, joined by ``", "``."""
+    return _dumps(values)[1:-1]
 
 
 # per format: the row encoder and the separator between the cells it writes
@@ -393,7 +392,7 @@ def cmd_corr(args) -> int:
         ["i"] + [str(x) for x in labels],
         zip(labels, lines),
         payload={"indices": labels, "matrix": []},
-        json_rows=lines,
+        json_rows=(f"[{line}]" for line in lines),
         metadata=check,
         # the deviation is the last line of stderr, where scripts read it
         notes=() if check is None else check.items(),
@@ -402,6 +401,9 @@ def cmd_corr(args) -> int:
 
 
 def cmd_converge(args) -> int:
+    # sweep validates the window; this refuses only one that memory cannot hold
+    window = args.n_max - max(args.n_min, 1) + 1
+    _check_memory(_FIXED_BYTES + _RECORD_BYTES * window, f"converge over {window} sizes")
     result = sweep(GraphKind(args.graph), args.i, args.j, args.tau, args.n_min, args.n_max)
 
     fit = fit_abs_error_rate(result) if args.fit else None
@@ -441,33 +443,37 @@ def cmd_circulant(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    import numpy as np
-
     count = as_index(args.count, "count", 100)
     graph = GraphSpec(args.graph, args.n)
     run = f"sample --count {count} --format {args.format} on {graph.node_count} nodes"
-    _check_memory(_sample_peak_bytes(graph, count, args.format), run)
+    _check_memory(_sample_peak_bytes(graph, count), run)
     batch = sample(graph, args.tau, count, args.seed)
     exact = model_correlation(graph, args.tau).correlation
     scores = fisher_z_discrepancies(batch, exact)
 
-    dim = graph.node_count
-    a, b = np.triu_indices(dim, 1)
-    labels = np.asarray(graph.indices)
+    labels = list(graph.indices)
     columns = ["i", "j", "empirical", "exact", "z_score"]
-    cells = (labels[a], labels[b], batch.correlation[a, b], exact[a, b], scores[a, b])
-    rows = list(zip(*(c.tolist() for c in cells)))
-    # scores is symmetric with a zero diagonal: its max is the max over the rows
+    # the max over the rows (scores is symmetric, zero diagonal); count >= 100 keeps fisher_stderr
+    # finite, so a NaN or inf in any matrix makes it non-finite and JSON exits 2 before any byte
     max_z = float(scores.max())
     metadata = {
         "method": batch.method,
-        "philox_words": batch.count * dim,
+        "philox_words": batch.count * len(labels),
         "sample_block": SAMPLE_BLOCK,
         "fisher_stderr": batch.fisher_stderr,
         "max_z_score": max_z,
         "z_score_limit": Z_SCORE_LIMIT,
     }
-    _write(args, columns, rows, metadata=metadata)
+    matrices = (batch.correlation, exact, scores)
+    del batch  # its cross products are not written
+
+    def pairs(a):  # the rows of pairs (a, b), b > a, from row a of each matrix when read
+        return zip(itertools.repeat(labels[a]), labels[a + 1 :], *(m[a, a + 1 :].tolist() for m in matrices))
+
+    nodes = range(len(labels) - 1)  # the last has no pair; in JSON each node is one item
+    rows = itertools.chain.from_iterable(map(pairs, nodes))
+    json_rows = (_json_cells([dict(zip(columns, row)) for row in pairs(a)]) for a in nodes)
+    _write(args, columns, rows, payload=[], json_rows=json_rows, metadata=metadata)
     return 0 if max_z <= Z_SCORE_LIMIT else 5
 
 

@@ -64,8 +64,8 @@ SAMPLE_BLOCK = 8192
 # consumed in the same order whatever its size
 SAMPLE_BUFFER = 256
 
-# rows per block of the correlation transform's division
-_ROW_BLOCK = 64
+# rows per block of the correlation transform's division and of the Fisher z-scores
+ROW_BLOCK = 64
 
 
 @record(eq=False)
@@ -223,8 +223,8 @@ def _transform(sigma: "numpy.ndarray") -> CorrelationResult:
         raise DomainError("covariance diagonal must be strictly positive")
     scale = np.sqrt(d)
     corr = np.empty_like(sigma)
-    for start in range(0, len(sigma), _ROW_BLOCK):
-        rows = slice(start, start + _ROW_BLOCK)
+    for start in range(0, len(sigma), ROW_BLOCK):
+        rows = slice(start, start + ROW_BLOCK)
         np.divide(sigma[rows], np.outer(scale[rows], scale), out=corr[rows])
     np.fill_diagonal(corr, 1.0)
     return CorrelationResult(covariance=sigma, scale=scale, correlation=corr)
@@ -284,7 +284,7 @@ def sample(graph: GraphSpec, tau: float, count: int, seed: int) -> SampleBatch:
         _back_substitute(lower, x)  # L^T x = z, all draws of the block at once
         sums += x.sum(axis=1)
         cross += x @ x.T
-    del block, u, x
+    del lower, block, u, part, x  # part is a view of u
 
     _symmetrise(cross)
     cov = np.outer(sums, sums)
@@ -324,9 +324,9 @@ def fisher_z_discrepancies(batch: SampleBatch, exact: "numpy.ndarray") -> "numpy
             f"shape mismatch: batch {batch.correlation.shape}, exact {exact.shape}"
         )
     z = np.array(batch.correlation, dtype=float)  # turned into the scores a block of rows at a time
-    block = np.empty((min(_ROW_BLOCK, len(z)), len(z)))  # a block of exact's rows
-    for start in range(0, len(z), _ROW_BLOCK):
-        empirical = z[start : start + _ROW_BLOCK]
+    block = np.empty((min(ROW_BLOCK, len(z)), len(z)))  # a block of exact's rows
+    for start in range(0, len(z), ROW_BLOCK):
+        empirical = z[start : start + ROW_BLOCK]
         expected = block[: len(empirical)]
         expected[...] = exact[start : start + len(empirical)]
         # the diagonal has no score, and artanh is infinite exactly at +-1

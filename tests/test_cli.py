@@ -596,10 +596,27 @@ class TestSelfCheckTolerance:
 
 
 class TestResourceGuard:
-    """``corr`` predicts the bytes it allocates at its peak and exits 6 before
-    allocating when they exceed physical memory.  Nothing large is allocated
+    """``corr``, ``sample`` and ``converge`` predict the bytes they allocate at
+    their peak and exit 6 before allocating when they exceed physical memory.  Nothing large is allocated
     here: the memory probe is replaced, and so are the builders where a failing
     guard would reach them."""
+
+    @staticmethod
+    def traced_peak(argv, codes=(0,)) -> int:
+        """The peak that tracemalloc records over a second, warmed run of ``argv``,
+        stdout and stderr going to the null device."""
+        import contextlib
+        import os
+        import tracemalloc
+
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            assert main(argv) in codes
+            tracemalloc.start()
+            try:
+                assert main(argv) in codes
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
 
     @pytest.mark.parametrize(
         "graph, n, method, fmt, square_bytes",
@@ -630,24 +647,12 @@ class TestResourceGuard:
     )
     def test_prediction_covers_traced_peak(self, graph, n, method, fmt):
         """On every route the prediction is at least the peak that tracemalloc
-        records while ``corr`` runs, stdout going to the null device.  The
-        command runs once untraced first, so first-use caches are not counted."""
-        import contextlib
-        import os
-        import tracemalloc
-
+        records while ``corr`` runs.  The command runs once untraced first, so
+        first-use caches are not counted."""
         from ggchain.cli import _peak_bytes
 
         argv = ["corr", "--graph", graph, "--n", str(n), "--tau", "0.45", "--method", method]
-        argv += ["--format", fmt]
-        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
-            assert main(argv) == 0
-            tracemalloc.start()
-            try:
-                assert main(argv) == 0
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+        peak = self.traced_peak(argv + ["--format", fmt])
         assert _peak_bytes(GraphSpec(GraphKind(graph), n), method, fmt) >= peak
 
     @pytest.mark.parametrize("available, code", [(8 * 1000**2 - 1, 6), (8 * 1000**2, 0), (None, 0)])
@@ -665,48 +670,94 @@ class TestResourceGuard:
             assert err.startswith("ggchain: resource limit: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
-        "graph, n, count, fmt, want",
+        "graph, n, count, want",
         [
-            ("open", 10, 100, "csv", 3 * 800 + 8 * 10 * (100 + 100)),  # the sampler and its 100 draws
-            ("open", 10, 100, "json", 4 * 800 + 45 * 1300),  # the 45 pairs' rows
-            ("cycle", 10, 20000, "csv", 3 * 800 + 8 * 10 * (8192 + 256)),  # one block and its buffer
-            ("centered", 10, 100, "csv", 4 * 8 * 21**2 + 210 * 320),  # 21 nodes, 210 pairs
+            ("open", 10, 100, 3 * 800 + 8 * 10 * (100 + 100)),  # the sampler and its 100 draws
+            ("open", 10, 2, 4 * 800 + 10 * 10 * 10),  # 10 rows, fewer than a row block
+            ("cycle", 10, 20000, 3 * 800 + 8 * 10 * (8192 + 256)),  # one block and its buffer
+            ("open", 200, 100, 4 * 8 * 200**2 + 10 * 64 * 200),  # a 64-row block
+            ("centered", 100, 100, 4 * 8 * 201**2 + 10 * 64 * 201),  # 201 nodes
         ],
     )
-    def test_predicted_sample_bytes(self, graph, n, count, fmt, want):
+    def test_predicted_sample_bytes(self, graph, n, count, want):
         """``sample``: the larger of three dim x dim arrays with the variate
-        block and its buffer, and four dim x dim arrays with every pair's
-        output row (320 bytes in CSV, 1300 in JSON)."""
+        block and its buffer, and four dim x dim arrays with the z-scores'
+        temporaries, 10 bytes per cell of a block of at most 64 rows (a float
+        block and two boolean masks).  The output rows are streamed, so the
+        format and the number of pairs play no part."""
         from ggchain.cli import _FIXED_BYTES, _NODE_BYTES, _sample_peak_bytes
+        from ggchain.oracle import ROW_BLOCK
 
+        assert ROW_BLOCK == 64
         spec = GraphSpec(GraphKind(graph), n)
         linear = _FIXED_BYTES + _NODE_BYTES * spec.node_count
-        assert _sample_peak_bytes(spec, count, fmt) == want + linear
+        assert _sample_peak_bytes(spec, count) == want + linear
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize(
-        "graph, n, count", [("open", 2, 100), ("open", 40, 100), ("centered", 20, 100), ("cycle", 64, 9000)]
+        "graph, n, count",
+        [
+            ("open", 2, 100), ("open", 40, 100), ("centered", 20, 100), ("cycle", 64, 9000),
+            ("open", 400, 100), ("open", 800, 100), ("centered", 200, 100), ("cycle", 400, 100),
+        ],
     )
     def test_sample_prediction_covers_traced_peak(self, graph, n, count, fmt):
         """As for ``corr``: the prediction is at least the traced peak of a
-        second, warmed ``sample`` run, whether or not its z-scores pass."""
-        import contextlib
-        import os
-        import tracemalloc
-
+        second, warmed ``sample`` run, whether or not its z-scores pass.  At
+        400 nodes and more with few draws the peak is in the comparison, where
+        four dim x dim arrays alone fall short of it."""
         from ggchain.cli import _sample_peak_bytes
 
         argv = ["sample", "--graph", graph, "--n", str(n), "--tau", "0.45", "--count", str(count)]
-        argv += ["--seed", "3", "--format", fmt]
-        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
-            assert main(argv) in (0, 5)
-            tracemalloc.start()
-            try:
-                assert main(argv) in (0, 5)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-        assert _sample_peak_bytes(GraphSpec(GraphKind(graph), n), count, fmt) >= peak
+        peak = self.traced_peak(argv + ["--seed", "3", "--format", fmt], codes=(0, 5))
+        assert _sample_peak_bytes(GraphSpec(GraphKind(graph), n), count) >= peak
+
+    def test_json_sample_rows_are_streamed(self):
+        """A JSON ``sample`` holds one node's rows at a time: at 400 nodes and
+        100 draws its traced peak is below five 400 x 400 arrays (it was 46 of
+        them while every pair's row was held before writing)."""
+        argv = ["sample", "--graph", "open", "--n", "400", "--tau", "0.45", "--count", "100"]
+        peak = self.traced_peak(argv + ["--seed", "3", "--format", "json"], codes=(0, 5))
+        assert peak <= 5 * 8 * 400**2
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("fit", [[], ["--fit"]], ids=["plain", "fit"])
+    def test_converge_prediction_covers_traced_peak(self, fmt, fit):
+        """``converge`` holds every record of its window: at 20,000 sizes its
+        prediction covers the traced peak in either format."""
+        from ggchain.cli import _FIXED_BYTES, _RECORD_BYTES
+
+        argv = ["converge", "--graph", "open", "--i", "1", "--j", "2", "--tau", "0.4",
+                "--n-min", "2", "--n-max", "20001", "--format", fmt, *fit]
+        assert _FIXED_BYTES + _RECORD_BYTES * 20000 >= self.traced_peak(argv)
+
+    @pytest.mark.parametrize(
+        "n_min, n_max, refused",
+        [("2", "100000000", True), ("-5", "1000000000000", True), ("2", "1001", False), ("5", "3", False)],
+    )
+    def test_converge_window_refused_before_sweeping(self, capsys, monkeypatch, n_min, n_max, refused):
+        """On a machine of 1 GiB a window of 1e8 sizes (about 150 GB of
+        records) exits 6 with one stderr line before ``sweep`` runs; a window
+        is counted from size 1 whatever ``--n-min`` is.  1,000 sizes pass the
+        guard, and so does an empty window, which the sweep rejects itself."""
+        import ggchain.cli as cli_mod
+
+        def fake_sweep(kind, i, j, tau, lo, hi):
+            assert not refused, "sweep ran past the guard"
+            raise cli_mod.DomainError("swept")
+
+        monkeypatch.setattr(cli_mod, "sweep", fake_sweep)
+        monkeypatch.setattr(cli_mod, "_physical_memory", lambda: 2**30)
+        code, out, err = run_cli(
+            capsys, "converge", "--graph", "open", "--i", "1", "--j", "2", "--tau", "0.4",
+            "--n-min", n_min, "--n-max", n_max,
+        )
+        assert out == ""
+        if refused:
+            assert code == 6
+            assert err.startswith("ggchain: resource limit: converge over ") and err.count("\n") == 1
+        else:
+            assert (code, err) == (2, "ggchain: domain error: swept\n")
 
     @pytest.mark.parametrize("graph", ["open", "centered", "cycle"])
     def test_sample_refused_before_allocating(self, capsys, monkeypatch, graph):
@@ -1012,6 +1063,29 @@ class TestSample:
         assert out == ""
         assert err == f"ggchain: domain error: correlation at matrix entry {entry}: its Fisher z is infinite\n"
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_score_leaves_json_empty(self, capsys, monkeypatch, bad):
+        """The rows are written one node at a time, but a NaN or inf score
+        still exits 2 before the first byte: it makes the metadata's
+        max_z_score non-finite, and the envelope is checked before writing."""
+        import ggchain.cli as cli_mod
+
+        real = cli_mod.fisher_z_discrepancies
+
+        def spoiled(batch, exact):
+            scores = real(batch, exact)
+            scores[5, 7] = scores[7, 5] = bad  # a pair after the first node's rows
+            return scores
+
+        monkeypatch.setattr(cli_mod, "fisher_z_discrepancies", spoiled)
+        code, out, err = run_cli(
+            capsys,
+            "sample", "--graph", "open", "--n", "10", "--tau", "0.4",
+            "--count", "1000", "--seed", "42", "--format", "json",
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("ggchain: domain error: non-finite value in JSON output")
+
     def test_statistical_failure_exit_code(self, capsys, monkeypatch):
         """Comparing against wrong reference values must surface as exit 5."""
         import ggchain.cli as cli_mod
@@ -1150,13 +1224,26 @@ class TestEntryPoint:
         )
         assert proc.returncode == 2
 
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_closed_stdout_exits_141(self, fmt):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["corr", "--graph", "open", "--n", "1000", "--tau", "0.45"], id="csv"),
+            pytest.param(
+                ["corr", "--graph", "open", "--n", "1000", "--tau", "0.45", "--format", "json"], id="json"
+            ),
+            pytest.param(
+                ["sample", "--graph", "open", "--n", "200", "--tau", "0.45", "--count", "100",
+                 "--seed", "0", "--format", "json"],
+                id="sample-json",
+            ),
+        ],
+    )
+    def test_closed_stdout_exits_141(self, argv):
         """A reader that closes the pipe early (``| head -c 50``) ends the
-        command with 128 + SIGPIPE and a quiet stderr, not a traceback."""
+        command with 128 + SIGPIPE and a quiet stderr, not a traceback; a
+        JSON ``sample`` is then in the middle of its streamed rows."""
         proc = subprocess.Popen(
-            [sys.executable, "-m", "ggchain", "corr", "--graph", "open", "--n", "1000",
-             "--tau", "0.45", "--format", fmt],
+            [sys.executable, "-m", "ggchain", *argv],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
         )
