@@ -94,7 +94,11 @@ class RateFit:
 def _scaled(rel: float, n: int, rate: float) -> float:
     if rel == 0.0:
         return 0.0
-    return math.copysign(math.exp(math.log(abs(rel)) + 2.0 * (n + 1) * rate), rel)
+    exponent = math.log(abs(rel)) + 2.0 * (n + 1) * rate
+    try:
+        return math.copysign(math.exp(exponent), rel)
+    except OverflowError:
+        raise OverflowError(f"scaled_rel at n = {n} overflows: exp argument {exponent:.6g}") from None
 
 
 # correlation, limit and relative-error kernels of each chain
@@ -154,18 +158,14 @@ def fit_abs_error_rate(sweep: ConvergenceSweep) -> RateFit:
     """
     if sweep.kind is GraphKind.CYCLE:
         raise DomainError("no asymptotic error expansion exists for the cycle graph")
-    pts = [
-        (r.n, math.log(abs(r.abs_err)))
-        for r in sweep.records
-        if ERROR_FLOOR <= abs(r.abs_err) <= ERROR_CEILING
-    ]
-    if len(pts) < 5:
+    usable = [r for r in sweep.records if ERROR_FLOOR <= abs(r.abs_err) <= ERROR_CEILING]
+    count = len(usable)
+    if count < 5:
         raise InsufficientDataError(
-            f"{len(pts)} usable points inside [{ERROR_FLOOR:g}, {ERROR_CEILING:g}], need 5"
+            f"{count} usable points inside [{ERROR_FLOOR:g}, {ERROR_CEILING:g}], need 5"
         )
-    xs = [p[0] for p in pts]
-    ys = [p[1] for p in pts]
-    count = len(pts)
+    xs = [r.n for r in usable]
+    ys = [math.log(abs(r.abs_err)) for r in usable]
     x_mean = math.fsum(xs) / count
     y_mean = math.fsum(ys) / count
     sxx = math.fsum((x - x_mean) ** 2 for x in xs)

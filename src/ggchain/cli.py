@@ -15,8 +15,9 @@ column to the left (a chain's exact powers ``base**d``), from that row's
 encoded cells.  Every distinct row (one, or up to n) is encoded before the
 first byte is written, so a non-finite value in JSON exits 2 with nothing on
 stdout; the rows are then written one at a time, and the whole matrix text is
-never held.  ``corr``, ``sample`` and ``converge`` predict their peak
-allocation and refuse a run that physical memory cannot hold before it starts.
+never held; every other table streams row by row.  ``corr``, ``sample``,
+``converge`` and ``circulant`` predict their peak allocation and refuse a run
+that physical memory cannot hold before it starts.
 
 ``decay``, ``converge``, ``circulant`` and ``corr --graph cycle --method
 closed`` never load numpy: the cycle kernel is pure Python, and numpy is used
@@ -24,9 +25,9 @@ only by the chain matrices, the oracles and ``circulant_matrix``.
 
 Exit codes: 0 ok, 2 domain error (including a non-finite value in JSON
 output), 3 self-check failure, 4 insufficient data, 5 statistical failure,
-6 resource limit (``corr`` or ``sample`` arrays, or a ``converge`` window,
-larger than physical memory), 141 (128 + SIGPIPE) the reader closed stdout
-before the output ended.
+6 resource limit (``corr`` or ``sample`` arrays, a ``converge`` window or a
+``circulant`` sequence larger than physical memory), 141 (128 + SIGPIPE) the
+reader closed stdout before the output ended.
 """
 
 import argparse
@@ -93,6 +94,8 @@ def _csv_row(row) -> str:
 
 # argparse dests that select the output or the handler, not a computation
 _NOT_PARAMETERS = frozenset({"command", "format", "deterministic", "func"})
+# rows' objects per JSON item when a command passes no json_rows
+_JSON_ROWS = 64
 
 
 def _write(args, columns, rows, *, payload=None, json_rows=None, metadata=None, notes=()) -> None:
@@ -102,16 +105,22 @@ def _write(args, columns, rows, *, payload=None, json_rows=None, metadata=None, 
     may be a lazy iterable; the header, every row and each of ``notes`` (more
     rows, written to stderr after the table) all go through :func:`_csv_row`.  A
     cell may be text that is already encoded, such as a run of matrix
-    cells; ``%s`` passes it through unchanged.  The JSON payload is
-    ``payload`` if given, else one object per row.  The envelope names the
+    cells; ``%s`` passes it through unchanged.  The envelope names the
     command and its parameters, every other argparse dest in the order the
-    parser defines them; ``metadata`` extends it.  It is printed as one compact line by
-    :func:`_dumps`, which keeps ``json`` on its C encoder.
+    parser defines them; ``metadata`` extends it.  It is one compact line,
+    encoded by :func:`_dumps`, which keeps ``json`` on its C encoder.
 
-    ``json_rows``, if given, are the items of the payload's last value, which
-    ``payload`` holds as an empty list: each is one or more JSON values joined
-    by ``", "``, already checked by :func:`_json_cells`.  The envelope, checked
-    first, is split where that list goes and the items are written one by one.
+    JSON streams too.  The envelope is split at the payload's last empty list
+    (the payload is ``[]`` when none is given), and that list's items are
+    written one by one: ``json_rows``, each one or more JSON values checked by
+    :func:`_json_cells`, else the rows' objects, ``_JSON_ROWS`` to an item.
+    The envelope and the first item are encoded before the first byte, so a
+    non-finite value there exits 2 with stdout empty.  Later rows are finite:
+    ``corr`` encodes each distinct row first; a non-finite ``sample`` value
+    makes its metadata's ``max_z_score`` non-finite; ``converge`` sweeps
+    first, its columns are bounded and ``scaled_rel`` raises rather than
+    overflow; ``circulant``'s values are bounded at every admissible tau
+    (at most about 1.9e16, at tau = 1/2 - 2**-54 and n = 3).
     """
     if args.format == "json":
         parameters = {k: v for k, v in vars(args).items() if k not in _NOT_PARAMETERS}
@@ -120,20 +129,16 @@ def _write(args, columns, rows, *, payload=None, json_rows=None, metadata=None, 
             meta.update(metadata)
         if not args.deterministic:
             meta["timestamp"] = datetime.now(timezone.utc).isoformat()
-        if payload is None:
-            payload = [dict(zip(columns, row)) for row in rows]
-        envelope = _dumps({"metadata": meta, "payload": payload})
         if json_rows is None:
-            print(envelope)
-            return
-        # the payload is the envelope's last value and the empty list its last
+            objects = (dict(zip(columns, row)) for row in rows)
+            json_rows = map(_json_cells, iter(lambda: list(itertools.islice(objects, _JSON_ROWS)), []))
+        items = iter(json_rows)
+        envelope = _dumps({"metadata": meta, "payload": [] if payload is None else payload})
         head, _, tail = envelope.rpartition("[]")
         out = sys.stdout.write
-        out(head + "[")
-        sep = ""
-        for item in json_rows:
-            out(sep + item)
-            sep = ", "
+        out(head + "[" + next(items, ""))  # the first item is encoded before any byte is written
+        for item in items:
+            out(", " + item)
         out("]" + tail + "\n")
         return
     print(_csv_row(columns))
@@ -165,9 +170,9 @@ _CELL_BYTES = {"csv": 17, "json": 26}
 # tables, the cycle's sequences, a row split into cells), sized from
 # tracemalloc at 3 to 1000 nodes
 _FIXED_BYTES, _NODE_BYTES = 2**17, 512
-# what ``converge`` holds per size of its window in either format (record, row, JSON
-# dict and text); tracemalloc shows at most 1,110 at windows of 20,000 and 100,000
-_RECORD_BYTES = 1536
+# what ``converge`` holds per size of its window in either format (its record and
+# the fit's points); tracemalloc shows at most 512 at windows of 20,000 and 100,000
+_RECORD_BYTES = 768
 
 
 def _peak_bytes(graph: GraphSpec, method: str, fmt: str) -> int:
@@ -409,14 +414,9 @@ def cmd_converge(args) -> int:
     fit = fit_abs_error_rate(result) if args.fit else None
     fit_info = None if fit is None else {name: getattr(fit, name) for name in fit._fields}
     columns = list(ConvergenceRecord._fields)
-    rows = list(map(attrgetter(*columns), result))
-    _write(
-        args,
-        columns,
-        rows,
-        payload={"records": [dict(zip(columns, row)) for row in rows], "fit": fit_info},
-        notes=() if fit_info is None else [(_dumps(fit_info),)],
-    )
+    rows = map(attrgetter(*columns), result)
+    notes = () if fit_info is None else [(_dumps(fit_info),)]
+    _write(args, columns, rows, payload={"records": [], "fit": fit_info}, notes=notes)
     return 0
 
 
@@ -424,6 +424,8 @@ def cmd_circulant(args) -> int:
     n = GraphSpec(GraphKind.CYCLE, args.n).n
     # (k, covariance, correlation, limit) at one lag, or at every lag
     if args.k is None:
+        # the rows are streamed: only the sequence is held
+        _check_memory(_FIXED_BYTES + _NODE_BYTES * n, f"circulant on {n} nodes")
         seq = cycle_correlation_sequence(n, args.tau)
         lags = zip(range(n), seq.covariances, seq.correlations, seq.limits)
     else:
@@ -437,8 +439,7 @@ def cmd_circulant(args) -> int:
     else:
         columns = ["k", "correlation", "limit", "gap"]
         values = ((k, corr, b) for k, _, corr, b in lags)
-    rows = [(k, value, limit, value - limit) for k, value, limit in values]
-    _write(args, columns, rows)
+    _write(args, columns, ((k, value, limit, value - limit) for k, value, limit in values))
     return 0
 
 
@@ -470,10 +471,8 @@ def cmd_sample(args) -> int:
     def pairs(a):  # the rows of pairs (a, b), b > a, from row a of each matrix when read
         return zip(itertools.repeat(labels[a]), labels[a + 1 :], *(m[a, a + 1 :].tolist() for m in matrices))
 
-    nodes = range(len(labels) - 1)  # the last has no pair; in JSON each node is one item
-    rows = itertools.chain.from_iterable(map(pairs, nodes))
-    json_rows = (_json_cells([dict(zip(columns, row)) for row in pairs(a)]) for a in nodes)
-    _write(args, columns, rows, payload=[], json_rows=json_rows, metadata=metadata)
+    rows = itertools.chain.from_iterable(map(pairs, range(len(labels) - 1)))  # the last node has no pair
+    _write(args, columns, rows, metadata=metadata)
     return 0 if max_z <= Z_SCORE_LIMIT else 5
 
 

@@ -596,10 +596,10 @@ class TestSelfCheckTolerance:
 
 
 class TestResourceGuard:
-    """``corr``, ``sample`` and ``converge`` predict the bytes they allocate at
-    their peak and exit 6 before allocating when they exceed physical memory.  Nothing large is allocated
-    here: the memory probe is replaced, and so are the builders where a failing
-    guard would reach them."""
+    """``corr``, ``sample``, ``converge`` and ``circulant`` predict the bytes
+    they allocate at their peak and exit 6 before allocating when they exceed
+    physical memory.  Nothing large is allocated here: the memory probe is
+    replaced, and so are the builders where a failing guard would reach them."""
 
     @staticmethod
     def traced_peak(argv, codes=(0,)) -> int:
@@ -720,6 +720,12 @@ class TestResourceGuard:
         peak = self.traced_peak(argv + ["--seed", "3", "--format", "json"], codes=(0, 5))
         assert peak <= 5 * 8 * 400**2
 
+    @staticmethod
+    def converge_argv(tau, fmt, *extra):
+        """``converge`` on the open chain's pair (1, 2) over the 20,000 sizes 2..20001."""
+        return ["converge", "--graph", "open", "--i", "1", "--j", "2", "--tau", tau,
+                "--n-min", "2", "--n-max", "20001", "--format", fmt, *extra]
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("fit", [[], ["--fit"]], ids=["plain", "fit"])
     def test_converge_prediction_covers_traced_peak(self, fmt, fit):
@@ -727,9 +733,60 @@ class TestResourceGuard:
         prediction covers the traced peak in either format."""
         from ggchain.cli import _FIXED_BYTES, _RECORD_BYTES
 
-        argv = ["converge", "--graph", "open", "--i", "1", "--j", "2", "--tau", "0.4",
-                "--n-min", "2", "--n-max", "20001", "--format", fmt, *fit]
+        assert _FIXED_BYTES + _RECORD_BYTES * 20000 >= self.traced_peak(self.converge_argv("0.4", fmt, *fit))
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_converge_prediction_covers_usable_fit_window(self, capsys, fmt):
+        """``--fit`` also holds the points of the usable sizes: at tau = 0.4
+        only 19 of the 20,000 are usable, at 0.4999999975 all but 34, and the
+        prediction covers that traced peak too."""
+        from ggchain.cli import _FIXED_BYTES, _RECORD_BYTES
+
+        argv = self.converge_argv("0.4999999975", fmt, "--fit")
         assert _FIXED_BYTES + _RECORD_BYTES * 20000 >= self.traced_peak(argv)
+        code, out, err = run_cli(capsys, *argv)
+        fit = json.loads(out)["payload"]["fit"] if fmt == "json" else json.loads(err)
+        assert (code, fit["n_points"]) == (0, 19966)
+
+    def test_json_converge_rows_are_streamed(self):
+        """JSON ``converge`` holds what CSV holds, the sweep's records, and
+        writes its rows as they are encoded: at 20,000 sizes its traced peak is
+        within 1.1 times CSV's (it was 1.35 times while the envelope was
+        encoded whole)."""
+        csv = self.traced_peak(self.converge_argv("0.4", "csv"))
+        assert self.traced_peak(self.converge_argv("0.4", "json")) <= 1.1 * csv
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("riemann", [[], ["--riemann"]], ids=["lags", "riemann"])
+    def test_circulant_prediction_covers_traced_peak(self, fmt, riemann):
+        """``circulant`` holds its sequence alone and streams its rows, so
+        ``corr``'s O(n) charge covers its traced peak at 20,000 lags (JSON
+        peaked at 12.6 MB while the envelope was encoded whole)."""
+        from ggchain.cli import _FIXED_BYTES, _NODE_BYTES
+
+        argv = ["circulant", "--n", "20000", "--tau", "0.4", "--format", fmt, *riemann]
+        assert _FIXED_BYTES + _NODE_BYTES * 20000 >= self.traced_peak(argv)
+
+    @pytest.mark.parametrize("k, code", [([], 6), (["--k", "3"], 0)], ids=["table", "one-lag"])
+    def test_circulant_refused_before_sequence(self, capsys, monkeypatch, k, code):
+        """On a machine of 1 TiB a cycle of 1e12 nodes exits 6 with one stderr
+        line before its sequence is built; ``--k`` evaluates one lag in O(1)
+        and is not refused."""
+        import ggchain.cli as cli_mod
+
+        def unreachable(*args):
+            raise AssertionError("the sequence was built past the guard")
+
+        monkeypatch.setattr(cli_mod, "cycle_correlation_sequence", unreachable)
+        monkeypatch.setattr(cli_mod, "_physical_memory", lambda: 2**40)
+        got, out, err = run_cli(capsys, "circulant", "--n", str(10**12), "--tau", "0.4", *k)
+        assert got == code
+        if code == 6:
+            assert out == ""
+            assert err.startswith("ggchain: resource limit: circulant on 1000000000000 nodes")
+            assert err.count("\n") == 1
+        else:
+            assert out.splitlines() == ["k,correlation,limit,gap", "3,0.125,0.125,0"]
 
     @pytest.mark.parametrize(
         "n_min, n_max, refused",
@@ -923,6 +980,20 @@ class TestConverge:
         doc = json.loads(out)
         assert len(doc["payload"]["records"]) == 10
         assert doc["payload"]["fit"]["n_points"] >= 5
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_scaled_rel_overflow_named(self, capsys, fmt):
+        """Regression: at i = 1, j = 200, tau = 0.1 the leading coefficient,
+        about e**916, does not fit in a double, and ``scaled_rel`` exited 2
+        with a bare "math range error".  The message names the column, the
+        size and the exponent."""
+        code, out, err = run_cli(
+            capsys,
+            "converge", "--graph", "open", "--i", "1", "--j", "200", "--tau", "0.1",
+            "--n-min", "200", "--n-max", "203", "--format", fmt,
+        )
+        assert (code, out) == (2, "")
+        assert err == "ggchain: domain error: scaled_rel at n = 200 overflows: exp argument 916.282\n"
 
 
 class TestCirculant:
@@ -1185,6 +1256,67 @@ class TestJsonEnvelopes:
         assert out.count("\n") == 1 and out.endswith("\n")
         assert set(json.loads(out)) == {"metadata", "payload"}
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("decay", "--tau", "0.4"),
+            *(("converge", "--graph", graph, "--i", "1", "--j", "2", "--tau", "0.45",
+               "--n-min", "2", "--n-max", "70", *fit)
+              for graph in ("open", "centered") for fit in ((), ("--fit",))),
+            *(("circulant", "--n", str(n), "--tau", "0.45", *riemann)
+              for n in (3, 63, 64, 65, 129, 4000) for riemann in ((), ("--riemann",))),
+            ("circulant", "--n", "64", "--tau", "0.45", "--k", "5"),
+            *(("sample", "--graph", "open", "--n", str(n), "--tau", "0.3", "--count", "300", "--seed", "2")
+              for n in (2, 12, 65)),
+        ],
+        ids=lambda argv: "-".join(argv[:1] + argv[2:3] + argv[-1:]),
+    )
+    def test_round_trip(self, capsys, argv):
+        """Each streamed envelope is exactly what ``json.dumps`` writes for
+        the document it parses to: the items, their separators and the split
+        around every 64 rows."""
+        code, out, err = run_cli(capsys, *argv, "--format", "json", "--deterministic")
+        assert code in (0, 5), err
+        assert json.dumps(json.loads(out), allow_nan=False) + "\n" == out
+
+    @pytest.mark.parametrize("n", [3, 64])
+    def test_non_finite_circulant_leaves_stdout_empty(self, capsys, monkeypatch, n):
+        """A table of at most 64 rows is one item, encoded before the first
+        byte: an inf in its last row exits 2 with nothing on stdout.  No
+        admissible tau yields one, so the sequence is forced to hold it."""
+        import ggchain.cli as cli_mod
+        from ggchain.circulant import CycleCorrelation
+
+        def with_inf(n, tau):
+            seq = cycle_correlation_sequence(n, tau)
+            correlations = seq.correlations[:-1] + (math.inf,)
+            return CycleCorrelation(n, tau, seq.covariances, correlations, seq.limits)
+
+        monkeypatch.setattr(cli_mod, "cycle_correlation_sequence", with_inf)
+        code, out, err = run_cli(capsys, "circulant", "--n", str(n), "--tau", "0.4", "--format", "json")
+        assert (code, out) == (2, "")
+        assert err.startswith("ggchain: domain error: non-finite value in JSON output")
+
+    @pytest.mark.parametrize("tau", [repr(0.5 - 2**-54), "5e-324"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("circulant", "--n", "1000"),
+            ("circulant", "--n", "1000", "--riemann"),
+            ("converge", "--graph", "open", "--i", "1", "--j", "2", "--n-min", "2", "--n-max", "1000"),
+            ("converge", "--graph", "centered", "--i", "0", "--j", "1", "--n-min", "1", "--n-max", "1000"),
+        ],
+        ids=["circulant", "riemann", "converge-open", "converge-centered"],
+    )
+    def test_extreme_tau_rows_are_finite(self, capsys, argv, tau):
+        """Rows after the first item are written unchecked before the next is
+        encoded; at the edges of the tau domain every row is still finite (the
+        largest value, 2 pi times the covariance at tau = 1/2 - 2**-54, is
+        about 1.9e16 at n = 3), so the output is valid JSON."""
+        code, out, err = run_cli(capsys, *argv, "--tau", tau, "--format", "json")
+        assert code == 0, err
+        assert set(json.loads(out)) == {"metadata", "payload"}
+
     def test_dumps_refuses_what_json_cannot_encode(self):
         """``_dumps`` has no fallback encoder: every command hands it Python
         values, and an ndarray, like any other object json cannot encode
@@ -1236,12 +1368,16 @@ class TestEntryPoint:
                  "--seed", "0", "--format", "json"],
                 id="sample-json",
             ),
+            pytest.param(
+                ["circulant", "--n", "20000", "--tau", "0.45", "--format", "json"], id="circulant-json"
+            ),
         ],
     )
     def test_closed_stdout_exits_141(self, argv):
         """A reader that closes the pipe early (``| head -c 50``) ends the
         command with 128 + SIGPIPE and a quiet stderr, not a traceback; a
-        JSON ``sample`` is then in the middle of its streamed rows."""
+        JSON ``sample`` or ``circulant`` is then in the middle of its streamed
+        rows."""
         proc = subprocess.Popen(
             [sys.executable, "-m", "ggchain", *argv],
             stdout=subprocess.PIPE,
