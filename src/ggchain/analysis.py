@@ -1,11 +1,11 @@
 """Numerical experiments on the decay laws: sweeps, rate fits, the free-field table.
 
-A sweep evaluates one index pair across a range of sizes and records the
-exact value, its limit, and three error columns.  Error columns are derived
-from the log-space relative-error kernels, so they keep their exact sign and
-magnitude well past the point where ``exact`` and ``limit`` become equal
-doubles; once the underlying exponentials underflow entirely (around
-``2 (n+1) rate > 745``) the columns collapse to zero.
+A sweep checks one index pair, ``tau`` and its window once, then records at each
+size the exact value, its limit and three error columns from the public chain
+kernels' cores.  Error columns come from the log-space relative-error kernels,
+so they keep their exact sign and magnitude well past the point where ``exact``
+and ``limit`` become equal doubles; once the underlying exponentials underflow
+entirely (around ``2 (n+1) rate > 745``) the columns collapse to zero.
 
 Rate fits regress ``log |abs_err|`` on ``n`` inside a fixed usable window:
 errors below 1e-14 are double-precision noise, errors above 1e-2 are outside
@@ -16,14 +16,7 @@ magnitudes.
 import math
 
 from ._record import record
-from .chains import (
-    centered_chain_correlation,
-    centered_chain_correlation_limit,
-    centered_chain_relative_error,
-    open_chain_correlation,
-    open_chain_correlation_limit,
-    open_chain_relative_error,
-)
+from .chains import pair_sweeper
 from .errors import DomainError, InsufficientDataError
 from .model import GffParams, GraphKind, as_index, decay_params, gff_decay_rate, tau_from_gff
 
@@ -101,51 +94,23 @@ def _scaled(rel: float, n: int, rate: float) -> float:
         raise OverflowError(f"scaled_rel at n = {n} overflows: exp argument {exponent:.6g}") from None
 
 
-# correlation, limit and relative-error kernels of each chain
-_KERNELS = {
-    GraphKind.OPEN_CHAIN: (
-        open_chain_correlation,
-        open_chain_correlation_limit,
-        open_chain_relative_error,
-    ),
-    GraphKind.CENTERED_CHAIN: (
-        centered_chain_correlation,
-        centered_chain_correlation_limit,
-        centered_chain_relative_error,
-    ),
-}
-
-
 def sweep(kind: GraphKind, i: int, j: int, tau: float, n_min: int, n_max: int) -> ConvergenceSweep:
     """Records for sizes n_min..n_max at one index pair of a chain.
 
     The size is the length of the open chain (indices >= 1) and the half-width
     of the centered chain; ``n_min`` may be the smallest size that holds both
-    indices, max(|i|, |j|, 1).  The cycle has no asymptotic expansion to sweep
-    against and is rejected.
+    indices, max(|i|, |j|, 1).  ``kind`` may be given by its value; the cycle has
+    no asymptotic expansion to sweep against and is rejected.
     """
-    if kind is GraphKind.CYCLE:
-        raise DomainError("no asymptotic expansion available for cycle")
-    correlation, limit_of, relative_error = _KERNELS[kind]
-    p = decay_params(tau)
-    limit = limit_of(i, j, tau)
-    n_min = as_index(n_min, "n_min", max(abs(i), abs(j), 1))
+    kind = GraphKind(kind)
+    p, limit, smallest, at = pair_sweeper(kind, i, j, tau)
+    n_min = as_index(n_min, "n_min", smallest)
     n_max = as_index(n_max, "n_max", n_min)
     records = []
     for n in range(n_min, n_max + 1):
-        exact = correlation(n, i, j, tau)
-        rel = relative_error(n, i, j, tau)
-        records.append(
-            ConvergenceRecord(
-                n=n,
-                exact=exact,
-                limit=limit,
-                abs_err=limit * rel,
-                rel_err=rel,
-                scaled_rel=_scaled(rel, n, p.rate),
-            )
-        )
-    return ConvergenceSweep(kind=kind, i=i, j=j, tau=p.tau, rate=p.rate, records=tuple(records))
+        exact, rel = at(n)
+        records.append(ConvergenceRecord(n, exact, limit, limit * rel, rel, _scaled(rel, n, p.rate)))
+    return ConvergenceSweep(kind=kind, i=int(i), j=int(j), tau=p.tau, rate=p.rate, records=tuple(records))
 
 
 def fit_abs_error_rate(sweep: ConvergenceSweep) -> RateFit:
@@ -156,7 +121,7 @@ def fit_abs_error_rate(sweep: ConvergenceSweep) -> RateFit:
     Requires at least five usable points.  Rejects cycle data outright: the
     cycle model has a limit but no established error law to fit against.
     """
-    if sweep.kind is GraphKind.CYCLE:
+    if GraphKind(sweep.kind) is GraphKind.CYCLE:
         raise DomainError("no asymptotic error expansion exists for the cycle graph")
     usable = [r for r in sweep.records if ERROR_FLOOR <= abs(r.abs_err) <= ERROR_CEILING]
     count = len(usable)

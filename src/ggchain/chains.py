@@ -36,6 +36,9 @@ exactly centrosymmetric.  The ``*_relative_error`` functions evaluate the gaps i
 log space and therefore keep their exact (strictly negative) sign far beyond
 the point where the plain values collide at double precision.
 
+Each public per-size kernel checks its arguments, then runs a private core on
+``(n, lo, hi, DecayParams)``; :func:`pair_sweeper` checks once for many sizes.
+
 The dense matrices are assembled one row at a time with numpy from O(n)
 tables of the scalar kernel's own factors ``f(k)`` and powers ``base**d``,
 taken with the same scalar routines and combined in the same operation
@@ -45,7 +48,8 @@ imported when a matrix is built; the scalar kernels use ``math`` alone.
 
 import math
 
-from .model import DecayParams, as_index, check_tau, decay_params, sqrt_one_minus_4tau2
+from .errors import DomainError
+from .model import DecayParams, GraphKind, as_index, check_tau, decay_params, sqrt_one_minus_4tau2
 
 __all__ = [
     "open_chain_covariance",
@@ -105,6 +109,33 @@ def _open_correlation(n: int, lo: int, hi: int, p: DecayParams) -> float:
     return p.base ** (hi - lo) * math.sqrt(r)
 
 
+def _open_limit(lo: int, hi: int, p: DecayParams) -> float:
+    if lo == hi:
+        return 1.0
+    return p.base ** (hi - lo) * math.sqrt(_ratio(lo, hi, p.rate))
+
+
+def _open_relative_error(n: int, lo: int, hi: int, p: DecayParams) -> float:
+    if lo == hi:
+        return 0.0
+    return math.expm1(0.5 * (_log_f(n + 1 - hi, p.rate) - _log_f(n + 1 - lo, p.rate)))
+
+
+def _centered_correlation(n: int, lo: int, hi: int, p: DecayParams) -> float:
+    # the open chain of 2n+1 nodes at the shifted indices: the identical code path
+    return _open_correlation(2 * n + 1, n + 1 + lo, n + 1 + hi, p)
+
+
+def _centered_relative_error(n: int, lo: int, hi: int, p: DecayParams) -> float:
+    if lo == hi:
+        return 0.0
+    shift_lo, shift_hi, m = n + 1 + lo, n + 1 + hi, 2 * n + 2
+    gap = (_log_f(m - shift_hi, p.rate) - _log_f(m - shift_lo, p.rate)) + (
+        _log_f(shift_lo, p.rate) - _log_f(shift_hi, p.rate)
+    )
+    return math.expm1(0.5 * gap)
+
+
 def open_chain_covariance(n, i, j, tau: float) -> float:
     """Covariance between nodes i and j of the open chain on 1..n.
 
@@ -137,10 +168,7 @@ def open_chain_correlation_limit(i, j, tau: float) -> float:
     0 never recedes.  Strictly below base**|j-i| for i != j.
     """
     lo, hi = _pair(i, j, 1)
-    if lo == hi:
-        return 1.0
-    p = decay_params(tau)
-    return p.base ** (hi - lo) * math.sqrt(_ratio(lo, hi, p.rate))
+    return _open_limit(lo, hi, decay_params(tau))
 
 
 def open_chain_relative_error(n, i, j, tau: float) -> float:
@@ -153,11 +181,7 @@ def open_chain_relative_error(n, i, j, tau: float) -> float:
     """
     n = as_index(n, "n", 1)
     lo, hi = _pair(i, j, 1, n)
-    if lo == hi:
-        return 0.0
-    p = decay_params(tau)
-    gap = _log_f(n + 1 - hi, p.rate) - _log_f(n + 1 - lo, p.rate)
-    return math.expm1(0.5 * gap)
+    return _open_relative_error(n, lo, hi, decay_params(tau))
 
 
 def open_chain_limit_envelope_error(i, j, tau: float) -> float:
@@ -182,7 +206,7 @@ def centered_chain_correlation(n, i, j, tau: float) -> float:
     """
     n = as_index(n, "n", 1)
     lo, hi = _pair(i, j, -n, n)
-    return open_chain_correlation(2 * n + 1, n + 1 + lo, n + 1 + hi, tau)
+    return _centered_correlation(n, lo, hi, decay_params(tau))
 
 
 def centered_chain_correlation_limit(i, j, tau: float) -> float:
@@ -199,15 +223,27 @@ def centered_chain_relative_error(n, i, j, tau: float) -> float:
     """
     n = as_index(n, "n", 1)
     lo, hi = _pair(i, j, -n, n)
-    if lo == hi:
-        return 0.0
+    return _centered_relative_error(n, lo, hi, decay_params(tau))
+
+
+def pair_sweeper(kind: GraphKind, i, j, tau: float):
+    """Check a chain's index pair and ``tau`` once, for evaluating the pair at many sizes.
+
+    Returns the decay parameters, the limit, the smallest size holding both
+    indices and ``at(n) -> (correlation, relative_error)`` over the cores.
+    """
+    if kind is GraphKind.CYCLE:
+        raise DomainError("no asymptotic expansion available for cycle")
     p = decay_params(tau)
-    shift_lo, shift_hi = n + 1 + lo, n + 1 + hi
-    m = 2 * n + 2
-    gap = (_log_f(m - shift_hi, p.rate) - _log_f(m - shift_lo, p.rate)) + (
-        _log_f(shift_lo, p.rate) - _log_f(shift_hi, p.rate)
-    )
-    return math.expm1(0.5 * gap)
+    if kind is GraphKind.OPEN_CHAIN:
+        lo, hi = _pair(i, j, 1)
+        limit = _open_limit(lo, hi, p)
+        correlation, relative_error = _open_correlation, _open_relative_error
+    else:
+        lo, hi = _pair(i, j)
+        limit = p.base ** (hi - lo)
+        correlation, relative_error = _centered_correlation, _centered_relative_error
+    return p, limit, max(-lo, hi, 1), lambda n: (correlation(n, lo, hi, p), relative_error(n, lo, hi, p))
 
 
 def rel_error_coefficient_centered(i, j, tau: float) -> float:

@@ -409,7 +409,7 @@ def cmd_converge(args) -> int:
     # sweep validates the window; this refuses only one that memory cannot hold
     window = args.n_max - max(args.n_min, 1) + 1
     _check_memory(_FIXED_BYTES + _RECORD_BYTES * window, f"converge over {window} sizes")
-    result = sweep(GraphKind(args.graph), args.i, args.j, args.tau, args.n_min, args.n_max)
+    result = sweep(args.graph, args.i, args.j, args.tau, args.n_min, args.n_max)
 
     fit = fit_abs_error_rate(result) if args.fit else None
     fit_info = None if fit is None else {name: getattr(fit, name) for name in fit._fields}

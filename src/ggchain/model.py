@@ -82,6 +82,10 @@ class GraphKind(enum.Enum):
     CENTERED_CHAIN = "centered"
     CYCLE = "cycle"
 
+    @classmethod
+    def _missing_(cls, value):
+        raise DomainError(f"graph kind must be a GraphKind or its value, got {value!r}")
+
 
 @record
 class GraphSpec:
@@ -98,15 +102,9 @@ class GraphSpec:
     n: int
 
     def __post_init__(self):
-        kind = self.kind
-        if not isinstance(kind, GraphKind):
-            try:
-                kind = GraphKind(kind)
-            except ValueError:
-                raise DomainError(f"graph kind must be a GraphKind or its value, got {kind!r}") from None
-            object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "kind", GraphKind(self.kind))
         # a cycle on fewer than 3 nodes would duplicate edges
-        minimum = 3 if kind is GraphKind.CYCLE else 1
+        minimum = 3 if self.kind is GraphKind.CYCLE else 1
         object.__setattr__(self, "n", as_index(self.n, "graph size", minimum))
 
     @property

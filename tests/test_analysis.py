@@ -1,7 +1,9 @@
 """Convergence sweeps, rate fits, free-field table."""
 
 import math
+import sys
 
+import numpy as np
 import pytest
 
 import ggchain as gg
@@ -15,6 +17,7 @@ from ggchain import (
     rel_error_coefficient_centered,
 )
 from ggchain.analysis import ConvergenceSweep
+from ggchain.model import as_index
 
 
 class TestSweepCentered:
@@ -87,6 +90,62 @@ class TestSweepOpen:
     def test_domain(self):
         with pytest.raises(DomainError):
             gg.sweep(GraphKind.OPEN_CHAIN, 0, 1, 0.4, 5, 10)
+
+
+def _calls(run, *functions) -> list[int]:
+    """How often each of ``functions`` is entered while ``run()`` runs, under any name."""
+    counts = {function.__code__: 0 for function in functions}
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in counts:
+            counts[frame.f_code] += 1
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return list(counts.values())
+
+
+class TestSweepArguments:
+    @pytest.mark.parametrize("kind", [GraphKind.OPEN_CHAIN, GraphKind.CENTERED_CHAIN])
+    def test_kind_by_value(self, kind):
+        """Regression: a kind given by its value ("open") raised a bare KeyError."""
+        by_value = gg.sweep(kind.value, 2, 1, 0.4, 2, 6)
+        assert by_value.kind is kind
+        assert by_value == gg.sweep(kind, 2, 1, 0.4, 2, 6)
+
+    @pytest.mark.parametrize("kind", [GraphKind.CYCLE, "cycle", "chain", None])
+    def test_cycle_and_unknown_kinds_refused(self, kind):
+        """Regression: "cycle" raised KeyError where DomainError is documented."""
+        with pytest.raises(DomainError):
+            gg.sweep(kind, 1, 2, 0.4, 3, 6)
+
+    def test_fit_refuses_cycle_by_value(self):
+        """Regression: a sweep whose kind is the value "cycle" got past the
+        fit's cycle refusal and was fitted (slope -0.934)."""
+        donor = gg.sweep(GraphKind.CENTERED_CHAIN, 0, 1, 0.45, 5, 40)
+        fake = ConvergenceSweep(kind="cycle", i=0, j=1, tau=0.45, rate=donor.rate, records=donor.records)
+        with pytest.raises(DomainError):
+            fit_abs_error_rate(fake)
+
+    def test_indices_stored_as_plain_ints(self):
+        """Regression: numpy integer indices were stored as given."""
+        result = gg.sweep(GraphKind.CENTERED_CHAIN, np.int64(-1), np.uint8(2), 0.4, 2, 4)
+        assert (type(result.i), type(result.j), result.i, result.j) == (int, int, -1, 2)
+
+    @pytest.mark.parametrize("kind", [GraphKind.OPEN_CHAIN, GraphKind.CENTERED_CHAIN])
+    def test_checks_once_per_sweep(self, kind):
+        """The pair, tau and window are checked once, not at every size: the
+        number of decay_params and as_index calls does not grow with the
+        window.  When each size called the public kernels, the open sweep
+        6..2000 made 3,992 and 11,974 of them."""
+        counted = (decay_params, as_index)
+        short = _calls(lambda: gg.sweep(kind, 2, 4, 0.45, 6, 2000), *counted)
+        long = _calls(lambda: gg.sweep(kind, 2, 4, 0.45, 6, 20000), *counted)
+        assert short == long
+        assert 1 <= min(short) and max(short) <= 4
 
 
 class TestFitAbsErrorRate:

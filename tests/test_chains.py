@@ -400,6 +400,22 @@ class TestRelativeErrorKernels:
         assert open_chain_relative_error(8, 3, 3, 0.3) == 0.0
         assert centered_chain_relative_error(8, -2, -2, 0.3) == 0.0
 
+    @pytest.mark.parametrize(
+        "kernel",
+        [
+            partial(open_chain_relative_error, 8, 3, 3),
+            partial(centered_chain_relative_error, 8, -2, -2),
+            partial(open_chain_correlation_limit, 3, 3),
+        ],
+        ids=["open_relative_error", "centered_relative_error", "open_limit"],
+    )
+    @pytest.mark.parametrize("tau", (0.0, 0.5))
+    def test_diagonal_checks_tau(self, kernel, tau):
+        """Every per-size kernel and limit checks tau on the diagonal too, as
+        the correlation kernels do; these three returned 0 or 1 unchecked."""
+        with pytest.raises(DomainError):
+            kernel(tau)
+
 
 class TestErrorCoefficients:
     def test_centered_hand_value(self):

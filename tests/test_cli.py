@@ -13,17 +13,26 @@ from ggchain import (
     GraphKind,
     GraphSpec,
     centered_chain_correlation,
+    centered_chain_correlation_limit,
     centered_chain_correlation_matrix,
+    centered_chain_relative_error,
     circulant_matrix,
     cycle_correlation_sequence,
     decay_params,
     model_correlation,
     open_chain_correlation,
+    open_chain_correlation_limit,
     open_chain_correlation_matrix,
+    open_chain_relative_error,
     __version__,
 )
 from ggchain.chains import _f
 from ggchain.cli import _csv_row, _dumps, main
+
+CHAIN_LIMIT_AND_ERROR = {
+    "open": (open_chain_correlation_limit, open_chain_relative_error),
+    "centered": (centered_chain_correlation_limit, centered_chain_relative_error),
+}
 
 
 def run_cli(capsys, *argv):
@@ -939,19 +948,33 @@ class TestConverge:
 
     @pytest.mark.parametrize(
         "graph, i, j, n_min, kernel",
-        [("centered", 0, 3, 3, centered_chain_correlation), ("open", 1, 4, 4, open_chain_correlation)],
+        [
+            ("centered", 0, 3, 3, centered_chain_correlation),
+            ("centered", 3, -2, 3, centered_chain_correlation),
+            ("centered", -1, -4, 4, centered_chain_correlation),
+            ("open", 1, 4, 4, open_chain_correlation),
+            ("open", 5, 2, 5, open_chain_correlation),
+        ],
     )
     def test_sweeps_boundary_size(self, capsys, graph, i, j, n_min, kernel):
-        """The first size swept is the smallest chain that holds both indices."""
-        code, out, _ = run_cli(
-            capsys,
-            "converge", "--graph", graph, "--i", str(i), "--j", str(j), "--tau", "0.4",
-            "--n-min", str(n_min), "--n-max", "8", "--format", "json", "--deterministic",
-        )
-        assert code == 0
-        first = json.loads(out)["payload"]["records"][0]
-        assert first["n"] == n_min
-        assert first["exact"] == kernel(n_min, i, j, 0.4)
+        """The sweep starts at the smallest chain that holds both indices, and
+        every record is the public kernels' values bit for bit."""
+        limit_of, relative_error = CHAIN_LIMIT_AND_ERROR[graph]
+        for tau in (1e-300, 0.05, 0.45, 0.5 - 2**-40):
+            code, out, _ = run_cli(
+                capsys,
+                "converge", "--graph", graph, "--i", str(i), "--j", str(j), "--tau", repr(tau),
+                "--n-min", str(n_min), "--n-max", str(n_min + 6), "--format", "json", "--deterministic",
+            )
+            assert code == 0
+            records = json.loads(out)["payload"]["records"]
+            assert [r["n"] for r in records] == list(range(n_min, n_min + 7))
+            limit = limit_of(i, j, tau)
+            for r in records:
+                assert r["exact"] == kernel(r["n"], i, j, tau)
+                assert r["rel_err"] == relative_error(r["n"], i, j, tau)
+                assert r["limit"] == limit
+                assert r["abs_err"] == limit * r["rel_err"]
 
     def test_cycle_rejected(self, capsys):
         code, _, err = run_cli(

@@ -44,6 +44,26 @@ CASES = {
         "converge", "--graph", "open", "--i", "1", "--j", "2", "--tau", "0.4",
         "--n-min", "3", "--n-max", "12", "--fit",
     ),
+    # reversed pair, negative index, n_min at its bound max(|i|, |j|)
+    "converge_centered_reversed": (
+        "converge", "--graph", "centered", "--i", "2", "--j", "-3", "--tau", "0.4",
+        "--n-min", "3", "--n-max", "10",
+    ),
+    # the errors shrink through the subnormals until rel_err and scaled_rel read 0
+    "converge_open_saturated": (
+        "converge", "--graph", "open", "--i", "1", "--j", "2", "--tau", "0.05",
+        "--n-min", "115", "--n-max", "130",
+    ),
+    # tau = 1/2 - 2**-40, reversed pair, fitted
+    "converge_open_edge_fit": (
+        "converge", "--graph", "open", "--i", "2", "--j", "1", "--tau", "0.4999999999990905",
+        "--n-min", "100", "--n-max", "108", "--fit",
+    ),
+    # scaled_rel's exp argument 916 overflows at the first size: exit 2
+    "converge_scaled_overflow": (
+        "converge", "--graph", "open", "--i", "1", "--j", "200", "--tau", "0.1",
+        "--n-min", "200", "--n-max", "203",
+    ),
     "circulant": ("circulant", "--n", "8", "--tau", "0.4"),
     "circulant_k": ("circulant", "--n", "8", "--tau", "0.4", "--k", "3"),
     "circulant_riemann": ("circulant", "--n", "16", "--tau", "0.3", "--riemann"),

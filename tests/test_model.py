@@ -341,6 +341,8 @@ class TestGraphSpec:
     def test_bad_kinds(self, kind):
         with pytest.raises(DomainError, match="graph kind must be a GraphKind or its value"):
             GraphSpec(kind, 5)
+        with pytest.raises(DomainError, match="graph kind must be a GraphKind or its value"):
+            GraphKind(kind)
 
 
 def partial_correlation(graph: GraphSpec, tau: float) -> np.ndarray:
