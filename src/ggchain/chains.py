@@ -191,9 +191,9 @@ def open_chain_limit_envelope_error(i, j, tau: float) -> float:
     this returns the (strictly negative) relative gap, log-space evaluated.
     """
     lo, hi = _pair(i, j, 1)
+    p = decay_params(tau)
     if lo == hi:
         return 0.0
-    p = decay_params(tau)
     return math.expm1(0.5 * (_log_f(lo, p.rate) - _log_f(hi, p.rate)))
 
 
@@ -254,9 +254,9 @@ def rel_error_coefficient_centered(i, j, tau: float) -> float:
     signed indices.  Zero when i = j.
     """
     lo, hi = _pair(i, j)
+    p = decay_params(tau)
     if lo == hi:
         return 0.0
-    p = decay_params(tau)
     extent = max(abs(lo), abs(hi))
     if 2.0 * extent * p.rate > _EXP_GUARD:
         raise OverflowError(f"sinh argument 2*{extent}*{p.rate:.6g} exceeds {_EXP_GUARD}")
@@ -270,9 +270,9 @@ def rel_error_coefficient_open(i, j, tau: float) -> float:
     diagonal.
     """
     lo, hi = _pair(i, j, 1)
+    p = decay_params(tau)
     if lo == hi:
         return 0.0
-    p = decay_params(tau)
     if 2.0 * hi * p.rate > _EXP_GUARD:
         raise OverflowError(f"exp argument 2*{hi}*{p.rate:.6g} exceeds {_EXP_GUARD}")
     return -0.5 * (math.exp(2.0 * hi * p.rate) - math.exp(2.0 * lo * p.rate))

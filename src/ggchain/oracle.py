@@ -33,9 +33,16 @@ factorisation (numpy's Cholesky) and one back-substitution, shared by the
 sampler and the cycle inversion, which solves ``L^T x = I`` for ``x = L^-T``
 and forms ``P^-1 = x x^T``.  numpy is imported at call time by the functions
 that build arrays, and scipy by its one user, the sampler's inverse normal
-CDF, so importing ggchain loads neither.
+CDF, so importing ggchain loads neither.  The sampler loads scipy's ``ndtri``
+ufunc once per process from the ``scipy.special._ufuncs`` extension, without
+running the ``scipy.special`` package's ``__init__`` (about 0.3 s and 20 MB
+of a process).  It falls back to ``from scipy.special import ndtri`` when
+``scipy.special`` is already imported, when another thread runs, or when
+scipy's layout differs; both routes give the same ufunc, so the bits are the
+same.
 """
 
+import functools
 import math
 
 from ._record import record
@@ -245,6 +252,56 @@ def model_correlation(graph: GraphSpec, tau: float) -> CorrelationResult:
     return _transform(sigma)
 
 
+@functools.cache
+def _ndtri():
+    """scipy's ``ndtri`` ufunc, the sampler's inverse normal CDF, loaded once per process.
+
+    It comes from :func:`_ufuncs_ndtri` when that is safe, and through
+    ``from scipy.special import ndtri`` when ``scipy.special`` is already
+    imported, when another thread runs (it could see the placeholder package)
+    or when this scipy's layout differs (``ImportError`` or
+    ``AttributeError``).  Both routes return the same ufunc object.
+    """
+    import sys
+    import threading
+
+    if "scipy.special" not in sys.modules and threading.active_count() == 1:
+        try:
+            return _ufuncs_ndtri()
+        except (ImportError, AttributeError):
+            pass
+    from scipy.special import ndtri
+
+    return ndtri
+
+
+def _ufuncs_ndtri():
+    """``ndtri`` from the ``scipy.special._ufuncs`` extension, without running
+    ``scipy/special/__init__.py``.
+
+    The package's ``__init__`` also loads scipy's array-API layer and several
+    numpy submodules, about 0.3 s and 20 MB of a process; the extensions that
+    ``ndtri`` needs are about 30 ms.  While they load, a placeholder module
+    with the package's real ``__spec__`` and ``__path__`` stands in for
+    ``scipy.special``.  It is removed afterwards, and ``special`` is dropped
+    from ``vars(scipy)``, so a later ``import scipy.special`` runs the real
+    ``__init__``, which finds the loaded extensions and the same ufunc.
+    """
+    import importlib.util
+    import sys
+
+    import scipy
+
+    sys.modules["scipy.special"] = importlib.util.module_from_spec(importlib.util.find_spec("scipy.special"))
+    try:
+        from scipy.special._ufuncs import ndtri
+    finally:
+        del sys.modules["scipy.special"]
+        # a binding left on scipy would shadow its lazy __getattr__, which imports the real package
+        vars(scipy).pop("special", None)
+    return ndtri
+
+
 def sample(graph: GraphSpec, tau: float, count: int, seed: int) -> SampleBatch:
     """Draw ``count`` vectors from the model and reduce them.
 
@@ -259,7 +316,6 @@ def sample(graph: GraphSpec, tau: float, count: int, seed: int) -> SampleBatch:
     """
     import numpy as np
     from numpy.random import Generator, Philox
-    from scipy.special import ndtri
 
     tau = check_tau(tau)
     count = as_index(count, "count", 2)
@@ -268,6 +324,7 @@ def sample(graph: GraphSpec, tau: float, count: int, seed: int) -> SampleBatch:
     dim = graph.node_count
     lower = _cholesky(precision_matrix(graph, tau))
 
+    ndtri = _ndtri()
     rng = Generator(Philox(key=seed))
     sums = np.zeros(dim)
     cross = np.zeros((dim, dim))

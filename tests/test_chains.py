@@ -406,13 +406,18 @@ class TestRelativeErrorKernels:
             partial(open_chain_relative_error, 8, 3, 3),
             partial(centered_chain_relative_error, 8, -2, -2),
             partial(open_chain_correlation_limit, 3, 3),
+            partial(open_chain_limit_envelope_error, 3, 3),
+            partial(rel_error_coefficient_open, 3, 3),
+            partial(rel_error_coefficient_centered, 3, 3),
         ],
-        ids=["open_relative_error", "centered_relative_error", "open_limit"],
+        ids=["open_relative_error", "centered_relative_error", "open_limit",
+             "open_envelope_error", "open_coefficient", "centered_coefficient"],
     )
-    @pytest.mark.parametrize("tau", (0.0, 0.5))
+    @pytest.mark.parametrize("tau", (0.0, 0.5, 0.7))
     def test_diagonal_checks_tau(self, kernel, tau):
-        """Every per-size kernel and limit checks tau on the diagonal too, as
-        the correlation kernels do; these three returned 0 or 1 unchecked."""
+        """Every per-size kernel, limit, envelope gap and error coefficient
+        checks tau on the diagonal too, as the correlation kernels do; these six
+        returned 0 or 1 unchecked."""
         with pytest.raises(DomainError):
             kernel(tau)
 

@@ -1,11 +1,15 @@
 """Public surface: the names ``ggchain`` exports, where each is defined, what importing loads."""
 
 import ast
+import functools
+import json
 import shlex
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
+
+import pytest
 
 import ggchain as gg
 from ggchain import analysis, chains, circulant, errors, model, oracle
@@ -158,8 +162,104 @@ def test_chain_sampling_loads_only_scipy_special():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     loaded = proc.stdout.split()
-    assert "scipy.special" in loaded
+    assert "scipy.special._ufuncs" in loaded
     assert not [name for name in loaded if name.startswith("scipy.linalg")]
+
+
+def test_sampler_loads_ndtri_without_the_special_package():
+    """On this scipy the sampler takes ``ndtri`` from the ``_ufuncs``
+    extension: after a chain and a cycle ``sample`` the ``scipy.special``
+    package is neither imported nor bound on ``scipy``, and its array-API
+    layer and ``scipy.linalg`` stay unloaded.  A later ``import scipy.special``
+    works and holds the very ufunc the sampler used, its other functions
+    evaluate, and the ufunc's bits did not depend on the package's
+    ``__init__``."""
+    script = textwrap.dedent(
+        """
+        import contextlib, io, math, sys
+        import numpy as np
+        import ggchain.cli
+        from ggchain import oracle
+        for graph in ["open", "cycle"]:
+            argv = ["sample", "--graph", graph, "--n", "6", "--tau", "0.4", "--count", "500", "--seed", "1"]
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert ggchain.cli.main(argv) == 0, argv
+        import scipy
+        loaded = [name for name in sys.modules if name.partition(".")[0] == "scipy"]
+        assert "scipy.special._ufuncs" in loaded, loaded
+        assert "scipy.special" not in loaded, loaded
+        assert "special" not in vars(scipy)
+        prefixes = ("scipy._lib.array_api_compat", "scipy.linalg")
+        assert not [name for name in loaded if name.startswith(prefixes)], loaded
+        ndtri = oracle._ndtri()
+        u = np.random.Generator(np.random.Philox(key=5)).random(10**6)
+        u = np.concatenate([u, [2.0**-53, 0.5, 1.0 - 2.0**-53]])
+        before = ndtri(u)
+        import scipy.special
+        assert scipy.special.ndtri is ndtri
+        assert scipy.special.ndtri(u).tobytes() == before.tobytes()
+        assert np.isfinite(before).all() and before[-2] == 0.0
+        assert abs(scipy.special.erf(0.5) - math.erf(0.5)) <= 1e-15
+        assert scipy.special.gamma(5.0) == 24.0
+        """
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+SAMPLE_COMMANDS = [
+    ["sample", "--graph", graph, "--n", "7", "--tau", "0.45", "--count", "3000", "--seed", "11", *fmt]
+    for graph in ("open", "cycle")
+    for fmt in ([], ["--format", "json", "--deterministic"])
+]
+
+# run before the commands: what makes the sampler take, or not take, the fast path
+NDTRI_ROUTES = {
+    "fast": "",
+    "special_imported": "import scipy.special",
+    "import_error": "def fail():\n    raise ImportError('no _ufuncs')\noracle._ufuncs_ndtri = fail",
+    "attribute_error": "def fail():\n    raise AttributeError('no find_spec')\noracle._ufuncs_ndtri = fail",
+    "threads": "import threading\nrelease = threading.Event()\n"
+    "threading.Thread(target=release.wait, daemon=True).start()",
+}
+
+
+@functools.cache
+def _sample_outputs(route: str) -> tuple[list[str], bool]:
+    """stdout of each of ``SAMPLE_COMMANDS`` in one fresh process that first
+    runs ``NDTRI_ROUTES[route]``, and whether ``scipy.special`` was imported,
+    its ``ndtri`` being the sampler's, by the end."""
+    script = "\n".join([
+        "import contextlib, io, json, sys",
+        "import ggchain.cli",
+        "from ggchain import oracle",
+        NDTRI_ROUTES[route],
+        "outputs = []",
+        f"for argv in {SAMPLE_COMMANDS!r}:",
+        "    with contextlib.redirect_stdout(io.StringIO()) as out:",
+        "        assert ggchain.cli.main(argv) == 0, argv",
+        "    outputs.append(out.getvalue())",
+        "special = sys.modules.get('scipy.special')",
+        "assert special is None or special.ndtri is oracle._ndtri()",
+        "print(json.dumps([outputs, special is not None]))",
+    ])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    outputs, special_imported = json.loads(proc.stdout)
+    return outputs, special_imported
+
+
+@pytest.mark.parametrize("route", sorted(set(NDTRI_ROUTES) - {"fast"}))
+def test_ndtri_fallback_gives_the_same_bytes(route):
+    """When ``scipy.special`` is already imported, when the private import
+    raises ``ImportError`` or ``AttributeError``, or when another thread runs,
+    the sampler imports ``scipy.special`` and uses its ``ndtri``; the CSV and
+    ``--deterministic`` JSON outputs equal the fast path's byte for byte."""
+    fast, fast_imported = _sample_outputs("fast")
+    outputs, imported = _sample_outputs(route)
+    assert not fast_imported and imported
+    assert len(outputs) == len(SAMPLE_COMMANDS)
+    assert outputs == fast
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -307,6 +407,9 @@ def _module_probe_sites(path: Path) -> list[str]:
 def test_no_numpy_probe():
     """Numeric types are recognised through the ``numbers`` ABCs, which numpy
     registers with, and no command hands the JSON writer an array, so no
-    function asks whether numpy is loaded."""
+    function asks whether numpy is loaded.  The one reader of ``sys.modules``
+    is the sampler's ``ndtri`` loader, which asks whether ``scipy.special`` is
+    imported and stands a placeholder package in for it."""
     paths = sorted((README.parent / "src" / "ggchain").glob("*.py"))
-    assert [site for path in paths for site in _module_probe_sites(path)] == []
+    sites = {site for path in paths for site in _module_probe_sites(path)}
+    assert sites == {"oracle._ndtri", "oracle._ufuncs_ndtri"}
