@@ -33,13 +33,12 @@ factorisation (numpy's Cholesky) and one back-substitution, shared by the
 sampler and the cycle inversion, which solves ``L^T x = I`` for ``x = L^-T``
 and forms ``P^-1 = x x^T``.  numpy is imported at call time by the functions
 that build arrays, and scipy by its one user, the sampler's inverse normal
-CDF, so importing ggchain loads neither.  The sampler loads scipy's ``ndtri``
-ufunc once per process from the ``scipy.special._ufuncs`` extension, without
-running the ``scipy.special`` package's ``__init__`` (about 0.3 s and 20 MB
-of a process).  It falls back to ``from scipy.special import ndtri`` when
-``scipy.special`` is already imported, when another thread runs, or when
-scipy's layout differs; both routes give the same ufunc, so the bits are the
-same.
+CDF, so importing ggchain loads neither.  That ``ndtri`` ufunc is loaded
+once per process from the ``scipy.special._ufuncs`` extension, without
+running the ``scipy.special`` package's ``__init__``; the loader falls back
+to ``from scipy.special import ndtri`` when the package is already imported,
+when another thread runs, or when scipy's layout differs.  Both routes give
+the same ufunc, so the bits are the same.
 """
 
 import functools
