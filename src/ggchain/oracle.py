@@ -5,11 +5,12 @@ same correlation matrices by the definition: invert the precision matrix,
 then rescale by the inverse square roots of the diagonal (the correlation
 transform).  Two inversion routes are kept deliberately distinct so that a
 bug in one cannot hide in the other: a hand-rolled symmetric elimination for
-the chains' tridiagonal matrices, and for the cycle a library Cholesky
-factorisation followed by a back-substitution.  The Cholesky route and the
-sampler take the precision matrix as the plain array that
-:func:`ggchain.model.precision_matrix` builds from the graph's edges, not from
-any kernel output.
+the chains' tridiagonal matrices, and for the cycle a Cholesky factor followed
+by two triangular sweeps.  The factor and the sampler that shares it are
+built from tau and the graph's edges alone, not from any kernel output; the
+tests cross-check every entry of the factor against LAPACK's Cholesky factor
+of :func:`ggchain.model.precision_matrix`, which the program itself never
+forms.
 
 The sampler draws from the model by factoring the precision matrix
 ``P = L L^T`` and solving ``L^T x = z`` for standard normal ``z``, which gives
@@ -25,13 +26,12 @@ scheme must reproduce the same word addressing.  Draws are generated, solved
 and reduced in blocks of :data:`SAMPLE_BLOCK`, so the sampler's memory is
 bounded by the block, not by the number of draws: one block of variates is
 held, filled from a buffer of a few hundred draws at a time.  The inversions
-symmetrise their result in place and the correlation transform divides in
-row blocks, so :func:`model_correlation` holds at most three n x n arrays at
-once (the cycle's precision matrix, numpy's working copy of it inside the
-Cholesky factorisation and the factor) and returns two.  The module has one
-factorisation (numpy's Cholesky) and one back-substitution, shared by the
-sampler and the cycle inversion, which solves ``L^T x = I`` for ``x = L^-T``
-and forms ``P^-1 = x x^T``.  numpy is imported at call time by the functions
+run and symmetrise in place and the correlation transform divides in row
+blocks, so :func:`model_correlation` holds two n x n arrays at its peak, the
+two it returns.  The module has one factorisation (:func:`_band_factor`, O(n)
+from tau and the edges) and one back-substitution, shared by the sampler and
+the cycle inversion, which solves ``L y = I`` forward and ``L^T x = y``
+backward in place for ``x = P^-1``.  numpy is imported at call time by the functions
 that build arrays, and scipy by its one user, the sampler's inverse normal
 CDF, so importing ggchain loads neither.  That ``ndtri`` ufunc is loaded
 once per process from the ``scipy.special._ufuncs`` extension, without
@@ -46,7 +46,7 @@ import math
 
 from ._record import record
 from .errors import DomainError, NotPositiveDefiniteError
-from .model import GraphKind, GraphSpec, as_index, check_tau, precision_matrix
+from .model import GraphKind, GraphSpec, as_index, check_tau
 
 __all__ = [
     "CorrelationResult",
@@ -151,31 +151,57 @@ def _symmetrise(a: "numpy.ndarray") -> "numpy.ndarray":
     return a
 
 
-def _cholesky(a: "numpy.ndarray") -> "numpy.ndarray":
-    """Lower Cholesky factor of ``a``; the package's only factorisation.
+def _band_factor(graph: GraphSpec, tau: float) -> tuple:
+    """Cholesky factor ``L`` of the graph's precision matrix, ``P = L L^T``, in O(n).
 
-    Raises :class:`NotPositiveDefiniteError` when ``a`` is not positive definite.
+    Returns ``(diag, sub, corner)``: ``L``'s diagonal, its subdiagonal and
+    its last row left of the subdiagonal (empty for a chain), the only
+    entries of a path or cycle factor that are not zero.  They are built from
+    tau and the graph's edges, not from a matrix: ``d_0 = 1``,
+    ``e_{i-1} = -tau (1 / d_{i-1})``, ``d_i = sqrt(1 - e_{i-1}^2)``, and for
+    the cycle's last row ``c_k = (a_k - c_{k-1} e_{k-1}) (1 / d_k)``, with
+    ``a_k = -tau`` at its two edges (k = 0 and k = n - 2) and 0 elsewhere,
+    then ``d_{n-1} = sqrt(1 - c.c)``.  The operations are LAPACK's, reciprocal
+    scaling included, so every entry has the bits of ``numpy.linalg.cholesky``
+    of the dense matrix except the cycle's last pivot, whose sum ``c.c`` is
+    rounded in another order.  Raises :class:`NotPositiveDefiniteError` on
+    the first nonpositive pivot.
     """
     import numpy as np
 
-    try:
-        return np.linalg.cholesky(a)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError(str(exc)) from exc
+    n = graph.node_count
+    path = n - 1 if graph.kind is GraphKind.CYCLE else n  # the rows of the path's recurrence
+    diag, sub, corner = [1.0] * n, [0.0] * (n - 1), []
+    for i in range(1, path):
+        sub[i - 1] = e = -tau * (1.0 / diag[i - 1])
+        diag[i] = _pivot(1.0 - e * e, i)
+    if path < n:
+        corner = [-tau * (1.0 / diag[0])]
+        for k in range(1, n - 1):
+            a = -tau if k == n - 2 else 0.0
+            corner.append((a - corner[-1] * sub[k - 1]) * (1.0 / diag[k]))
+        diag[-1] = _pivot(1.0 - sum(c * c for c in corner), n - 1)
+        sub[-1] = corner.pop()  # the last row's subdiagonal entry
+    return np.array(diag), np.array(sub), np.array(corner)
 
 
-def _back_substitute(lower: "numpy.ndarray", x: "numpy.ndarray") -> "numpy.ndarray":
+def _pivot(square: float, i: int) -> float:
+    """Pivot ``i`` of a factorisation, ``sqrt(square)``; raises :class:`NotPositiveDefiniteError` unless positive."""
+    if not square > 0.0:
+        raise NotPositiveDefiniteError(f"pivot {i} is {square!r}")
+    return math.sqrt(square)
+
+
+def _back_substitute(diag, sub, corner, x: "numpy.ndarray") -> "numpy.ndarray":
     """Solve ``L^T x = z`` in place on the rows of ``x``, which holds ``z`` on entry.
 
-    Row i of ``x`` is coordinate i of every right-hand side.  Only the
-    diagonal, the subdiagonal and the last row of ``lower`` are read: the
-    Cholesky factor of a path or cycle precision matrix is zero elsewhere.
+    Row i of ``x`` is coordinate i of every right-hand side.  ``L`` is given
+    by the three vectors of :func:`_band_factor`: its diagonal, its
+    subdiagonal and its last row left of the subdiagonal.
     """
     import numpy as np
 
-    diag, sub = lower.diagonal(), lower.diagonal(-1)
-    corner = lower[-1, :-2]  # last row left of the subdiagonal: nonzero for the cycle only
-    has_corner = bool(np.any(corner))
+    has_corner = bool(np.any(corner))  # nonzero for the cycle only
     x[-1] /= diag[-1]
     for i in range(len(diag) - 2, -1, -1):
         x[i] -= sub[i] * x[i + 1]
@@ -185,23 +211,27 @@ def _back_substitute(lower: "numpy.ndarray", x: "numpy.ndarray") -> "numpy.ndarr
     return x
 
 
-def _cholesky_inverse(precision: "numpy.ndarray") -> "numpy.ndarray":
-    """Inverse of a path or cycle precision matrix through its Cholesky factor.
+def _factor_inverse(diag, sub, corner) -> "numpy.ndarray":
+    """Inverse of ``P = L L^T`` from the three vectors of its factor, :func:`_band_factor`.
 
-    With ``P = L L^T``, ``x = L^-T`` solves ``L^T x = I`` by
-    :func:`_back_substitute` and ``P^-1 = x x^T``; the factorisation is the
-    definiteness check.  The result is symmetrised before returning.  The
-    precision matrix is released before ``x`` is allocated and the factor
-    before ``x x^T``; the caller's own reference, if it keeps one, stays.
+    A forward sweep solves ``L y = I`` and :func:`_back_substitute` then
+    ``L^T x = y``, both in place on one identity, so ``x = P^-1`` is the only
+    n x n array and the work is O(n^2).  The last row of ``y`` takes each
+    row's corner term as soon as that row is solved.  The result is
+    symmetrised before returning.
     """
     import numpy as np
 
-    n = len(precision)
-    lower = _cholesky(precision)
-    del precision
-    x = _back_substitute(lower, np.eye(n))
-    del lower
-    return _symmetrise(x @ x.T)
+    n = len(diag)
+    x = np.eye(n)
+    last = x[-1]
+    for i in range(n):
+        if i:
+            x[i] -= sub[i - 1] * x[i - 1]
+        x[i] /= diag[i]
+        if i < len(corner):
+            last -= corner[i] * x[i]
+    return _symmetrise(_back_substitute(diag, sub, corner, x))
 
 
 def correlation_transform(sigma: "numpy.ndarray") -> CorrelationResult:
@@ -239,13 +269,13 @@ def _transform(sigma: "numpy.ndarray") -> CorrelationResult:
 def model_correlation(graph: GraphSpec, tau: float) -> CorrelationResult:
     """Exact model correlation by inversion plus correlation transform.
 
-    Chains go through the tridiagonal elimination, cycles through the Cholesky
-    factor and one back-substitution (:func:`_cholesky_inverse`).  This is the
-    reference the closed-form kernels are tested against.
+    Chains go through the tridiagonal elimination, cycles through the band
+    Cholesky factor and two triangular sweeps (:func:`_factor_inverse`).  This
+    is the reference the closed-form kernels are tested against.
     """
     tau = check_tau(tau)
     if graph.kind is GraphKind.CYCLE:
-        sigma = _cholesky_inverse(precision_matrix(graph, tau))
+        sigma = _factor_inverse(*_band_factor(graph, tau))
     else:
         sigma = invert_tridiagonal(1.0, -tau, graph.node_count)
     return _transform(sigma)
@@ -321,7 +351,7 @@ def sample(graph: GraphSpec, tau: float, count: int, seed: int) -> SampleBatch:
     seed = as_index(seed, "seed", 0, 2**64 - 1)
 
     dim = graph.node_count
-    lower = _cholesky(precision_matrix(graph, tau))
+    factor = _band_factor(graph, tau)
 
     ndtri = _ndtri()
     rng = Generator(Philox(key=seed))
@@ -337,10 +367,10 @@ def sample(graph: GraphSpec, tau: float, count: int, seed: int) -> SampleBatch:
             # ndtri(0) is -inf; the generator emits 0.0 with probability 2^-53 per word
             np.maximum(part.T, 2.0**-53, out=x[:, s : s + len(part)])
         ndtri(x, out=x)
-        _back_substitute(lower, x)  # L^T x = z, all draws of the block at once
+        _back_substitute(*factor, x)  # L^T x = z, all draws of the block at once
         sums += x.sum(axis=1)
         cross += x @ x.T
-    del lower, block, u, part, x  # part is a view of u
+    del block, u, part, x  # part is a view of u
 
     _symmetrise(cross)
     cov = np.outer(sums, sums)

@@ -628,36 +628,45 @@ class TestResourceGuard:
                 tracemalloc.stop()
 
     @pytest.mark.parametrize(
-        "graph, n, method, fmt, square_bytes",
+        "graph, n, method, fmt, square_bytes, check",
         [
-            ("open", 10, "closed", "csv", 8 * 100 + 5 * 10 * 17),  # the matrix and its first 5 rows
-            ("open", 10, "closed", "json", 8 * 100 + 5 * 10 * 26),
-            ("open", 10, "oracle", "json", 8 * 100 + 10 * 10 * 26),  # all 10 rows outgrow the inversion
-            ("open", 10, "both", "json", 8 * 100 + 5 * 10 * 26),  # the rows outgrow the inversion's two arrays
-            ("centered", 10, "closed", "csv", 8 * 21**2 + 11 * 21 * 17),  # 21 nodes
-            ("cycle", 10, "closed", "json", 0),  # O(n): one encoded row
-            ("cycle", 10, "oracle", "csv", 8 * 100 + 10 * 10 * 17),  # all 10 rows outgrow three arrays
-            ("cycle", 10, "both", "csv", 3 * 8 * 100),  # precision matrix, working copy, factor
+            ("open", 10, "closed", "csv", 8 * 100 + 5 * 10 * 17, 0),  # the matrix and its first 5 rows
+            ("open", 10, "closed", "json", 8 * 100 + 5 * 10 * 26, 0),
+            ("open", 10, "oracle", "json", 8 * 100 + 10 * 10 * 26, 0),  # all 10 rows outgrow the inversion
+            ("open", 10, "both", "json", 2 * 8 * 100, 1),  # the self-check outgrows the 5 rows
+            ("open", 1000, "both", "csv", 8 * 1000**2 + 500 * 1000 * 17, 0),  # 500 rows outgrow the check
+            ("centered", 10, "closed", "csv", 8 * 21**2 + 11 * 21 * 17, 0),  # 21 nodes
+            ("cycle", 10, "closed", "json", 0, 0),  # O(n): one encoded row
+            ("cycle", 10, "oracle", "csv", 8 * 100 + 10 * 10 * 17, 0),  # all 10 rows outgrow two arrays
+            ("cycle", 10, "both", "csv", 2 * 8 * 100, 1),  # the oracle's correlation and the circulant
         ],
     )
-    def test_predicted_bytes(self, graph, n, method, fmt, square_bytes):
+    def test_predicted_bytes(self, graph, n, method, fmt, square_bytes, check):
         """The n x n terms of the prediction, at the widest cells: 17 bytes in
-        CSV and 26 in JSON, with their separators."""
-        from ggchain.cli import _FIXED_BYTES, _NODE_BYTES, _peak_bytes
+        CSV and 26 in JSON, with their separators.  Where the self-check of
+        ``both`` is the peak (``check``), its own fixed and per-node bytes
+        are added."""
+        from ggchain.cli import _CHECK_FIXED_BYTES, _CHECK_NODE_BYTES, _FIXED_BYTES, _NODE_BYTES, _peak_bytes
 
         spec = GraphSpec(GraphKind(graph), n)
         linear = _FIXED_BYTES + _NODE_BYTES * spec.node_count
-        assert _peak_bytes(spec, method, fmt) == square_bytes + linear
+        check_bytes = check * (_CHECK_FIXED_BYTES + _CHECK_NODE_BYTES * spec.node_count)
+        assert _peak_bytes(spec, method, fmt) == square_bytes + check_bytes + linear
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("method", ["closed", "oracle", "both"])
     @pytest.mark.parametrize(
-        "graph, n", [("open", 3), ("open", 300), ("centered", 150), ("cycle", 3), ("cycle", 300)]
+        "graph, n",
+        [("open", 3), ("open", 300), ("centered", 150), ("cycle", 3), ("cycle", 300)]
+        + [(graph, n) for graph in ("open", "centered", "cycle") for n in (50, 100, 150, 200, 250)
+           if (graph, n) != ("centered", 150)],
     )
     def test_prediction_covers_traced_peak(self, graph, n, method, fmt):
         """On every route the prediction is at least the peak that tracemalloc
         records while ``corr`` runs.  The command runs once untraced first, so
-        first-use caches are not counted."""
+        first-use caches are not counted.  At 50 to 300 nodes the self-check
+        of ``both`` is the peak in CSV, and its own allowance covers what the
+        builder holds beside the two matrices."""
         from ggchain.cli import _peak_bytes
 
         argv = ["corr", "--graph", graph, "--n", str(n), "--tau", "0.45", "--method", method]
@@ -681,15 +690,15 @@ class TestResourceGuard:
     @pytest.mark.parametrize(
         "graph, n, count, want",
         [
-            ("open", 10, 100, 3 * 800 + 8 * 10 * (100 + 100)),  # the sampler and its 100 draws
+            ("open", 10, 100, 2 * 800 + 8 * 10 * (100 + 100)),  # the sampler and its 100 draws
             ("open", 10, 2, 4 * 800 + 10 * 10 * 10),  # 10 rows, fewer than a row block
-            ("cycle", 10, 20000, 3 * 800 + 8 * 10 * (8192 + 256)),  # one block and its buffer
+            ("cycle", 10, 20000, 2 * 800 + 8 * 10 * (8192 + 256)),  # one block and its buffer
             ("open", 200, 100, 4 * 8 * 200**2 + 10 * 64 * 200),  # a 64-row block
             ("centered", 100, 100, 4 * 8 * 201**2 + 10 * 64 * 201),  # 201 nodes
         ],
     )
     def test_predicted_sample_bytes(self, graph, n, count, want):
-        """``sample``: the larger of three dim x dim arrays with the variate
+        """``sample``: the larger of two dim x dim arrays with the variate
         block and its buffer, and four dim x dim arrays with the z-scores'
         temporaries, 10 bytes per cell of a block of at most 64 rows (a float
         block and two boolean masks).  The output rows are streamed, so the

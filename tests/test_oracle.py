@@ -23,7 +23,7 @@ from ggchain import (
     precision_matrix,
     sample,
 )
-from ggchain.oracle import NORMAL_METHOD, SAMPLE_BLOCK, _cholesky, _cholesky_inverse, _symmetrise
+from ggchain.oracle import NORMAL_METHOD, SAMPLE_BLOCK, _band_factor, _factor_inverse, _symmetrise
 
 TAU_GRID = (0.05, 0.15, 0.25, 0.35, 0.45, 0.49)
 
@@ -52,9 +52,8 @@ class TestInvertTridiagonal:
     def test_matches_dense_route(self, tau):
         """Two independent inversion paths agree to 1e-12 relative."""
         for n in (1, 2, 3, 10, 27, 50):
-            prec = precision_matrix(GraphSpec(GraphKind.OPEN_CHAIN, n), tau)
             a = invert_tridiagonal(1.0, -tau, n)
-            b = _cholesky_inverse(prec)
+            b = _factor_inverse(*_band_factor(GraphSpec(GraphKind.OPEN_CHAIN, n), tau))
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-14)
 
     @pytest.mark.parametrize("tau", TAU_GRID)
@@ -71,30 +70,35 @@ class TestInvertTridiagonal:
 
 
 class TestInvertDenseSpd:
-    """The cycle's inversion route, ``oracle._cholesky_inverse``."""
+    """The cycle's inversion route: its band factor (``oracle._band_factor``)
+    and two triangular sweeps (``oracle._factor_inverse``)."""
 
     def test_identity(self):
-        np.testing.assert_array_equal(_cholesky_inverse(np.eye(3)), np.eye(3))
+        inv = _factor_inverse(*_band_factor(GraphSpec(GraphKind.CYCLE, 3), 0.0))
+        np.testing.assert_array_equal(inv, np.eye(3))
 
     def test_cycle_diagonal_value(self):
         """3-cycle at tau = 0.4 has inverse diagonal 15/7."""
-        prec = precision_matrix(GraphSpec(GraphKind.CYCLE, 3), 0.4)
-        inv = _cholesky_inverse(prec)
+        inv = _factor_inverse(*_band_factor(GraphSpec(GraphKind.CYCLE, 3), 0.4))
         np.testing.assert_allclose(np.diag(inv), 15.0 / 7.0, rtol=1e-13)
 
     def test_rejects_indefinite(self):
+        """Bands (1, -2) are indefinite at 2 nodes, and (1, -0.6) from 8 nodes on,
+        as for :func:`invert_tridiagonal`."""
+        with pytest.raises(NotPositiveDefiniteError, match="pivot 1 is -3.0"):
+            _band_factor(GraphSpec(GraphKind.OPEN_CHAIN, 2), 2.0)
+        _band_factor(GraphSpec(GraphKind.OPEN_CHAIN, 2), 0.6)
         with pytest.raises(NotPositiveDefiniteError):
-            _cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
+            _band_factor(GraphSpec(GraphKind.OPEN_CHAIN, 8), 0.6)
 
     def test_result_is_symmetric(self):
-        prec = precision_matrix(GraphSpec(GraphKind.CYCLE, 8), 0.45)
-        inv = _cholesky_inverse(prec)
+        inv = _factor_inverse(*_band_factor(GraphSpec(GraphKind.CYCLE, 8), 0.45))
         np.testing.assert_array_equal(inv, inv.T)
 
     @pytest.mark.parametrize("tau", [0.05, 0.45, 0.49, 0.4999])
     @pytest.mark.parametrize("n", [3, 64, 129, 257, 1000])
     def test_cycle_oracle_matches_images_kernel(self, n, tau):
-        """The Cholesky route agrees with the images kernel up to the benchmark's
+        """The band-factor route agrees with the images kernel up to the benchmark's
         size (worst case measured: 3.3e-14 at n = 1000, tau = 0.4999)."""
         oracle = model_correlation(GraphSpec(GraphKind.CYCLE, n), tau).correlation
         kernel = circulant_matrix(cycle_correlation_sequence(n, tau).correlations)
@@ -107,10 +111,10 @@ class TestInvertDenseSpd:
     [(kind, n) for kind in GraphKind for n in (1, 2, 3, 4, 5, 64, 257) if kind is not GraphKind.CYCLE or n >= 3],
 )
 def test_cholesky_factor_pattern(kind, n, tau):
-    """The one back-substitution reads only the diagonal, the subdiagonal and the
-    last row of the Cholesky factor; every path and cycle factor is exactly zero
-    elsewhere, and a chain's last row is zero left of its subdiagonal too."""
-    lower = _cholesky(precision_matrix(GraphSpec(kind, n), tau))
+    """The band factor keeps only the diagonal, the subdiagonal and the last row
+    of the Cholesky factor; LAPACK's factor of every path and cycle is exactly
+    zero elsewhere, and a chain's last row is zero left of its subdiagonal too."""
+    lower = np.linalg.cholesky(precision_matrix(GraphSpec(kind, n), tau))
     dim = len(lower)
     read = np.eye(dim, dtype=bool) | np.eye(dim, k=-1, dtype=bool)
     if kind is GraphKind.CYCLE:
@@ -174,7 +178,7 @@ class TestSymmetrise:
 
 
 class TestOracleMemory:
-    """The inversion routes hold at most three n x n arrays and return two."""
+    """The inversion routes hold two n x n arrays at their peak and return both."""
 
     @staticmethod
     def _traced_peak(call):
@@ -197,11 +201,12 @@ class TestOracleMemory:
         assert 2 * square <= peak <= 2.25 * square
 
     def test_cycle_peaks_within_three_arrays(self):
-        """The cycle adds its precision matrix and Cholesky factor, released
-        as the inversion goes; numpy's working copy inside the factorisation is
-        not traced."""
+        """The cycle's factor is three vectors and both sweeps run in place on
+        the covariance, so it peaks as the chain does (it held the precision
+        matrix and the factor beside it, and LAPACK's untraced working copy)."""
         res, peak = self._traced_peak(lambda: model_correlation(GraphSpec(GraphKind.CYCLE, 1001), 0.45))
-        assert peak <= 3.1 * res.correlation.nbytes
+        square = res.correlation.nbytes
+        assert 2 * square <= peak <= 2.25 * square
 
 
 class TestModelCorrelation:
@@ -430,8 +435,9 @@ class TestBlockedSampler:
 
     def test_memory_is_bounded_by_the_block(self):
         """At n = 200 the sampler peaks within 1.15 blocks of variates: one
-        block, the buffer that fills it and three 200 x 200 arrays (it held
-        two blocks at once, and before that three count x dim arrays).  The
+        block, the buffer that fills it and two 200 x 200 arrays, the cross
+        products and one block's product (it held two blocks at once, and
+        before that three count x dim arrays).  The
         peak does not grow with the number of draws.  A first, untraced call
         imports scipy, which is not counted."""
         import tracemalloc
