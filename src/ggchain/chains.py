@@ -23,14 +23,18 @@ in the product form ``base**d * sqrt(r1 * r2)`` with ``r1 = f(lo)/f(hi)`` and
 ``r2 = f(n+1-hi)/f(n+1-lo)``, each ratio clamped at 1, so that the chain of
 bounds
 
-    0 < correlation(n) <= limit <= base**d
+    0 <= correlation(n) <= limit <= base**d
 
 holds entry-wise in floating point, with equality only where the factors are
-rounding-saturated: the limit is ``base**d * sqrt(r1)``, and ``r2 <= 1``
-gives ``fl(r1 * r2) <= r1``, which the monotone rounding of ``sqrt`` and of
-the product with ``base**d`` preserves.  Reversal of the path,
-``(i, j) -> (n+1-j, n+1-i)``, swaps ``r1`` and ``r2``, and IEEE
-multiplication commutes, so ``correlation(n, i, j)`` equals
+rounding-saturated or a value underflows: the limit is ``base**d * sqrt(r1)``,
+and ``r2 <= 1`` gives ``fl(r1 * r2) <= r1``, which the monotone rounding of
+``sqrt`` and of the product with ``base**d`` preserves.  A value is 0 only
+by underflow: all three are 0 wherever ``base**d`` underflows to 0, and
+where ``base**d`` is subnormal the correlation and the limit can round to 0
+before it does.  Wherever ``base**d`` is a normal number the correlation is
+positive, since ``sqrt(r1 * r2) >= f(1)``, which is at least 2.9e-8.
+Reversal of the path, ``(i, j) -> (n+1-j, n+1-i)``, swaps ``r1`` and ``r2``,
+and IEEE multiplication commutes, so ``correlation(n, i, j)`` equals
 ``correlation(n, n+1-j, n+1-i)`` bit for bit and every chain matrix is
 exactly centrosymmetric.  The ``*_relative_error`` functions evaluate the gaps in
 log space and therefore keep their exact (strictly negative) sign far beyond

@@ -171,10 +171,10 @@ _CELL_BYTES = {"csv": 17, "json": 26}
 # tracemalloc at 3 to 1000 nodes
 _FIXED_BYTES, _NODE_BYTES = 2**17, 512
 # what ``corr --method both``'s self-check holds besides its two n x n arrays
-# (the oracle's correlation and the closed-form matrix): the builder's O(n)
-# tables and row temporaries and the check's own objects; tracemalloc over 3
-# to 2001 nodes, in either format, shows at most 82 kB on top of the two arrays
-# and the run's own allowance, about 34-48 kB plus up to 60 bytes a node
+# (the oracle's correlation and the closed-form matrix) and the run's own
+# allowance: the builder's O(n) tables and row temporaries; tracemalloc from 3
+# to 2001 nodes shows up to 56 kB for the chains and up to 124 kB for the
+# cycle, whose part grows by about 60 bytes a node
 _CHECK_FIXED_BYTES, _CHECK_NODE_BYTES = 2**17, 64
 # what ``converge`` holds per size of its window in either format (its record and
 # the fit's points); tracemalloc shows at most 512 at windows of 20,000 and 100,000
@@ -184,24 +184,25 @@ _RECORD_BYTES = 768
 def _peak_bytes(graph: GraphSpec, method: str, fmt: str) -> int:
     """Bytes ``corr`` allocates at its peak on this route, predicted before it allocates.
 
-    The peak is the largest of three phases.  First the oracle's inversion:
-    two n x n arrays on every graph, the covariance and the correlation (the
-    cycle's factor is three vectors, and both its sweeps run in place on the
-    covariance).  Under ``both`` the self-check follows: the closed-form
-    matrix is built beside the oracle's correlation alone, with the
-    builder's temporaries, ``_CHECK_FIXED_BYTES`` and ``_CHECK_NODE_BYTES`` a
-    node.  Then one matrix held with its encoded rows at their widest cells:
-    ceil(n/2) rows for a centrosymmetric chain, n for the oracle's.  The
-    cycle's circulant is built only to be checked and freed before its rows,
-    which need no n x n array, are encoded.
+    The peak is the larger of two phases.  Under ``both``, the self-check:
+    the closed-form matrix is built beside the oracle's correlation alone,
+    with the builder's temporaries, ``_CHECK_FIXED_BYTES`` and
+    ``_CHECK_NODE_BYTES`` a node.  Then one matrix held with its encoded rows
+    at their widest cells: ceil(n/2) rows for a centrosymmetric chain, n for
+    the oracle's.  The cycle's circulant is built only to be checked and freed
+    before its rows, which need no n x n array, are encoded.  The oracle's
+    inversion holds two n x n arrays on every graph, the covariance and the
+    correlation (the cycle's factor is three vectors, and both its sweeps run
+    in place on the covariance), so it is never the peak: the self-check
+    holds more under ``both``, and the oracle's rows, 17 bytes a cell or
+    more, under ``oracle``.
     """
     n = graph.node_count
     square = 8 * n * n
-    inversion = 0 if method == "closed" else 2 * square
     check = 2 * square + _CHECK_FIXED_BYTES + _CHECK_NODE_BYTES * n if method == "both" else 0
     rows = n if method == "oracle" else (n + 1) // 2
     held = 0 if graph.kind is GraphKind.CYCLE and method != "oracle" else square + rows * n * _CELL_BYTES[fmt]
-    return max(inversion, check, held) + _FIXED_BYTES + _NODE_BYTES * n
+    return max(check, held) + _FIXED_BYTES + _NODE_BYTES * n
 
 
 def _sample_peak_bytes(graph: GraphSpec, count: int) -> int:
@@ -210,9 +211,10 @@ def _sample_peak_bytes(graph: GraphSpec, count: int) -> int:
     The peak is the larger of two phases.  First the sampler: two dim x dim
     arrays (the cross products and one block's product; the factor is three
     vectors) beside one block of variates and the buffer that fills it.  Then
-    four dim x dim arrays (cross products, empirical and exact correlations, z-scores)
-    beside the z-scores' ``ROW_BLOCK``-row float block and its two boolean
-    masks.  Rows are written one node at a time after the cross products go.
+    four dim x dim arrays (cross products, empirical and exact correlations,
+    z-scores) beside the z-scores' ``ROW_BLOCK``-row float block and its two
+    boolean masks.  Rows are written one node at a time after the cross
+    products go.
     """
     dim = graph.node_count
     square = 8 * dim * dim

@@ -31,9 +31,9 @@ blocks, so :func:`model_correlation` holds two n x n arrays at its peak, the
 two it returns.  The module has one factorisation (:func:`_band_factor`, O(n)
 from tau and the edges) and one back-substitution, shared by the sampler and
 the cycle inversion, which solves ``L y = I`` forward and ``L^T x = y``
-backward in place for ``x = P^-1``.  numpy is imported at call time by the functions
-that build arrays, and scipy by its one user, the sampler's inverse normal
-CDF, so importing ggchain loads neither.  That ``ndtri`` ufunc is loaded
+backward in place for ``x = P^-1``.  numpy is imported at call time by the
+functions that build arrays, and scipy by its one user, the sampler's
+inverse normal CDF, so importing ggchain loads neither.  That ``ndtri`` ufunc is loaded
 once per process from the ``scipy.special._ufuncs`` extension, without
 running the ``scipy.special`` package's ``__init__``; the loader falls back
 to ``from scipy.special import ndtri`` when the package is already imported,
@@ -186,7 +186,7 @@ def _band_factor(graph: GraphSpec, tau: float) -> tuple:
 
 
 def _pivot(square: float, i: int) -> float:
-    """Pivot ``i`` of a factorisation, ``sqrt(square)``; raises :class:`NotPositiveDefiniteError` unless positive."""
+    """Pivot ``i``, ``sqrt(square)``; raises :class:`NotPositiveDefiniteError` unless it is positive."""
     if not square > 0.0:
         raise NotPositiveDefiniteError(f"pivot {i} is {square!r}")
     return math.sqrt(square)

@@ -8,6 +8,7 @@ elsewhere.
 
 import bisect
 import math
+import sys
 from functools import partial
 
 import numpy as np
@@ -231,6 +232,24 @@ class TestBoundChain:
                     envelope = p.base ** (j - i)
                     assert 0.0 < value <= envelope
                     assert centered_chain_relative_error(n, i, j, tau) < 0.0
+
+
+    def test_zero_only_by_underflow(self):
+        """``0 <= correlation <= limit <= base**d``: a value is 0 only where it
+        underflows.  At tau = 0.4995 and d = 16602, ``base**d`` is the
+        subnormal 2.5e-323, and the correlation (times f(1) ~ 0.09) already
+        rounds to 0.  At the largest tau, 1/2 - 2**-54, the smallest normal
+        power ``base**d`` still gives a positive correlation and limit, on a
+        path of 4.8e10 nodes."""
+        tau, n = 0.4995, 16603
+        assert decay_params(tau).base ** (n - 1) == 2.5e-323
+        assert open_chain_correlation(n, 1, n, tau) == 0.0
+        assert open_chain_correlation_limit(1, n, tau) == 5e-324
+
+        tau, d = 0.5 - 2**-54, 47_539_678_909
+        base = decay_params(tau).base
+        assert base**d >= sys.float_info.min > base ** (d + 1)
+        assert 0.0 < open_chain_correlation(d + 1, 1, d + 1, tau) <= open_chain_correlation_limit(1, d + 1, tau)
 
 
 class TestCenteredChain:

@@ -3,8 +3,10 @@
 import itertools
 import json
 import math
+import os
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -242,6 +244,41 @@ class TestCorr:
         summary = [line for line in err.splitlines() if line.startswith("max_abs_deviation")]
         assert len(summary) == 1
         assert float(summary[0].split(",")[1]) <= 1e-10
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["corr", "--graph", "cycle", "--n", "7", "--tau", "0.45", "--method", "oracle"],
+            ["corr", "--graph", "cycle", "--n", "7", "--tau", "0.45", "--method", "both"],
+            ["sample", "--graph", "cycle", "--n", "5", "--tau", "0.4", "--count", "1000", "--seed", "0"],
+        ],
+        ids=["corr-oracle", "corr-both", "sample"],
+    )
+    def test_no_library_factorisation(self, capsys, monkeypatch, argv):
+        """The cycle's oracle and the sampler factor the precision matrix from
+        tau and the edges: with numpy's Cholesky made to fail, both run."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy.linalg.cholesky ran")
+
+        monkeypatch.setattr(np.linalg, "cholesky", refuse)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err.count("AssertionError")) == (0, 0)
+        assert out
+
+    def test_underflowed_powers_print_zero(self, capsys):
+        """``0 <= correlation``: where ``base**d`` underflows, the closed form
+        and the oracle both read 0 and agree.  At tau = 1.32e-44 the base is
+        1.32e-44, so ``base**9`` underflows: the cells at distance 9 print 0,
+        and every other cell is positive (found by a seeded fuzz)."""
+        tau = 1.322613241417827e-44
+        code, out, _ = run_cli(capsys, "corr", "--graph", "open", "--n", "10", "--tau", repr(tau), "--method", "both")
+        assert code == 0
+        base = decay_params(tau).base
+        for i, line in enumerate(out.splitlines()[1:]):
+            cells = [float(cell) for cell in line.split(",")[1:]]
+            assert [cell == 0.0 for cell in cells] == [base ** abs(i - j) == 0.0 for j in range(10)]
+            assert min(cells) >= 0.0
 
     def test_centered_headers(self, capsys):
         code, out, _ = run_cli(capsys, "corr", "--graph", "centered", "--n", "2", "--tau", "0.3")
@@ -628,30 +665,44 @@ class TestResourceGuard:
                 tracemalloc.stop()
 
     @pytest.mark.parametrize(
-        "graph, n, method, fmt, square_bytes, check",
+        "graph, n, method, fmt, square_bytes",
         [
-            ("open", 10, "closed", "csv", 8 * 100 + 5 * 10 * 17, 0),  # the matrix and its first 5 rows
-            ("open", 10, "closed", "json", 8 * 100 + 5 * 10 * 26, 0),
-            ("open", 10, "oracle", "json", 8 * 100 + 10 * 10 * 26, 0),  # all 10 rows outgrow the inversion
-            ("open", 10, "both", "json", 2 * 8 * 100, 1),  # the self-check outgrows the 5 rows
-            ("open", 1000, "both", "csv", 8 * 1000**2 + 500 * 1000 * 17, 0),  # 500 rows outgrow the check
-            ("centered", 10, "closed", "csv", 8 * 21**2 + 11 * 21 * 17, 0),  # 21 nodes
-            ("cycle", 10, "closed", "json", 0, 0),  # O(n): one encoded row
-            ("cycle", 10, "oracle", "csv", 8 * 100 + 10 * 10 * 17, 0),  # all 10 rows outgrow two arrays
-            ("cycle", 10, "both", "csv", 2 * 8 * 100, 1),  # the oracle's correlation and the circulant
+            ("open", 10, "closed", "csv", 8 * 100 + 5 * 10 * 17),  # the matrix and its first 5 rows
+            ("open", 10, "closed", "json", 8 * 100 + 5 * 10 * 26),
+            ("open", 10, "oracle", "json", 8 * 100 + 10 * 10 * 26),  # all 10 rows outgrow the inversion
+            ("open", 1000, "both", "csv", 8 * 1000**2 + 500 * 1000 * 17),  # 500 rows outgrow the self-check
+            ("centered", 10, "closed", "csv", 8 * 21**2 + 11 * 21 * 17),  # 21 nodes
+            ("cycle", 10, "closed", "json", 0),  # O(n): one encoded row
+            ("cycle", 10, "oracle", "csv", 8 * 100 + 10 * 10 * 17),  # all 10 rows outgrow two arrays
         ],
     )
-    def test_predicted_bytes(self, graph, n, method, fmt, square_bytes, check):
+    def test_predicted_bytes(self, graph, n, method, fmt, square_bytes):
         """The n x n terms of the prediction, at the widest cells: 17 bytes in
-        CSV and 26 in JSON, with their separators.  Where the self-check of
-        ``both`` is the peak (``check``), its own fixed and per-node bytes
-        are added."""
-        from ggchain.cli import _CHECK_FIXED_BYTES, _CHECK_NODE_BYTES, _FIXED_BYTES, _NODE_BYTES, _peak_bytes
+        CSV and 26 in JSON, with their separators."""
+        from ggchain.cli import _FIXED_BYTES, _NODE_BYTES, _peak_bytes
 
         spec = GraphSpec(GraphKind(graph), n)
         linear = _FIXED_BYTES + _NODE_BYTES * spec.node_count
-        check_bytes = check * (_CHECK_FIXED_BYTES + _CHECK_NODE_BYTES * spec.node_count)
-        assert _peak_bytes(spec, method, fmt) == square_bytes + check_bytes + linear
+        assert _peak_bytes(spec, method, fmt) == square_bytes + linear
+
+    @pytest.mark.parametrize(
+        "graph, n, fmt",
+        [
+            ("open", 10, "json"),  # the check outgrows the 5 rows
+            ("cycle", 10, "csv"),  # the cycle's rows need no n x n array
+            ("centered", 100, "csv"),  # 201 nodes: the check outgrows 101 rows
+        ],
+    )
+    def test_predicted_check_bytes(self, graph, n, fmt):
+        """Where the self-check of ``both`` is the peak, the prediction is its
+        two n x n arrays, the oracle's correlation and the closed-form matrix,
+        with the check's own fixed and per-node bytes."""
+        from ggchain.cli import _CHECK_FIXED_BYTES, _CHECK_NODE_BYTES, _FIXED_BYTES, _NODE_BYTES, _peak_bytes
+
+        spec = GraphSpec(GraphKind(graph), n)
+        nodes = spec.node_count
+        check = 2 * 8 * nodes**2 + _CHECK_FIXED_BYTES + _CHECK_NODE_BYTES * nodes
+        assert _peak_bytes(spec, "both", fmt) == check + _FIXED_BYTES + _NODE_BYTES * nodes
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("method", ["closed", "oracle", "both"])
@@ -672,6 +723,45 @@ class TestResourceGuard:
         argv = ["corr", "--graph", graph, "--n", str(n), "--tau", "0.45", "--method", method]
         peak = self.traced_peak(argv + ["--format", fmt])
         assert _peak_bytes(GraphSpec(GraphKind(graph), n), method, fmt) >= peak
+
+    @staticmethod
+    def peak_rss(argv) -> int:
+        """The high-water resident set of a fresh process that runs ``argv``, in bytes.
+
+        The child reads its own ``VmHWM``, which counts what tracemalloc does
+        not see (LAPACK's working arrays, the interpreter, numpy) and, unlike
+        ``ru_maxrss``, starts afresh at ``exec`` rather than at its parent's
+        high-water mark."""
+        script = textwrap.dedent(
+            """
+            import os, sys
+            from ggchain.cli import main
+            sys.stdout = open(os.devnull, "w")
+            code = main(sys.argv[1:])
+            sys.stdout = sys.__stdout__
+            with open("/proc/self/status") as status:
+                print(code, next(line.split()[1] for line in status if line.startswith("VmHWM:")))
+            """
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *argv], capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, GGCHAIN_THREADS="1"),
+        )
+        assert proc.returncode == 0, proc.stderr
+        code, kib = proc.stdout.split()
+        assert code == "0"
+        return 1024 * int(kib)
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="VmHWM is read from /proc")
+    def test_cycle_peak_rss_is_the_chains(self):
+        """At 1000 nodes ``corr --graph cycle --method both`` peaks within half
+        an n x n array of the open chain's: its inversion holds the same two
+        arrays.  When LAPACK factored the dense precision matrix, the cycle
+        peaked about 9 MiB higher, in a working copy that tracemalloc does not
+        trace, so the traced-peak tests could not see it."""
+        argv = ["corr", "--n", "1000", "--tau", "0.45", "--method", "both"]
+        cycle, chain = (self.peak_rss(argv + ["--graph", graph]) for graph in ("cycle", "open"))
+        assert cycle - chain <= 0.5 * 8 * 1000**2
 
     @pytest.mark.parametrize("available, code", [(8 * 1000**2 - 1, 6), (8 * 1000**2, 0), (None, 0)])
     def test_limit_is_physical_memory(self, capsys, monkeypatch, available, code):
@@ -994,6 +1084,17 @@ class TestConverge:
         assert code == 2
         assert "no asymptotic expansion available for cycle" in err
 
+    def test_underflowed_pair_prints_zero(self, capsys):
+        """At the smallest subnormal tau, ``base**5`` underflows: the exact
+        correlation and its limit are both 0, ``0 <= correlation <= limit``
+        with equality, and every error column reads 0 (found by a seeded fuzz)."""
+        code, out, err = run_cli(
+            capsys, "converge", "--graph", "centered", "--i", "1", "--j", "6", "--tau", "5e-324",
+            "--n-min", "58", "--n-max", "60",
+        )
+        assert (code, err) == (0, "")
+        assert out.splitlines() == ["n,exact,limit,abs_err,rel_err,scaled_rel"] + [f"{n},0,0,0,0,0" for n in (58, 59, 60)]
+
     def test_fit_insufficient_data(self, capsys):
         code, _, _ = run_cli(
             capsys,
@@ -1152,15 +1253,18 @@ class TestSample:
         n = 4; arctanh warned and the z-scores were NaN (exit 5 in CSV, 2 for
         the JSON writer).  The empirical matrix is now clipped to [-1, 1], and a
         correlation of +-1 has no Fisher z: both formats exit 2 with a message,
-        and no numpy warning escapes (warnings are errors in this suite)."""
+        and no numpy warning escapes (warnings are errors in this suite).  The
+        entry named depends on the last bits of the oracle's inverse and of the
+        cycle's last pivot, which cancels here: with LAPACK's factor and
+        ``x x^T`` it was (0, 2) at n = 3 and (0, 1) at n = 4."""
         code, out, err = run_cli(
             capsys,
             "sample", "--graph", "cycle", "--n", str(n), "--tau", "0.49999999999999994",
             "--count", "100", "--seed", "1", "--format", fmt,
         )
         entry = {
-            3: "(0, 2) is +-1 (empirical 1.0, exact 0.9999999999999999)",
-            4: "(0, 1) is +-1 (empirical 0.9999999999999997, exact 1.0)",
+            3: "(0, 1) is +-1 (empirical 1.0, exact 1.0)",
+            4: "(0, 2) is +-1 (empirical 1.0, exact 0.9999999999999999)",
         }[n]
         assert code == 2
         assert out == ""

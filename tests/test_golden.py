@@ -17,6 +17,8 @@ import argparse
 import contextlib
 import io
 import json
+import math
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -97,6 +99,19 @@ def test_subnormal_tau_csv():
     bytes themselves are compared by ``test_golden_bytes``."""
     _, rate, _, gff_rate = GOLDEN["decay_subnormal-csv"]["stdout"].splitlines()[1].split(",")
     assert gff_rate == rate == "736.827241"
+
+
+def test_cycle_oracle_cells_are_within_3_ulps_of_exact():
+    """The 4-cycle at tau = 0.3 has correlations 15/41 at lags 1 and 3 and
+    9/41 at lag 2.  The oracle's JSON cells, written at full precision, lie
+    within 3 ulps of them; the band factor's sweeps moved one lag-1 and one
+    lag-2 cell by 1 ulp from the dense Cholesky route's."""
+    matrix = json.loads(GOLDEN["corr_cycle_oracle-json"]["stdout"])["payload"]["matrix"]
+    exact = {0: Fraction(1), 1: Fraction(15, 41), 2: Fraction(9, 41)}
+    for i, row in enumerate(matrix):
+        for j, cell in enumerate(row):
+            want = exact[min((i - j) % 4, (j - i) % 4)]
+            assert abs(Fraction(cell) - want) <= 3 * Fraction(math.ulp(float(want)))
 
 
 def regenerate(keys) -> None:
