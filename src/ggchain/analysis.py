@@ -9,8 +9,9 @@ entirely (around ``2 (n+1) rate > 745``) the columns collapse to zero.
 
 Rate fits regress ``log |abs_err|`` on ``n`` inside a fixed usable window:
 errors below 1e-14 are double-precision noise, errors above 1e-2 are outside
-the asymptotic regime.  No weighting; the window already equalises
-magnitudes.
+the asymptotic regime, and so are sizes with ``n * rate`` below
+:data:`FIT_MIN_SIZE_RATE`, where the leading exponential term does not yet
+dominate.  No weighting; the window already equalises magnitudes.
 """
 
 import math
@@ -34,6 +35,11 @@ __all__ = [
 
 ERROR_FLOOR = 1e-14
 ERROR_CEILING = 1e-2
+# the fit admits size n only where n * rate >= FIT_MIN_SIZE_RATE: while 2 n rate
+# is small, each factor 1 - exp(-2 k rate) is near 2 k rate and the error falls
+# algebraically in n, not as exp(-2 n rate); at 1.0, every size n >= 5 is
+# admitted at rate >= 0.2, so from tau = 0.05 up to about 0.49
+FIT_MIN_SIZE_RATE = 1.0
 
 
 @record
@@ -116,18 +122,24 @@ def sweep(kind: GraphKind, i: int, j: int, tau: float, n_min: int, n_max: int) -
 def fit_abs_error_rate(sweep: ConvergenceSweep) -> RateFit:
     """Fit log |abs_err| against n inside the usable error window.
 
-    Sums are ``math.fsum``, correctly rounded, so the fit's bits do not depend
-    on the Python version (the builtin ``sum`` compensates from 3.12 on).
+    A size is usable where its error lies in [``ERROR_FLOOR``,
+    ``ERROR_CEILING``] and ``n * rate >= FIT_MIN_SIZE_RATE``.  Sums are
+    ``math.fsum``, correctly rounded, so the fit's bits do not depend on the
+    Python version (the builtin ``sum`` compensates from 3.12 on).
     Requires at least five usable points.  Rejects cycle data outright: the
     cycle model has a limit but no established error law to fit against.
     """
     if GraphKind(sweep.kind) is GraphKind.CYCLE:
         raise DomainError("no asymptotic error expansion exists for the cycle graph")
-    usable = [r for r in sweep.records if ERROR_FLOOR <= abs(r.abs_err) <= ERROR_CEILING]
+    usable = [
+        r for r in sweep.records
+        if ERROR_FLOOR <= abs(r.abs_err) <= ERROR_CEILING and r.n * sweep.rate >= FIT_MIN_SIZE_RATE
+    ]
     count = len(usable)
     if count < 5:
         raise InsufficientDataError(
-            f"{count} usable points inside [{ERROR_FLOOR:g}, {ERROR_CEILING:g}], need 5"
+            f"{count} usable points inside [{ERROR_FLOOR:g}, {ERROR_CEILING:g}] "
+            f"at n * rate >= {FIT_MIN_SIZE_RATE:g}, need 5"
         )
     xs = [r.n for r in usable]
     ys = [math.log(abs(r.abs_err)) for r in usable]

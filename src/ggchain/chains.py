@@ -62,6 +62,7 @@ __all__ = [
     "open_chain_relative_error",
     "open_chain_limit_envelope_error",
     "open_chain_correlation_matrix",
+    "open_chain_correlation_rows",
     "centered_chain_correlation",
     "centered_chain_correlation_limit",
     "centered_chain_relative_error",
@@ -282,36 +283,57 @@ def rel_error_coefficient_open(i, j, tau: float) -> float:
     return -0.5 * (math.exp(2.0 * hi * p.rate) - math.exp(2.0 * lo * p.rate))
 
 
-def open_chain_correlation_matrix(n, tau: float) -> "numpy.ndarray":
-    """Dense correlation matrix of the open chain on 1..n.
+def open_chain_correlation_rows(n, tau):
+    """The open chain's correlation matrix on 1..n by its rows right of the diagonal.
 
-    tau = 0 yields the identity.  Otherwise the matrix is filled one row at a
-    time from two O(n) tables built with the scalar kernel's own routines,
-    ``f[k] = _f(k, rate)`` (``math.expm1``) and ``pw[d] = base**d`` (Python
-    ``pow``), and numpy repeats the operations of the scalar kernel in the same
-    order.  numpy's ``expm1`` and ``power`` may differ from the scalar routines
-    in the last bit, so the tables are never built with them; with the scalar
-    tables the entries match :func:`open_chain_correlation` bit for bit.
-    Temporaries are O(n): the output is the only n x n allocation.
+    Returns an iterator over the n - 1 arrays ``row[lo - 1, lo:]`` (entries
+    (lo, lo+1..n)) for lo = 1..n-1, each new; the diagonal is exactly 1 and
+    the matrix symmetric.  tau = 0 gives zeros: the identity.  Otherwise each
+    row is made from two O(n) tables built with the scalar kernel's own
+    routines, ``f[k] = _f(k, rate)`` (``math.expm1``) and ``pw[d] = base**d``
+    (Python ``pow``), and numpy repeats the operations of the scalar kernel
+    in the same order.  numpy's ``expm1`` and ``power`` may differ from the
+    scalar routines in the last bit, so the tables are never built with them;
+    with the scalar tables the entries match :func:`open_chain_correlation`
+    bit for bit.
     """
     import numpy as np
 
     n = as_index(n, "n", 1)
     tau = check_tau(tau)
     if tau == 0.0:
-        return np.eye(n)
+        return (np.zeros(n - lo) for lo in range(1, n))
     p = decay_params(tau)
     f = np.array([_f(k, p.rate) for k in range(n + 1)])
     pw = np.array([p.base**d for d in range(n)])
-    out = np.ones((n, n))
-    for lo in range(1, n):
+
+    def row(lo):
         # columns hi = lo+1..n: distance hi-lo, and n+1-hi runs from n-lo down to 1
         v = np.minimum(f[lo] / f[lo + 1 :], 1.0)
         v *= np.minimum(f[n - lo : 0 : -1] / f[n + 1 - lo], 1.0)
         np.sqrt(v, out=v)
         v *= pw[1 : n + 1 - lo]
-        out[lo - 1, lo:] = v
-        out[lo:, lo - 1] = v
+        return v
+
+    return map(row, range(1, n))
+
+
+def open_chain_correlation_matrix(n, tau: float) -> "numpy.ndarray":
+    """Dense correlation matrix of the open chain on 1..n.
+
+    Filled one row and its mirror column at a time from
+    :func:`open_chain_correlation_rows`, so its entries match
+    :func:`open_chain_correlation` bit for bit and tau = 0 yields the
+    identity.  Temporaries are O(n): the output is the only n x n allocation.
+    """
+    import numpy as np
+
+    n = as_index(n, "n", 1)
+    rows = open_chain_correlation_rows(n, tau)  # checks tau before the matrix is allocated
+    out = np.ones((n, n))
+    for i, v in enumerate(rows):
+        out[i, i + 1 :] = v
+        out[i + 1 :, i] = v
     return out
 
 

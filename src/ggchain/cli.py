@@ -7,17 +7,19 @@ digits; JSON carries full round-trip precision on one compact line, which
 omits the timestamp, making reruns byte-identical.  Matrices are serialised
 from their structure, in CSV and JSON alike: the rows of a circulant (closed
 cycle) matrix are rotations of its one encoded first row, and every other
-matrix goes through :func:`_matrix_rows`, which reuses an encoding only where
-the bits show the same value: the lower half mirrors the encoded upper half
-when the matrix is exactly centrosymmetric (every chain matrix is), and a row
-takes the run of cells around its diagonal that repeat the previous row, one
-column to the left (a chain's exact powers ``base**d``), from that row's
-encoded cells.  Every distinct row (one, or up to n) is encoded before the
-first byte is written, so a non-finite value in JSON exits 2 with nothing on
-stdout; the rows are then written one at a time, and the whole matrix text is
-never held; every other table streams row by row.  ``corr``, ``sample``,
-``converge`` and ``circulant`` predict their peak allocation and refuse a run
-that physical memory cannot hold before it starts.
+matrix goes through :func:`_matrix_rows`, which writes each row as it encodes
+it and reuses an encoding only where the bits show the same value: a row takes
+the run of cells around its diagonal that repeat the previous row, one column
+to the left (a chain's exact powers ``base**d``), from that row's encoded
+cells, and a lower row that is an upper row reversed (every chain matrix is
+centrosymmetric) reverses that row's encoding, kept until then.  The whole
+matrix text is never held, and every other table streams row by row too.  A
+non-finite value in JSON exits 2 with nothing on stdout: the matrix is checked
+before the first byte.  ``corr`` holds at most one n x n array: under
+``--method both`` the closed form is compared with the oracle's correlation
+as it is made, in the oracle's buffer.  ``corr``, ``sample``, ``converge``
+and ``circulant`` predict their peak allocation and refuse a run that physical
+memory cannot hold before it starts.
 
 ``decay``, ``converge``, ``circulant`` and ``corr --graph cycle --method
 closed`` never load numpy: the cycle kernel is pure Python, and numpy is used
@@ -43,8 +45,8 @@ from operator import attrgetter
 
 from . import __version__
 from .analysis import ConvergenceRecord, fit_abs_error_rate, sweep
-from .chains import centered_chain_correlation_matrix, open_chain_correlation_matrix
-from .circulant import circulant_matrix, cycle_correlation, cycle_correlation_sequence
+from .chains import centered_chain_correlation_matrix, open_chain_correlation_matrix, open_chain_correlation_rows
+from .circulant import cycle_correlation, cycle_correlation_sequence
 from .errors import DomainError, GgchainError, InsufficientDataError, SelfCheckError
 from .model import (
     GffParams,
@@ -116,7 +118,8 @@ def _write(args, columns, rows, *, payload=None, json_rows=None, metadata=None, 
     :func:`_json_cells`, else the rows' objects, ``_JSON_ROWS`` to an item.
     The envelope and the first item are encoded before the first byte, so a
     non-finite value there exits 2 with stdout empty.  Later rows are finite:
-    ``corr`` encodes each distinct row first; a non-finite ``sample`` value
+    ``corr`` checks its matrix's extremes first, or encodes a cycle's one
+    distinct row; a non-finite ``sample`` value
     makes its metadata's ``max_z_score`` non-finite; ``converge`` sweeps
     first, its columns are bounded and ``scaled_rel`` raises rather than
     overflow; ``circulant``'s values are bounded at every admissible tau
@@ -165,17 +168,12 @@ def _physical_memory() -> int | None:
 # the widest encoded cell with its separator: "%.9g" writes at most 16
 # characters ("-1.23456789e-308"), a float's repr at most 24
 _CELL_BYTES = {"csv": 17, "json": 26}
-# what a run allocates besides its n x n arrays and encoded rows: a fixed part
+# what a run allocates besides its n x n array and encoded rows: a fixed part
 # (the argument parser and other per-run objects) and a part per node (O(n)
-# tables, the cycle's sequences, a row split into cells), sized from
-# tracemalloc at 3 to 1000 nodes
-_FIXED_BYTES, _NODE_BYTES = 2**17, 512
-# what ``corr --method both``'s self-check holds besides its two n x n arrays
-# (the oracle's correlation and the closed-form matrix) and the run's own
-# allowance: the builder's O(n) tables and row temporaries; tracemalloc from 3
-# to 2001 nodes shows up to 56 kB for the chains and up to 124 kB for the
-# cycle, whose part grows by about 60 bytes a node
-_CHECK_FIXED_BYTES, _CHECK_NODE_BYTES = 2**17, 64
+# tables, the cycle's sequences, a row split into cells, and the correlation
+# transform's block of ROW_BLOCK rows, 512 bytes a node alone), sized from
+# tracemalloc at 3 to 2000 nodes
+_FIXED_BYTES, _NODE_BYTES = 2**17, 1024
 # what ``converge`` holds per size of its window in either format (its record and
 # the fit's points); tracemalloc shows at most 512 at windows of 20,000 and 100,000
 _RECORD_BYTES = 768
@@ -184,25 +182,21 @@ _RECORD_BYTES = 768
 def _peak_bytes(graph: GraphSpec, method: str, fmt: str) -> int:
     """Bytes ``corr`` allocates at its peak on this route, predicted before it allocates.
 
-    The peak is the larger of two phases.  Under ``both``, the self-check:
-    the closed-form matrix is built beside the oracle's correlation alone,
-    with the builder's temporaries, ``_CHECK_FIXED_BYTES`` and
-    ``_CHECK_NODE_BYTES`` a node.  Then one matrix held with its encoded rows
-    at their widest cells: ceil(n/2) rows for a centrosymmetric chain, n for
-    the oracle's.  The cycle's circulant is built only to be checked and freed
-    before its rows, which need no n x n array, are encoded.  The oracle's
-    inversion holds two n x n arrays on every graph, the covariance and the
-    correlation (the cycle's factor is three vectors, and both its sweeps run
-    in place on the covariance), so it is never the peak: the self-check
-    holds more under ``both``, and the oracle's rows, 17 bytes a cell or
-    more, under ``oracle``.
+    A route holds one n x n array at most: the oracle's correlation (in which
+    ``both`` checks the closed form, and on a chain writes it) or a chain's
+    closed-form matrix.  Its rows are written as they are encoded, and a row
+    encoded in full is kept only until its mirror row: with the row being
+    encoded, ceil(n/2) rows at their widest cells.  The closed cycle holds no
+    n x n array, as its rows are rotations of one encoded row; under ``both``
+    it holds the oracle's, which is checked against windows of that row.
     """
     n = graph.node_count
     square = 8 * n * n
-    check = 2 * square + _CHECK_FIXED_BYTES + _CHECK_NODE_BYTES * n if method == "both" else 0
-    rows = n if method == "oracle" else (n + 1) // 2
-    held = 0 if graph.kind is GraphKind.CYCLE and method != "oracle" else square + rows * n * _CELL_BYTES[fmt]
-    return max(check, held) + _FIXED_BYTES + _NODE_BYTES * n
+    if graph.kind is GraphKind.CYCLE and method != "oracle":
+        held = square if method == "both" else 0
+    else:
+        held = square + (n + 1) // 2 * n * _CELL_BYTES[fmt]
+    return held + _FIXED_BYTES + _NODE_BYTES * n
 
 
 def _sample_peak_bytes(graph: GraphSpec, count: int) -> int:
@@ -295,57 +289,59 @@ def _circulant_rows(first_row, encode, sep):
 
 
 def _matrix_rows(matrix, encode, sep):
-    """Encoded rows of a dense matrix, reusing an encoding only where the bits are equal.
+    """Encoded rows of a dense matrix, yielded as encoded, reusing an encoding only where the bits are equal.
 
-    If the matrix equals itself reversed in both axes (every chain matrix
-    does), row n-1-r is row r reversed: only the first ceil(n/2) rows are
-    encoded before this returns, and the others are a kept row's cells in
-    reverse order, joined one at a time as they are read.  In each encoded row
-    after the first, the run of columns c around the diagonal where entry
-    (r, c) equals (r-1, c-1) (a chain's powers ``base**|c-r|`` past
-    saturation) takes its cells from the previous row's; the other cells are
-    encoded in one call.  Column 0 is never in a run, and a run of one cell is
-    encoded with its row.  The bytes are those of encoding each cell as it is.
+    In each row after the first, the run of columns c around the diagonal
+    where entry (r, c) equals (r-1, c-1) (a chain's powers ``base**|c-r|``
+    past saturation) takes its cells from the previous row's; the other cells
+    are encoded in one call.  Column 0 is never in a run, and a run of one
+    cell is encoded with its row.  A row r encoded in full whose mirror row
+    n-1-r is its reverse (every chain matrix is centrosymmetric) is kept until
+    that row, which is its cells in reverse order, so at most n/2 rows are
+    held.  The bytes are those of encoding each cell as it is.
     """
     import numpy as np
 
     n = len(matrix)
     bits = matrix.view(np.uint64)
-    mirrored = np.array_equal(bits, bits[::-1, ::-1])
-    kept = [encode(matrix[0].tolist())]
-    cells = None  # the previous row's encoded cells, split only when a run reuses them
-    for i in range(1, (n + 1) // 2 if mirrored else n):
+    kept = {}  # rows encoded in full, by index, until their mirror row is written
+    line = cells = None  # the previous row's encoding, and its cells once split
+    for i in range(n):
+        if n - 1 - i in kept:  # row i is that row reversed
+            cells = kept.pop(n - 1 - i).split(sep)[::-1]
+            yield (line := sep.join(cells))
+            continue
         # column j + 1 does not continue the previous row for each j in stops; the
-        # run lies between two such columns, or column 0 and the row's end
+        # run lies between two such columns, or column 0 and the row's end (row 0 has none)
         stops = np.flatnonzero(bits[i, 1:] != bits[i - 1, :-1])
         k = stops.searchsorted(i - 1)
         start = stops[k - 1] + 2 if k else 1
         stop = stops[k] + 1 if k < len(stops) else n
-        if stop - start > 1:
+        if i and stop - start > 1:
             if cells is None:
-                cells = kept[-1].split(sep)
+                cells = line.split(sep)
             outside = encode(matrix[i, :start].tolist() + matrix[i, stop:].tolist()).split(sep)
             cells = outside[:start] + cells[start - 1 : stop - 1] + outside[start:]
-            kept.append(sep.join(cells))
+            line = sep.join(cells)
         else:
-            kept.append(encode(matrix[i].tolist()))
-            cells = None
-    if not mirrored:
-        return kept
-    # an odd n's middle row is its own mirror
-    reflected = (sep.join(line.split(sep)[::-1]) for line in reversed(kept[: n // 2]))
-    return itertools.chain(kept, reflected)
+            line, cells = encode(matrix[i].tolist()), None
+            if i < n - 1 - i and np.array_equal(bits[i], bits[n - 1 - i, ::-1]):
+                kept[i] = line
+        yield line
 
 
-def _self_check(graph: GraphSpec, tau: float, build) -> tuple:
-    """Build the closed-form matrix and compare it with the oracle's; raise if they disagree.
+def _self_check(graph: GraphSpec, tau: float, closed) -> tuple:
+    """Compare the closed form with the oracle's correlation, in the oracle's buffer; raise if they disagree.
 
-    The oracle runs first, so its temporaries are freed before ``build()``
-    allocates the closed-form matrix, and the gap is computed in the
-    oracle's correlation, which is dropped before this returns.  Returns the
-    built matrix and a dict of ``self_check_tolerance``,
-    ``SELF_CHECK_FACTOR * eps * min(kappa, n**2)``
-    with ``kappa = (1 + 2 tau) / (1 - 2 tau)``, the bound on the precision
+    For the cycle, ``closed`` is the first row, whose rotations (a view) are
+    the rows; the gap is formed in the oracle's buffer, which is dropped, and
+    the matrix returned is None.  For a chain, ``closed`` yields the upper rows
+    (:func:`~ggchain.chains.open_chain_correlation_rows`), each compared with
+    the oracle's row and column and then written over both: the buffer
+    returned is the closed-form matrix that was checked.  Both diagonals are
+    exact ones.  Also returns a dict of ``self_check_tolerance``,
+    ``SELF_CHECK_FACTOR * eps * min(kappa, n**2)`` with
+    ``kappa = (1 + 2 tau) / (1 - 2 tau)``, the bound on the precision
     matrix's condition number, and ``n`` the node count, then
     ``max_abs_deviation``, the largest entry-wise gap.  The tolerance is an
     empirical envelope, not a proven error bound: on open, centered and cycle
@@ -354,13 +350,22 @@ def _self_check(graph: GraphSpec, tau: float, build) -> tuple:
     """
     import numpy as np
 
-    gap = model_correlation(graph, tau).correlation
-    matrix = build()
-    np.subtract(matrix, gap, out=gap)
-    deviation = float(np.max(np.abs(gap, out=gap)))
-    del gap
-    kappa = (1.0 + 2.0 * tau) / (1.0 - 2.0 * tau)
+    matrix = model_correlation(graph, tau).correlation
     n = graph.node_count
+    if graph.kind is GraphKind.CYCLE:
+        # row i is the window that starts at n - i; entry (i, j) is closed[(j - i) % n]
+        windows = np.lib.stride_tricks.sliding_window_view(np.concatenate((closed[1:], closed)), n)[::-1]
+        np.subtract(windows, matrix, out=matrix)
+        deviation = float(np.max(np.abs(matrix, out=matrix)))
+        matrix = None
+    else:
+        gaps = np.zeros(n)
+        for i, row in enumerate(closed):
+            upper, lower = matrix[i, i + 1 :], matrix[i + 1 :, i]
+            gaps[i] = np.maximum(np.max(np.abs(row - upper)), np.max(np.abs(row - lower)))
+            upper[...] = lower[...] = row
+        deviation = float(np.max(gaps))
+    kappa = (1.0 + 2.0 * tau) / (1.0 - 2.0 * tau)
     tolerance = SELF_CHECK_FACTOR * sys.float_info.epsilon * min(kappa, n * n)
     if deviation > tolerance:
         raise SelfCheckError(
@@ -374,9 +379,8 @@ def cmd_corr(args) -> int:
     graph = GraphSpec(args.graph, args.n)
     run = f"corr --method {args.method} --format {args.format} on {graph.node_count} nodes"
     _check_memory(_peak_bytes(graph, args.method, args.format), run)
-    # each route yields what its rows are encoded from; under both the matrix
-    # is checked before any row is encoded, so the oracle's matrix and the
-    # encoded rows are never held at once
+    # each route yields what its rows are encoded from; under both the closed
+    # form is checked before any row is encoded
     layout, check = _matrix_rows, None
     if args.method == "oracle":
         source = model_correlation(graph, args.tau).correlation
@@ -384,19 +388,16 @@ def cmd_corr(args) -> int:
         source = cycle_correlation_sequence(graph.n, args.tau).correlations
         layout = _circulant_rows
         if args.method == "both":
-            # the circulant is built only to be checked: its rows are rotations of source
-            _, check = _self_check(graph, args.tau, functools.partial(circulant_matrix, source))
+            _, check = _self_check(graph, args.tau, source)
+    elif args.method == "both":
+        source, check = _self_check(graph, args.tau, open_chain_correlation_rows(graph.node_count, args.tau))
+    elif graph.kind is GraphKind.OPEN_CHAIN:
+        source = open_chain_correlation_matrix(graph.n, args.tau)
     else:
-        builder = (
-            open_chain_correlation_matrix
-            if graph.kind is GraphKind.OPEN_CHAIN
-            else centered_chain_correlation_matrix
-        )
-        build = functools.partial(builder, graph.n, args.tau)
-        if args.method == "both":
-            source, check = _self_check(graph, args.tau, build)
-        else:
-            source = build()
+        source = centered_chain_correlation_matrix(graph.n, args.tau)
+    if args.format == "json" and layout is _matrix_rows:
+        # JSON refuses a non-finite value anywhere before the first byte
+        _json_cells([source.min().item(), source.max().item()])
     lines = layout(source, *_ROW_ENCODERS[args.format])
 
     labels = list(graph.indices)

@@ -26,9 +26,9 @@ scheme must reproduce the same word addressing.  Draws are generated, solved
 and reduced in blocks of :data:`SAMPLE_BLOCK`, so the sampler's memory is
 bounded by the block, not by the number of draws: one block of variates is
 held, filled from a buffer of a few hundred draws at a time.  The inversions
-run and symmetrise in place and the correlation transform divides in row
-blocks, so :func:`model_correlation` holds two n x n arrays at its peak, the
-two it returns.  The module has one factorisation (:func:`_band_factor`, O(n)
+run and symmetrise in place and the correlation transform divides the
+covariance in place, a block of rows at a time, so :func:`model_correlation`
+holds one n x n array at its peak, the correlation it returns.  The module has one factorisation (:func:`_band_factor`, O(n)
 from tau and the edges) and one back-substitution, shared by the sampler and
 the cycle inversion, which solves ``L y = I`` forward and ``L^T x = y``
 backward in place for ``x = P^-1``.  numpy is imported at call time by the
@@ -76,9 +76,8 @@ ROW_BLOCK = 64
 
 @record(eq=False)
 class CorrelationResult:
-    """Covariance, diagonal scale (sqrt of the variances) and correlation."""
+    """Diagonal scale of a covariance (sqrt of the variances) and its correlation."""
 
-    covariance: "numpy.ndarray"
     scale: "numpy.ndarray"
     correlation: "numpy.ndarray"
 
@@ -238,8 +237,7 @@ def correlation_transform(sigma: "numpy.ndarray") -> CorrelationResult:
     """Rescale a covariance matrix to unit diagonal.
 
     The diagonal of the result is set to exactly 1 rather than recomputed.
-    The input is copied, never changed: the result's ``covariance`` is a new
-    array.
+    The input is copied, never changed.
     """
     import numpy as np
 
@@ -247,10 +245,10 @@ def correlation_transform(sigma: "numpy.ndarray") -> CorrelationResult:
 
 
 def _transform(sigma: "numpy.ndarray") -> CorrelationResult:
-    """:func:`correlation_transform` of a float covariance the result may keep, uncopied.
+    """:func:`correlation_transform` in place: ``sigma``, a float covariance, becomes the correlation.
 
     The division runs in blocks of rows, each over its own slice of the
-    scales' outer product, so the only n x n allocation is the correlation.
+    scales' outer product, so no n x n array is allocated.
     """
     import numpy as np
 
@@ -258,12 +256,11 @@ def _transform(sigma: "numpy.ndarray") -> CorrelationResult:
     if np.any(d <= 0.0):
         raise DomainError("covariance diagonal must be strictly positive")
     scale = np.sqrt(d)
-    corr = np.empty_like(sigma)
     for start in range(0, len(sigma), ROW_BLOCK):
-        rows = slice(start, start + ROW_BLOCK)
-        np.divide(sigma[rows], np.outer(scale[rows], scale), out=corr[rows])
-    np.fill_diagonal(corr, 1.0)
-    return CorrelationResult(covariance=sigma, scale=scale, correlation=corr)
+        rows = sigma[start : start + ROW_BLOCK]
+        rows /= np.outer(scale[start : start + ROW_BLOCK], scale)
+    np.fill_diagonal(sigma, 1.0)
+    return CorrelationResult(scale=scale, correlation=sigma)
 
 
 def model_correlation(graph: GraphSpec, tau: float) -> CorrelationResult:

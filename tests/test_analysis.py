@@ -16,7 +16,7 @@ from ggchain import (
     gff_table,
     rel_error_coefficient_centered,
 )
-from ggchain.analysis import ConvergenceSweep
+from ggchain.analysis import FIT_MIN_SIZE_RATE, ConvergenceSweep
 from ggchain.model import as_index
 
 
@@ -162,6 +162,27 @@ class TestFitAbsErrorRate:
         fit = fit_abs_error_rate(gg.sweep(GraphKind.OPEN_CHAIN, 1, 2, 0.4, 3, 30))
         assert fit.relative_slope_error <= 0.02
         assert fit.r_squared >= 0.999
+
+    def test_sizes_outside_the_regime_are_not_fitted(self):
+        """Regression: near tau = 1/2 the error window admitted sizes with
+        n * rate far below 1, where the error still falls algebraically, and
+        the fit of the open pair (2, 1) at tau = 1/2 - 2**-40 over n = 100..108
+        returned a slope 2527 times too steep.  A size is fitted only from
+        n * rate >= FIT_MIN_SIZE_RATE = 1 on: at rate 5.0e-4 from n = 2000."""
+        assert FIT_MIN_SIZE_RATE == 1.0
+        with pytest.raises(InsufficientDataError, match=r"0 usable points .* at n \* rate >= 1, need 5"):
+            fit_abs_error_rate(gg.sweep(GraphKind.OPEN_CHAIN, 2, 1, 0.5 - 2**-40, 100, 108))
+        sweep = gg.sweep(GraphKind.OPEN_CHAIN, 1, 2, 0.4999999375, 1990, 2009)
+        assert sweep.rate * 1999 < FIT_MIN_SIZE_RATE <= sweep.rate * 2000
+        assert fit_abs_error_rate(sweep).n_points == 10
+
+    def test_regime_keeps_every_size_from_5_at_rate_0_2(self):
+        """Every size n >= 5 is fitted up to tau = 0.49 (rate 0.2017), the
+        range the sweeps here and the benchmark's windows use."""
+        sweep = gg.sweep(GraphKind.CENTERED_CHAIN, 0, 1, 0.49, 5, 40)
+        assert 5 * sweep.rate >= FIT_MIN_SIZE_RATE
+        in_window = [r for r in sweep if gg.ERROR_FLOOR <= abs(r.abs_err) <= gg.ERROR_CEILING]
+        assert fit_abs_error_rate(sweep).n_points == len(in_window) >= 5
 
     def test_diagonal_insufficient(self):
         with pytest.raises(InsufficientDataError):

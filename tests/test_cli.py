@@ -415,9 +415,10 @@ class TestCorr:
 
     def test_interior_rows_are_spliced(self, capsys, monkeypatch):
         """At n = 200 and tau = 0.4 (K = 27) rows 1..27 are encoded in full.
-        Each of rows 28..100 reuses the previous row's cells in columns
+        Each of rows 28..173 reuses the previous row's cells in columns
         28..174, where both rows hold powers of the base, and encodes only
-        the other 2K - 1 cells."""
+        the other 2K - 1 cells.  Rows 174..200 are rows 27..1 reversed, from
+        their kept encodings, and are not encoded again."""
         import ggchain.cli as cli_mod
 
         encode, sep = cli_mod._ROW_ENCODERS["csv"]
@@ -430,7 +431,7 @@ class TestCorr:
         monkeypatch.setitem(cli_mod._ROW_ENCODERS, "csv", (counted, sep))
         code, _, _ = run_cli(capsys, "corr", "--graph", "open", "--n", "200", "--tau", "0.4")
         assert code == 0
-        assert lengths == [200] * 27 + [53] * 73
+        assert lengths == [200] * 27 + [53] * 146
 
     def test_nudged_interior_cell_printed_as_held(self, capsys, monkeypatch):
         """A row whose saturated cells are not exactly the powers is encoded in
@@ -525,7 +526,7 @@ class TestCorr:
                 res = real_model(graph, tau)
                 corr = res.correlation.copy()
                 corr[-1, 0] = -math.inf
-                return CorrelationResult(covariance=res.covariance, scale=res.scale, correlation=corr)
+                return CorrelationResult(scale=res.scale, correlation=corr)
 
             monkeypatch.setattr(cli_mod, "model_correlation", poisoned)
             argv = ("--graph", "cycle", "--method", "oracle")
@@ -554,7 +555,7 @@ class TestCorr:
             corr = res.correlation.copy()
             corr[0, -1] += 1e-6
             corr[-1, 0] += 1e-6
-            return CorrelationResult(covariance=res.covariance, scale=res.scale, correlation=corr)
+            return CorrelationResult(scale=res.scale, correlation=corr)
 
         monkeypatch.setattr(cli_mod, "model_correlation", perturbed)
         code, out, err = run_cli(
@@ -617,20 +618,26 @@ class TestSelfCheckTolerance:
             assert meta["self_check_tolerance"] == self_check_tolerance(spec, tau)
             assert meta["max_abs_deviation"] <= meta["self_check_tolerance"] / 8, argv
 
+    @staticmethod
+    def nudged_rows(monkeypatch):
+        """Make the CLI's chain row source move entry (0, 1) by 1e-10 of itself."""
+        import ggchain.cli as cli_mod
+
+        real = cli_mod.open_chain_correlation_rows
+
+        def nudged(n, tau):
+            rows = real(n, tau)
+            first = next(rows)
+            first[0] *= 1 + 1e-10
+            return itertools.chain([first], rows)
+
+        monkeypatch.setattr(cli_mod, "open_chain_correlation_rows", nudged)
+
     def test_one_entry_off_by_1e10_relative_exits_3(self, capsys, monkeypatch):
         """One closed-form entry moved by 1e-10 of itself is caught.  The move,
         about 5e-11, passed the fixed 1e-8 tolerance that the derived one
         replaced; here the tolerance is 64 eps kappa = 1.3e-13."""
-        import ggchain.cli as cli_mod
-
-        real = cli_mod.open_chain_correlation_matrix
-
-        def nudged(n, tau):
-            matrix = real(n, tau)
-            matrix[0, 1] *= 1 + 1e-10
-            return matrix
-
-        monkeypatch.setattr(cli_mod, "open_chain_correlation_matrix", nudged)
+        self.nudged_rows(monkeypatch)
         code, out, err = run_cli(
             capsys, "corr", "--graph", "open", "--n", "5", "--tau", "0.4", "--method", "both"
         )
@@ -638,7 +645,35 @@ class TestSelfCheckTolerance:
         assert out == ""
         assert err.startswith("ggchain: self-check failure: ")
         assert "(tolerance 1.279e-13)" in err
-        assert 1e-13 < real(5, 0.4)[0, 1] * 1e-10 < 1e-8
+        assert 1e-13 < open_chain_correlation_matrix(5, 0.4)[0, 1] * 1e-10 < 1e-8
+
+    @pytest.mark.parametrize("graph", ["centered", "cycle"])
+    def test_nudge_caught_on_centered_and_cycle(self, capsys, monkeypatch, graph):
+        """The same 1e-10 relative move is caught on the other graphs, 5 nodes
+        each: in the centered chain's row source, and in the cycle's
+        correlation at lags 1 and n - 1 (moved together, so the row stays
+        mirror symmetric), the row that the circulant's rows rotate."""
+        import ggchain.cli as cli_mod
+        from ggchain import CycleCorrelation
+
+        if graph == "centered":
+            self.nudged_rows(monkeypatch)
+            n = "2"
+        else:
+            real = cli_mod.cycle_correlation_sequence
+
+            def nudged(n, tau):
+                seq = real(n, tau)
+                corr = list(seq.correlations)
+                corr[1] = corr[-1] = corr[1] * (1 + 1e-10)
+                return CycleCorrelation(seq.n, seq.tau, seq.covariances, tuple(corr), seq.limits)
+
+            monkeypatch.setattr(cli_mod, "cycle_correlation_sequence", nudged)
+            n = "5"
+        code, out, err = run_cli(capsys, "corr", "--graph", graph, "--n", n, "--tau", "0.4", "--method", "both")
+        assert (code, out) == (3, "")
+        assert err.startswith("ggchain: self-check failure: ")
+        assert "(tolerance 1.279e-13)" in err
 
 
 class TestResourceGuard:
@@ -669,11 +704,11 @@ class TestResourceGuard:
         [
             ("open", 10, "closed", "csv", 8 * 100 + 5 * 10 * 17),  # the matrix and its first 5 rows
             ("open", 10, "closed", "json", 8 * 100 + 5 * 10 * 26),
-            ("open", 10, "oracle", "json", 8 * 100 + 10 * 10 * 26),  # all 10 rows outgrow the inversion
+            ("open", 10, "oracle", "json", 8 * 100 + 5 * 10 * 26),  # up to a row of each mirrored pair
             ("open", 1000, "both", "csv", 8 * 1000**2 + 500 * 1000 * 17),  # 500 rows outgrow the self-check
             ("centered", 10, "closed", "csv", 8 * 21**2 + 11 * 21 * 17),  # 21 nodes
             ("cycle", 10, "closed", "json", 0),  # O(n): one encoded row
-            ("cycle", 10, "oracle", "csv", 8 * 100 + 10 * 10 * 17),  # all 10 rows outgrow two arrays
+            ("cycle", 10, "oracle", "csv", 8 * 100 + 5 * 10 * 17),
         ],
     )
     def test_predicted_bytes(self, graph, n, method, fmt, square_bytes):
@@ -694,15 +729,18 @@ class TestResourceGuard:
         ],
     )
     def test_predicted_check_bytes(self, graph, n, fmt):
-        """Where the self-check of ``both`` is the peak, the prediction is its
-        two n x n arrays, the oracle's correlation and the closed-form matrix,
-        with the check's own fixed and per-node bytes."""
-        from ggchain.cli import _CHECK_FIXED_BYTES, _CHECK_NODE_BYTES, _FIXED_BYTES, _NODE_BYTES, _peak_bytes
+        """The self-check of ``both`` holds no second n x n array: it runs in
+        the oracle's buffer, which a chain then writes out as ``closed`` writes
+        its own matrix, and which the cycle drops before its rows, rotations of
+        one encoded row, are written."""
+        from ggchain.cli import _FIXED_BYTES, _NODE_BYTES, _peak_bytes
 
         spec = GraphSpec(GraphKind(graph), n)
         nodes = spec.node_count
-        check = 2 * 8 * nodes**2 + _CHECK_FIXED_BYTES + _CHECK_NODE_BYTES * nodes
-        assert _peak_bytes(spec, "both", fmt) == check + _FIXED_BYTES + _NODE_BYTES * nodes
+        if graph == "cycle":
+            assert _peak_bytes(spec, "both", fmt) == 8 * nodes**2 + _FIXED_BYTES + _NODE_BYTES * nodes
+        else:
+            assert _peak_bytes(spec, "both", fmt) == _peak_bytes(spec, "closed", fmt)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("method", ["closed", "oracle", "both"])
@@ -762,6 +800,28 @@ class TestResourceGuard:
         argv = ["corr", "--n", "1000", "--tau", "0.45", "--method", "both"]
         cycle, chain = (self.peak_rss(argv + ["--graph", graph]) for graph in ("cycle", "open"))
         assert cycle - chain <= 0.5 * 8 * 1000**2
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="VmHWM is read from /proc")
+    def test_fresh_process_holds_one_square(self):
+        """At 1000 nodes a fresh ``corr`` process holds one n x n float64
+        array, 8 MB: open and cycle ``both``, the centered ``closed`` (1001
+        nodes) and the open oracle in JSON each peak within that square and
+        an allowance of half another (the rows encoded in full and kept for
+        their mirrors, numpy's and the interpreter's working memory) over a
+        3-node ``corr --method both``, which loads numpy and the package.  A
+        second n x n array on any of them fails it: each held two, or every
+        encoded oracle row, about 16 to 31 MB over that run."""
+        square = 8 * 1000**2
+        allowance = square // 2
+        small = self.peak_rss(["corr", "--graph", "open", "--n", "3", "--tau", "0.45", "--method", "both"])
+        routes = [
+            ["--graph", "open", "--n", "1000", "--method", "both"],
+            ["--graph", "cycle", "--n", "1000", "--method", "both"],
+            ["--graph", "centered", "--n", "500", "--method", "closed"],
+            ["--graph", "open", "--n", "1000", "--method", "oracle", "--format", "json"],
+        ]
+        for route in routes:
+            assert self.peak_rss(["corr", "--tau", "0.45", *route]) - small <= square + allowance, route
 
     @pytest.mark.parametrize("available, code", [(8 * 1000**2 - 1, 6), (8 * 1000**2, 0), (None, 0)])
     def test_limit_is_physical_memory(self, capsys, monkeypatch, available, code):
@@ -846,15 +906,16 @@ class TestResourceGuard:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_converge_prediction_covers_usable_fit_window(self, capsys, fmt):
         """``--fit`` also holds the points of the usable sizes: at tau = 0.4
-        only 19 of the 20,000 are usable, at 0.4999999975 all but 34, and the
-        prediction covers that traced peak too."""
+        only 19 of the 20,000 are usable; at 0.4999999375 (rate 5.0e-4) every
+        size from n * rate = 1 on, 18,002 of them, and the prediction covers
+        that traced peak too."""
         from ggchain.cli import _FIXED_BYTES, _RECORD_BYTES
 
-        argv = self.converge_argv("0.4999999975", fmt, "--fit")
+        argv = self.converge_argv("0.4999999375", fmt, "--fit")
         assert _FIXED_BYTES + _RECORD_BYTES * 20000 >= self.traced_peak(argv)
         code, out, err = run_cli(capsys, *argv)
         fit = json.loads(out)["payload"]["fit"] if fmt == "json" else json.loads(err)
-        assert (code, fit["n_points"]) == (0, 19966)
+        assert (code, fit["n_points"]) == (0, 18002)
 
     def test_json_converge_rows_are_streamed(self):
         """JSON ``converge`` holds what CSV holds, the sweep's records, and
@@ -955,7 +1016,7 @@ class TestResourceGuard:
             raise AssertionError("an array was built past the guard")
 
         for name in ("open_chain_correlation_matrix", "centered_chain_correlation_matrix",
-                     "model_correlation", "circulant_matrix", "cycle_correlation_sequence"):
+                     "model_correlation", "open_chain_correlation_rows", "cycle_correlation_sequence"):
             monkeypatch.setattr(cli_mod, name, unreachable)
         monkeypatch.setattr(cli_mod, "_physical_memory", lambda: 2**40)
         if graph == "cycle" and method == "closed":

@@ -38,6 +38,12 @@ CASES = {
     "corr_centered_closed": ("corr", "--graph", "centered", "--n", "3", "--tau", "0.4", "--method", "closed"),
     "corr_cycle_both": ("corr", "--graph", "cycle", "--n", "5", "--tau", "0.4", "--method", "both"),
     "corr_cycle_oracle": ("corr", "--graph", "cycle", "--n", "4", "--tau", "0.3", "--method", "oracle"),
+    # tau = 0: every route writes the identity, and both report a deviation of 0
+    **{
+        f"corr_{graph}_{method}_tau0": ("corr", "--graph", graph, "--n", n, "--tau", "0", "--method", method)
+        for graph, n in (("open", "4"), ("centered", "2"), ("cycle", "5"))
+        for method in ("closed", "oracle", "both")
+    },
     "converge_centered_fit": (
         "converge", "--graph", "centered", "--i", "0", "--j", "1", "--tau", "0.45",
         "--n-min", "5", "--n-max", "40", "--fit",
@@ -56,7 +62,7 @@ CASES = {
         "converge", "--graph", "open", "--i", "1", "--j", "2", "--tau", "0.05",
         "--n-min", "115", "--n-max", "130",
     ),
-    # tau = 1/2 - 2**-40, reversed pair, fitted
+    # tau = 1/2 - 2**-40, reversed pair: every size has n * rate < 1, so the fit exits 4
     "converge_open_edge_fit": (
         "converge", "--graph", "open", "--i", "2", "--j", "1", "--tau", "0.4999999999990905",
         "--n-min", "100", "--n-max", "108", "--fit",

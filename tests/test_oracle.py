@@ -227,13 +227,13 @@ class TestCorrelationTransform:
 
     def test_input_is_copied_not_changed(self):
         """The public transform copies: its input keeps its bits, and the
-        result's covariance is a new array with the same values."""
+        result's correlation shares no memory with it (the private
+        ``_transform`` divides in place)."""
         sigma = invert_tridiagonal(1.0, -0.45, 300)
         before = sigma.copy()
         res = correlation_transform(sigma)
         np.testing.assert_array_equal(sigma, before)
-        assert res.covariance is not sigma and not np.shares_memory(res.covariance, sigma)
-        np.testing.assert_array_equal(res.covariance, before)
+        assert not np.shares_memory(res.correlation, sigma)
 
     def test_blocked_division_matches_full_outer_product(self):
         """The row blocks divide by the same products as one full outer
@@ -256,7 +256,8 @@ class TestSymmetrise:
 
 
 class TestOracleMemory:
-    """The inversion routes hold two n x n arrays at their peak and return both."""
+    """The inversion routes hold one n x n array at their peak: the covariance,
+    which the correlation transform divides in place and returns."""
 
     @staticmethod
     def _traced_peak(call):
@@ -269,22 +270,22 @@ class TestOracleMemory:
         finally:
             tracemalloc.stop()
 
-    def test_chain_peaks_at_the_two_results(self):
-        """On a 1001-node chain the peak is the covariance and the correlation,
-        plus one block of the division (an n x n temporary would make it 3)."""
+    def test_chain_peaks_at_the_result(self):
+        """On a 1001-node chain the peak is the correlation, plus one block of
+        the division (a second n x n array would make it 2)."""
         res, peak = self._traced_peak(
             lambda: model_correlation(GraphSpec(GraphKind.OPEN_CHAIN, 1001), 0.45)
         )
         square = res.correlation.nbytes
-        assert 2 * square <= peak <= 2.25 * square
+        assert square <= peak <= 1.25 * square
 
-    def test_cycle_peaks_within_three_arrays(self):
+    def test_cycle_peaks_as_the_chain(self):
         """The cycle's factor is three vectors and both sweeps run in place on
         the covariance, so it peaks as the chain does (it held the precision
         matrix and the factor beside it, and LAPACK's untraced working copy)."""
         res, peak = self._traced_peak(lambda: model_correlation(GraphSpec(GraphKind.CYCLE, 1001), 0.45))
         square = res.correlation.nbytes
-        assert 2 * square <= peak <= 2.25 * square
+        assert square <= peak <= 1.25 * square
 
 
 class TestModelCorrelation:

@@ -27,7 +27,7 @@ PUBLIC_NAMES = {
     # chains
     "open_chain_covariance", "open_chain_correlation",
     "open_chain_correlation_limit", "open_chain_relative_error",
-    "open_chain_limit_envelope_error", "open_chain_correlation_matrix",
+    "open_chain_limit_envelope_error", "open_chain_correlation_matrix", "open_chain_correlation_rows",
     "centered_chain_correlation", "centered_chain_correlation_limit",
     "centered_chain_relative_error", "centered_chain_correlation_matrix",
     "rel_error_coefficient_open", "rel_error_coefficient_centered",
@@ -45,7 +45,7 @@ PUBLIC_NAMES = {
 
 
 def test_exported_names():
-    assert len(gg.__all__) == len(set(gg.__all__)) == 55
+    assert len(gg.__all__) == len(set(gg.__all__)) == 56
     assert set(gg.__all__) == PUBLIC_NAMES
 
 
@@ -125,7 +125,7 @@ def test_numpy_stays_off_the_scalar_path():
         assert "ggchain.oracle" in sys.modules
         assert ggchain.cli.open_chain_correlation_matrix.__module__ == "ggchain.chains"
         assert ggchain.cli.cycle_correlation_sequence.__module__ == "ggchain.circulant"
-        assert ggchain.cli.circulant_matrix.__module__ == "ggchain.circulant"
+        assert ggchain.cli.open_chain_correlation_rows.__module__ == "ggchain.chains"
         print(sorted(name for name in sys.modules if name.partition(".")[0] in ("numpy", "scipy")))
         """
     )

@@ -38,7 +38,7 @@ FIELDS = {
     "RateFit": ("slope", "intercept", "r_squared", "expected_slope", "relative_slope_error", "n_points"),
     "GffRow": ("mass", "tau", "rate", "gff_rate", "discrepancy"),
     "CycleCorrelation": ("n", "tau", "covariances", "correlations", "limits"),
-    "CorrelationResult": ("covariance", "scale", "correlation"),
+    "CorrelationResult": ("scale", "correlation"),
     "SampleBatch": (
         "seed", "count", "coordinate_sums", "cross_products", "correlation", "fisher_stderr", "method",
     ),
