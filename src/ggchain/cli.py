@@ -353,7 +353,7 @@ def _self_check(graph: GraphSpec, tau: float, closed) -> tuple:
     matrix = model_correlation(graph, tau).correlation
     n = graph.node_count
     if graph.kind is GraphKind.CYCLE:
-        # row i is the window that starts at n - i; entry (i, j) is closed[(j - i) % n]
+        # row i is the window starting at n - 1 - i: entry (i, j) is closed[(j - i) % n]
         windows = np.lib.stride_tricks.sliding_window_view(np.concatenate((closed[1:], closed)), n)[::-1]
         np.subtract(windows, matrix, out=matrix)
         deviation = float(np.max(np.abs(matrix, out=matrix)))

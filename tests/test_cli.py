@@ -705,7 +705,7 @@ class TestResourceGuard:
             ("open", 10, "closed", "csv", 8 * 100 + 5 * 10 * 17),  # the matrix and its first 5 rows
             ("open", 10, "closed", "json", 8 * 100 + 5 * 10 * 26),
             ("open", 10, "oracle", "json", 8 * 100 + 5 * 10 * 26),  # up to a row of each mirrored pair
-            ("open", 1000, "both", "csv", 8 * 1000**2 + 500 * 1000 * 17),  # 500 rows outgrow the self-check
+            ("open", 1000, "both", "csv", 8 * 1000**2 + 500 * 1000 * 17),  # the checked buffer and 500 rows
             ("centered", 10, "closed", "csv", 8 * 21**2 + 11 * 21 * 17),  # 21 nodes
             ("cycle", 10, "closed", "json", 0),  # O(n): one encoded row
             ("cycle", 10, "oracle", "csv", 8 * 100 + 5 * 10 * 17),
@@ -810,7 +810,7 @@ class TestResourceGuard:
         their mirrors, numpy's and the interpreter's working memory) over a
         3-node ``corr --method both``, which loads numpy and the package.  A
         second n x n array on any of them fails it: each held two, or every
-        encoded oracle row, about 16 to 31 MB over that run."""
+        encoded oracle row, 16 to 32 MB over that run."""
         square = 8 * 1000**2
         allowance = square // 2
         small = self.peak_rss(["corr", "--graph", "open", "--n", "3", "--tau", "0.45", "--method", "both"])

@@ -279,7 +279,7 @@ class TestOracleMemory:
         square = res.correlation.nbytes
         assert square <= peak <= 1.25 * square
 
-    def test_cycle_peaks_as_the_chain(self):
+    def test_cycle_peaks_within_three_arrays(self):
         """The cycle's factor is three vectors and both sweeps run in place on
         the covariance, so it peaks as the chain does (it held the precision
         matrix and the factor beside it, and LAPACK's untraced working copy)."""
