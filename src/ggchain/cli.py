@@ -170,9 +170,8 @@ def _physical_memory() -> int | None:
 _CELL_BYTES = {"csv": 17, "json": 26}
 # what a run allocates besides its n x n array and encoded rows: a fixed part
 # (the argument parser and other per-run objects) and a part per node (O(n)
-# tables, the cycle's sequences, a row split into cells, and the correlation
-# transform's block of ROW_BLOCK rows, 512 bytes a node alone), sized from
-# tracemalloc at 3 to 2000 nodes
+# tables, the cycle's sequences, a row split into cells, the correlation
+# transform's ROW_BLOCK-row block of 512 B a node), from tracemalloc at 3-2000 nodes
 _FIXED_BYTES, _NODE_BYTES = 2**17, 1024
 # what ``converge`` holds per size of its window in either format (its record and
 # the fit's points); tracemalloc shows at most 512 at windows of 20,000 and 100,000
