@@ -1,17 +1,16 @@
 """Immutable record classes, built without generating code.
 
-``@record`` reads a class's annotations, in order, as its fields and gives
-it an ``__init__`` that takes them positionally or by keyword, then runs the
+``@record`` reads a class's annotations, in order, as its fields and gives it
+an ``__init__`` that takes them positionally or by keyword, then runs the
 class's ``__post_init__`` if it has one (which may set a field through
 ``object.__setattr__``).  Assigning or deleting an attribute raises
-``AttributeError``.  The repr lists the fields but those named in ``hide``.
-With ``eq=True`` two records are equal when they are of the same class with
-equal fields, and hash by their fields; with ``eq=False`` they keep object
-identity, as records holding arrays must.  Fields live in the instance
-``__dict__``, so ``pickle`` and ``copy`` work unchanged.  The field names are
-the class attributes ``_fields`` and ``__match_args__``.  Unlike
-:mod:`dataclasses`, which this replaces for the package's records, nothing
-here is compiled at import.
+``AttributeError``.  The repr lists the fields.  With ``eq=True`` two records
+are equal when they are of the same class with equal fields, and hash by
+their fields; with ``eq=False`` they keep object identity, as records holding
+arrays must.  Fields live in the instance ``__dict__``, so ``pickle`` and
+``copy`` work unchanged.  The field names are the class attributes
+``_fields`` and ``__match_args__``.  Unlike :mod:`dataclasses`, which this
+replaces for the package's records, nothing here is compiled at import.
 """
 
 
@@ -32,13 +31,12 @@ def _bind(cls, args: tuple, kwargs: dict) -> dict:
     return values
 
 
-def record(cls=None, *, eq: bool = True, hide: tuple = ()):
-    """Make ``cls`` an immutable record; usable bare or as ``@record(eq=..., hide=...)``."""
+def record(cls=None, *, eq: bool = True):
+    """Make ``cls`` an immutable record; usable bare or as ``@record(eq=...)``."""
     if cls is None:
-        return lambda cls: record(cls, eq=eq, hide=hide)
+        return lambda cls: record(cls, eq=eq)
     names = cls._fields = cls.__match_args__ = tuple(cls.__dict__.get("__annotations__", {}))
     count, known = len(names), frozenset(names)
-    shown = [name for name in names if name not in hide]
     post_init = getattr(cls, "__post_init__", None)
     # a record derives from object, so the instance dict's setter is its own
     set_dict = cls.__dict__["__dict__"].__set__
@@ -58,7 +56,7 @@ def record(cls=None, *, eq: bool = True, hide: tuple = ()):
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in shown)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in names)
         return f"{type(self).__qualname__}({fields})"
 
     def _values(self):

@@ -1,11 +1,13 @@
 """Numerical experiments on the decay laws: sweeps, rate fits, the free-field table.
 
-A sweep checks one index pair, ``tau`` and its window once, then records at each
-size the exact value, its limit and three error columns from the public chain
-kernels' cores.  Error columns come from the log-space relative-error kernels,
-so they keep their exact sign and magnitude well past the point where ``exact``
-and ``limit`` become equal doubles; once the underlying exponentials underflow
-entirely (around ``2 (n+1) rate > 745``) the columns collapse to zero.
+A sweep holds one index pair, ``tau`` and its window, not its records: each
+pass over it checks the pair, ``tau`` and the window once, then evaluates at
+each size the exact value, its limit and three error columns from the public
+chain kernels' cores, one record at a time.  Error columns come from the
+log-space relative-error kernels, so they keep their exact sign and magnitude
+well past the point where ``exact`` and ``limit`` become equal doubles; once
+the underlying exponentials underflow entirely (around ``2 (n+1) rate > 745``)
+the columns collapse to zero.
 
 Rate fits regress ``log |abs_err|`` on ``n`` inside a fixed usable window:
 errors below 1e-14 are double-precision noise, errors above 1e-2 are outside
@@ -18,7 +20,7 @@ import math
 
 from ._record import record
 from .chains import pair_sweeper
-from .errors import DomainError, InsufficientDataError
+from .errors import InsufficientDataError
 from .model import GffParams, GraphKind, as_index, decay_params, gff_decay_rate, tau_from_gff
 
 __all__ = [
@@ -60,19 +62,23 @@ class ConvergenceRecord:
     scaled_rel: float
 
 
-@record(hide=("records",))
+@record
 class ConvergenceSweep:
-    """Sweep records plus the context needed to interpret them."""
+    """One pair's window of sizes; each pass checks it once and yields its records, made afresh."""
 
     kind: GraphKind
     i: int
     j: int
     tau: float
     rate: float
-    records: tuple[ConvergenceRecord, ...]
+    n_min: int
+    n_max: int
 
     def __iter__(self):
-        return iter(self.records)
+        p, limit, sizes, at = _checked(self.kind, self.i, self.j, self.tau, self.n_min, self.n_max)
+        for n in sizes:
+            exact, rel = at(n)
+            yield ConvergenceRecord(n, exact, limit, limit * rel, rel, _scaled(rel, n, p.rate))
 
 
 @record
@@ -100,65 +106,61 @@ def _scaled(rel: float, n: int, rate: float) -> float:
         raise OverflowError(f"scaled_rel at n = {n} overflows: exp argument {exponent:.6g}") from None
 
 
+def _checked(kind, i, j, tau, n_min, n_max):
+    """The decay parameters, limit, sizes and ``at(n)`` of a window, after one check of it all."""
+    p, limit, smallest, at = pair_sweeper(GraphKind(kind), i, j, tau)
+    n_min = as_index(n_min, "n_min", smallest)
+    return p, limit, range(n_min, as_index(n_max, "n_max", n_min) + 1), at
+
+
 def sweep(kind: GraphKind, i: int, j: int, tau: float, n_min: int, n_max: int) -> ConvergenceSweep:
-    """Records for sizes n_min..n_max at one index pair of a chain.
+    """The sweep over sizes n_min..n_max at one index pair of a chain, checked now.
 
     The size is the length of the open chain (indices >= 1) and the half-width
     of the centered chain; ``n_min`` may be the smallest size that holds both
     indices, max(|i|, |j|, 1).  ``kind`` may be given by its value; the cycle has
     no asymptotic expansion to sweep against and is rejected.
     """
-    kind = GraphKind(kind)
-    p, limit, smallest, at = pair_sweeper(kind, i, j, tau)
-    n_min = as_index(n_min, "n_min", smallest)
-    n_max = as_index(n_max, "n_max", n_min)
-    records = []
-    for n in range(n_min, n_max + 1):
-        exact, rel = at(n)
-        records.append(ConvergenceRecord(n, exact, limit, limit * rel, rel, _scaled(rel, n, p.rate)))
-    return ConvergenceSweep(kind=kind, i=int(i), j=int(j), tau=p.tau, rate=p.rate, records=tuple(records))
+    p, _, sizes, _ = _checked(kind, i, j, tau, n_min, n_max)
+    return ConvergenceSweep(GraphKind(kind), int(i), int(j), p.tau, p.rate, sizes.start, sizes.stop - 1)
 
 
 def fit_abs_error_rate(sweep: ConvergenceSweep) -> RateFit:
-    """Fit log |abs_err| against n inside the usable error window.
+    """Fit log |abs_err| against n inside the usable error window, in one pass.
 
     A size is usable where its error lies in [``ERROR_FLOOR``,
-    ``ERROR_CEILING``] and ``n * rate >= FIT_MIN_SIZE_RATE``.  Sums are
-    ``math.fsum``, correctly rounded, so the fit's bits do not depend on the
-    Python version (the builtin ``sum`` compensates from 3.12 on).
-    Requires at least five usable points.  Rejects cycle data outright: the
-    cycle model has a limit but no established error law to fit against.
+    ``ERROR_CEILING``] and ``n * rate >= FIT_MIN_SIZE_RATE``.  The pass keeps
+    six exact integer sums (the count and the sums of n, n**2, y, n y and
+    y**2, each y = log |abs_err| counted in units of 2**-1074 by
+    ``float.as_integer_ratio``), so every field is the correctly rounded
+    least-squares value, whatever the Python version.  Requires at least five
+    usable points.  The sweep's own pass refuses the cycle.
     """
-    if GraphKind(sweep.kind) is GraphKind.CYCLE:
-        raise DomainError("no asymptotic error expansion exists for the cycle graph")
-    usable = [
-        r for r in sweep.records
-        if ERROR_FLOOR <= abs(r.abs_err) <= ERROR_CEILING and r.n * sweep.rate >= FIT_MIN_SIZE_RATE
-    ]
-    count = len(usable)
+    count = sx = sxx = sy = sxy = syy = 0
+    for r in sweep:
+        if ERROR_FLOOR <= abs(r.abs_err) <= ERROR_CEILING and r.n * sweep.rate >= FIT_MIN_SIZE_RATE:
+            y, den = math.log(abs(r.abs_err)).as_integer_ratio()
+            y <<= 1075 - den.bit_length()  # den is 2**k, k <= 1074: every double is a multiple of 2**-1074
+            count, sx, sxx = count + 1, sx + r.n, sxx + r.n * r.n
+            sy, sxy, syy = sy + y, sxy + r.n * y, syy + y * y
     if count < 5:
         raise InsufficientDataError(
             f"{count} usable points inside [{ERROR_FLOOR:g}, {ERROR_CEILING:g}] "
             f"at n * rate >= {FIT_MIN_SIZE_RATE:g}, need 5"
         )
-    xs = [r.n for r in usable]
-    ys = [math.log(abs(r.abs_err)) for r in usable]
-    x_mean = math.fsum(xs) / count
-    y_mean = math.fsum(ys) / count
-    sxx = math.fsum((x - x_mean) ** 2 for x in xs)
-    sxy = math.fsum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys))
-    slope = sxy / sxx
-    intercept = y_mean - slope * x_mean
-    ss_tot = math.fsum((y - y_mean) ** 2 for y in ys)
-    ss_res = math.fsum((y - (slope * x + intercept)) ** 2 for x, y in zip(xs, ys))
-    r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
+    # count**2 times the variances and covariance; int / int is correctly rounded
+    vx = count * sxx - sx * sx
+    cxy = count * sxy - sx * sy  # in units of 2**-1074
+    vy = count * syy - sy * sy  # in units of 2**-2148
+    unit = vx << 1074
     expected = -2.0 * sweep.rate
+    e, e_den = expected.as_integer_ratio()
     return RateFit(
-        slope=slope,
-        intercept=intercept,
-        r_squared=r_squared,
+        slope=cxy / unit,
+        intercept=(sy * vx - sx * cxy) / (count * unit),
+        r_squared=1.0 if vy == 0 else cxy * cxy / (vx * vy),
         expected_slope=expected,
-        relative_slope_error=abs(slope - expected) / abs(expected),
+        relative_slope_error=abs(cxy * e_den - e * unit) / (unit * abs(e)),
         n_points=count,
     )
 

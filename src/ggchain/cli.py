@@ -17,19 +17,19 @@ matrix text is never held, and every other table streams row by row too.  A
 non-finite value in JSON exits 2 with nothing on stdout: the matrix is checked
 before the first byte.  ``corr`` holds at most one n x n array: under
 ``--method both`` the closed form is compared with the oracle's correlation
-as it is made, in the oracle's buffer.  ``corr``, ``sample``, ``converge``
-and ``circulant`` predict their peak allocation and refuse a run that physical
-memory cannot hold before it starts.
+as it is made, in the oracle's buffer.  ``corr``, ``sample`` and
+``circulant`` predict their peak allocation and refuse a run that physical
+memory cannot hold before it starts; ``converge`` holds one record at a time.
 
 ``decay``, ``converge``, ``circulant`` and ``corr --graph cycle --method
 closed`` never load numpy: the cycle kernel is pure Python, and numpy is used
-only by the chain matrices, the oracles and ``circulant_matrix``.
+only by the chain matrices and the oracles.
 
 Exit codes: 0 ok, 2 domain error (including a non-finite value in JSON
 output), 3 self-check failure, 4 insufficient data, 5 statistical failure,
-6 resource limit (``corr`` or ``sample`` arrays, a ``converge`` window or a
-``circulant`` sequence larger than physical memory), 141 (128 + SIGPIPE) the
-reader closed stdout before the output ended.
+6 resource limit (``corr`` or ``sample`` arrays or a ``circulant`` sequence
+larger than physical memory), 141 (128 + SIGPIPE) the reader closed
+stdout before the output ended.
 """
 
 import argparse
@@ -45,7 +45,7 @@ from operator import attrgetter
 
 from . import __version__
 from .analysis import ConvergenceRecord, fit_abs_error_rate, sweep
-from .chains import centered_chain_correlation_matrix, open_chain_correlation_matrix, open_chain_correlation_rows
+from .chains import open_chain_correlation_matrix, open_chain_correlation_rows
 from .circulant import cycle_correlation, cycle_correlation_sequence
 from .errors import DomainError, GgchainError, InsufficientDataError, SelfCheckError
 from .model import (
@@ -119,11 +119,11 @@ def _write(args, columns, rows, *, payload=None, json_rows=None, metadata=None, 
     The envelope and the first item are encoded before the first byte, so a
     non-finite value there exits 2 with stdout empty.  Later rows are finite:
     ``corr`` checks its matrix's extremes first, or encodes a cycle's one
-    distinct row; a non-finite ``sample`` value
-    makes its metadata's ``max_z_score`` non-finite; ``converge`` sweeps
-    first, its columns are bounded and ``scaled_rel`` raises rather than
-    overflow; ``circulant``'s values are bounded at every admissible tau
-    (at most about 1.9e16, at tau = 1/2 - 2**-54 and n = 3).
+    distinct row; a non-finite ``sample`` value makes its metadata's
+    ``max_z_score`` non-finite; ``converge`` makes a first pass over its
+    sweep, its columns are bounded and ``scaled_rel`` raises rather than
+    overflow; ``circulant``'s values are bounded at every admissible tau (at
+    most about 1.9e16, at tau = 1/2 - 2**-54 and n = 3).
     """
     if args.format == "json":
         parameters = {k: v for k, v in vars(args).items() if k not in _NOT_PARAMETERS}
@@ -173,9 +173,6 @@ _CELL_BYTES = {"csv": 17, "json": 26}
 # tables, the cycle's sequences, a row split into cells, the correlation
 # transform's ROW_BLOCK-row block of 512 B a node), from tracemalloc at 3-2000 nodes
 _FIXED_BYTES, _NODE_BYTES = 2**17, 1024
-# what ``converge`` holds per size of its window in either format (its record and
-# the fit's points); tracemalloc shows at most 512 at windows of 20,000 and 100,000
-_RECORD_BYTES = 768
 
 
 def _peak_bytes(graph: GraphSpec, method: str, fmt: str) -> int:
@@ -390,10 +387,8 @@ def cmd_corr(args) -> int:
             _, check = _self_check(graph, args.tau, source)
     elif args.method == "both":
         source, check = _self_check(graph, args.tau, open_chain_correlation_rows(graph.node_count, args.tau))
-    elif graph.kind is GraphKind.OPEN_CHAIN:
-        source = open_chain_correlation_matrix(graph.n, args.tau)
-    else:
-        source = centered_chain_correlation_matrix(graph.n, args.tau)
+    else:  # the centered chain's matrix is the open chain's on as many nodes
+        source = open_chain_correlation_matrix(graph.node_count, args.tau)
     if args.format == "json" and layout is _matrix_rows:
         # JSON refuses a non-finite value anywhere before the first byte
         _json_cells([source.min().item(), source.max().item()])
@@ -414,12 +409,13 @@ def cmd_corr(args) -> int:
 
 
 def cmd_converge(args) -> int:
-    # sweep validates the window; this refuses only one that memory cannot hold
-    window = args.n_max - max(args.n_min, 1) + 1
-    _check_memory(_FIXED_BYTES + _RECORD_BYTES * window, f"converge over {window} sizes")
     result = sweep(args.graph, args.i, args.j, args.tau, args.n_min, args.n_max)
-
+    # a first pass (the fit's, or a bare one) evaluates every record before the
+    # first byte: an overflowing scaled_rel or too few usable points leaves stdout empty
     fit = fit_abs_error_rate(result) if args.fit else None
+    if fit is None:
+        for _ in result:
+            pass
     fit_info = None if fit is None else {name: getattr(fit, name) for name in fit._fields}
     columns = list(ConvergenceRecord._fields)
     rows = map(attrgetter(*columns), result)

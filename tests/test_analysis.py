@@ -1,7 +1,10 @@
 """Convergence sweeps, rate fits, free-field table."""
 
 import math
+import random
 import sys
+from collections import deque
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,7 +19,7 @@ from ggchain import (
     gff_table,
     rel_error_coefficient_centered,
 )
-from ggchain.analysis import FIT_MIN_SIZE_RATE, ConvergenceSweep
+from ggchain.analysis import FIT_MIN_SIZE_RATE, ConvergenceSweep, RateFit
 from ggchain.model import as_index
 
 
@@ -49,7 +52,7 @@ class TestSweepCentered:
         tau = 0.45
         coeff = rel_error_coefficient_centered(0, 1, tau)
         sweep = gg.sweep(GraphKind.CENTERED_CHAIN, 0, 1, tau, 5, 30)
-        assert sweep.records[-1].scaled_rel == pytest.approx(coeff, rel=1e-2)
+        assert list(sweep)[-1].scaled_rel == pytest.approx(coeff, rel=1e-2)
 
     def test_scaled_rel_cauchy_like(self):
         """Doubling the size shrinks the distance to the coefficient."""
@@ -76,7 +79,7 @@ class TestSweepOpen:
     def test_scaled_rel_reaches_minus_six(self):
         """(1,2) at tau = 0.4 has leading coefficient -6."""
         sweep = gg.sweep(GraphKind.OPEN_CHAIN, 1, 2, 0.4, 3, 20)
-        assert sweep.records[-1].scaled_rel == pytest.approx(-6.0, rel=1e-3)
+        assert list(sweep)[-1].scaled_rel == pytest.approx(-6.0, rel=1e-3)
 
     def test_values_below_limit(self):
         for record in gg.sweep(GraphKind.OPEN_CHAIN, 1, 2, 0.4, 3, 40):
@@ -124,11 +127,21 @@ class TestSweepArguments:
 
     def test_fit_refuses_cycle_by_value(self):
         """Regression: a sweep whose kind is the value "cycle" got past the
-        fit's cycle refusal and was fitted (slope -0.934)."""
+        fit's cycle refusal and was fitted (slope -0.934).  Each pass of a
+        sweep now refuses the cycle, whichever way its kind is given."""
         donor = gg.sweep(GraphKind.CENTERED_CHAIN, 0, 1, 0.45, 5, 40)
-        fake = ConvergenceSweep(kind="cycle", i=0, j=1, tau=0.45, rate=donor.rate, records=donor.records)
+        fake = ConvergenceSweep(kind="cycle", i=0, j=1, tau=0.45, rate=donor.rate, n_min=5, n_max=40)
         with pytest.raises(DomainError):
             fit_abs_error_rate(fake)
+
+    @pytest.mark.parametrize("kind, n_min, n_max", [("open", -3, 6), ("centered", 2, 3), ("open", 6, 5)])
+    def test_each_pass_checks_its_window(self, kind, n_min, n_max):
+        """A sweep built by hand with a window that does not hold the pair (1, 5)
+        raises DomainError on its pass; unchecked, the cores raised a bare
+        ValueError (math domain error)."""
+        fake = ConvergenceSweep(kind=kind, i=1, j=5, tau=0.4, rate=0.69, n_min=n_min, n_max=n_max)
+        with pytest.raises(DomainError):
+            list(fake)
 
     def test_indices_stored_as_plain_ints(self):
         """Regression: numpy integer indices were stored as given."""
@@ -137,15 +150,25 @@ class TestSweepArguments:
 
     @pytest.mark.parametrize("kind", [GraphKind.OPEN_CHAIN, GraphKind.CENTERED_CHAIN])
     def test_checks_once_per_sweep(self, kind):
-        """The pair, tau and window are checked once, not at every size: the
-        number of decay_params and as_index calls does not grow with the
-        window.  When each size called the public kernels, the open sweep
-        6..2000 made 3,992 and 11,974 of them."""
+        """The pair, tau and window are checked once by ``sweep`` and once by
+        each pass over it, not at every size: the number of
+        decay_params and as_index calls does not grow with the window, and
+        every size is evaluated.  When each size called the public kernels,
+        the open sweep 6..2000 made 3,992 and 11,974 of them."""
         counted = (decay_params, as_index)
-        short = _calls(lambda: gg.sweep(kind, 2, 4, 0.45, 6, 2000), *counted)
-        long = _calls(lambda: gg.sweep(kind, 2, 4, 0.45, 6, 20000), *counted)
-        assert short == long
-        assert 1 <= min(short) and max(short) <= 4
+
+        def run(n_max, passes):
+            result = gg.sweep(kind, 2, 4, 0.45, 6, n_max)
+            for _ in range(passes):
+                assert len(deque(result)) == n_max - 5
+
+        built = _calls(lambda: run(2000, 0), *counted)
+        short = _calls(lambda: run(2000, 1), *counted)
+        assert short == _calls(lambda: run(20000, 1), *counted)
+        per_pass = [b - a for a, b in zip(built, short)]
+        assert per_pass == [b - a for a, b in zip(short, _calls(lambda: run(2000, 2), *counted))]
+        for counts in (built, per_pass):
+            assert 1 <= min(counts) and max(counts) <= 4
 
 
 class TestFitAbsErrorRate:
@@ -196,11 +219,57 @@ class TestFitAbsErrorRate:
     def test_cycle_data_rejected(self):
         """No error law exists for the cycle; fitting one is a contract breach."""
         donor = gg.sweep(GraphKind.CENTERED_CHAIN, 0, 1, 0.45, 5, 40)
-        fake = ConvergenceSweep(
-            kind=GraphKind.CYCLE, i=0, j=1, tau=0.45, rate=donor.rate, records=donor.records
-        )
+        fake = ConvergenceSweep(kind=GraphKind.CYCLE, i=0, j=1, tau=0.45, rate=donor.rate, n_min=5, n_max=40)
         with pytest.raises(DomainError):
             fit_abs_error_rate(fake)
+
+    def test_fit_is_the_correctly_rounded_least_squares_value(self):
+        """Every field of the fit is ``float()`` of the exact least-squares
+        value, computed here in ``Fraction`` from the textbook centred form on
+        60 seeded windows of both chains (tau up to 1/2 - 2**-40, up to 301
+        sizes).  The fit itself keeps six integer sums in one pass."""
+        rng = random.Random(20)
+        fitted = 0
+        while fitted < 60:
+            kind = rng.choice([GraphKind.OPEN_CHAIN, GraphKind.CENTERED_CHAIN])
+            i, j = (rng.randint(1, 6), rng.randint(1, 6)) if kind is GraphKind.OPEN_CHAIN else (
+                rng.randint(-5, 5), rng.randint(-5, 5))
+            tau = rng.choice([rng.uniform(0.2, 0.49), 0.5 - 2.0 ** -rng.uniform(2, 40)])
+            n_min = max(abs(i), abs(j), 1) + rng.randint(0, 3000)
+            sweep = gg.sweep(kind, i, j, tau, n_min, n_min + rng.randint(4, 300))
+            try:
+                fit = fit_abs_error_rate(sweep)
+            except InsufficientDataError:
+                continue
+            fitted += 1
+            assert fit == _exact_fit(sweep), (kind, i, j, tau, sweep.n_min, sweep.n_max)
+
+
+def _exact_fit(sweep) -> RateFit:
+    """The least-squares fit of the sweep's usable points in exact rational arithmetic, each field rounded once."""
+    points = [
+        (Fraction(r.n), Fraction(math.log(abs(r.abs_err))))
+        for r in sweep
+        if gg.ERROR_FLOOR <= abs(r.abs_err) <= gg.ERROR_CEILING and r.n * sweep.rate >= FIT_MIN_SIZE_RATE
+    ]
+    count = len(points)
+    x_mean = sum(x for x, _ in points) / count
+    y_mean = sum(y for _, y in points) / count
+    sxx = sum((x - x_mean) ** 2 for x, _ in points)
+    sxy = sum((x - x_mean) * (y - y_mean) for x, y in points)
+    ss_tot = sum((y - y_mean) ** 2 for _, y in points)
+    slope = sxy / sxx
+    intercept = y_mean - slope * x_mean
+    ss_res = sum((y - slope * x - intercept) ** 2 for x, y in points)
+    expected = Fraction(-2.0 * sweep.rate)
+    return RateFit(
+        slope=float(slope),
+        intercept=float(intercept),
+        r_squared=1.0 if ss_tot == 0 else float(1 - ss_res / ss_tot),
+        expected_slope=float(expected),
+        relative_slope_error=float(abs(slope - expected) / abs(expected)),
+        n_points=count,
+    )
 
 
 class TestGffTable:
@@ -222,6 +291,16 @@ class TestGffTable:
 
     def test_large_mass(self):
         assert gff_table([10.0])[0].discrepancy <= 1e-12
+
+    @pytest.mark.parametrize("mass", [1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
+    def test_light_mass_gap_within_eps_over_m_squared(self, mass):
+        """The chain rate drifts from the field's as the mass falls: tau rounds
+        to a double near 1/2, and ``1 - 2 tau`` is formed from it, so the
+        relative gap grows like eps / m**2 (5.9e-16 at m = 0.1, 4.4e-5 at
+        m = 1e-6).  This pins the bound that a field path carrying
+        ``1 - 2 tau`` exactly must beat."""
+        row = gff_table([mass])[0]
+        assert row.discrepancy / row.gff_rate <= sys.float_info.epsilon / mass**2
 
     def test_rejects_nonpositive_mass(self):
         with pytest.raises(DomainError):

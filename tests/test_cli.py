@@ -677,10 +677,11 @@ class TestSelfCheckTolerance:
 
 
 class TestResourceGuard:
-    """``corr``, ``sample``, ``converge`` and ``circulant`` predict the bytes
-    they allocate at their peak and exit 6 before allocating when they exceed
-    physical memory.  Nothing large is allocated here: the memory probe is
-    replaced, and so are the builders where a failing guard would reach them."""
+    """``corr``, ``sample`` and ``circulant`` predict the bytes they allocate
+    at their peak and exit 6 before allocating when they exceed physical
+    memory; ``converge`` holds one record at a time.  Nothing large is
+    allocated here: the memory probe is replaced, and so are the builders
+    where a failing guard would reach them."""
 
     @staticmethod
     def traced_peak(argv, codes=(0,)) -> int:
@@ -889,41 +890,43 @@ class TestResourceGuard:
         assert peak <= 5 * 8 * 400**2
 
     @staticmethod
-    def converge_argv(tau, fmt, *extra):
-        """``converge`` on the open chain's pair (1, 2) over the 20,000 sizes 2..20001."""
+    def converge_argv(tau, fmt, *extra, n_max=20001):
+        """``converge`` on the open chain's pair (1, 2) over the sizes 2..n_max, 20,000 of them by default."""
         return ["converge", "--graph", "open", "--i", "1", "--j", "2", "--tau", tau,
-                "--n-min", "2", "--n-max", "20001", "--format", fmt, *extra]
+                "--n-min", "2", "--n-max", str(n_max), "--format", fmt, *extra]
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("fit", [[], ["--fit"]], ids=["plain", "fit"])
-    def test_converge_prediction_covers_traced_peak(self, fmt, fit):
-        """``converge`` holds every record of its window: at 20,000 sizes its
-        prediction covers the traced peak in either format."""
-        from ggchain.cli import _FIXED_BYTES, _RECORD_BYTES
-
-        assert _FIXED_BYTES + _RECORD_BYTES * 20000 >= self.traced_peak(self.converge_argv("0.4", fmt, *fit))
+    def test_converge_peak_does_not_grow_with_window(self, fmt, fit):
+        """``converge`` holds one record at a time, in either format and with
+        or without ``--fit``: its traced peak over the 20,000 sizes 2..20001
+        is within 64 kB of its peak over the 2,000 sizes 2..2001.  While the
+        sweep held its records, 20,000 sizes took about 10 MB."""
+        long = self.traced_peak(self.converge_argv("0.4", fmt, *fit))
+        assert long - self.traced_peak(self.converge_argv("0.4", fmt, *fit, n_max=2001)) <= 64 * 1024
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_converge_prediction_covers_usable_fit_window(self, capsys, fmt):
-        """``--fit`` also holds the points of the usable sizes: at tau = 0.4
-        only 19 of the 20,000 are usable; at 0.4999999375 (rate 5.0e-4) every
-        size from n * rate = 1 on, 18,002 of them, and the prediction covers
-        that traced peak too."""
-        from ggchain.cli import _FIXED_BYTES, _RECORD_BYTES
-
+    def test_converge_fit_peak_does_not_grow_with_usable_window(self, capsys, fmt):
+        """At tau = 0.4999999375 (rate 5.0e-4) ``--fit`` uses every size from
+        n * rate = 1 on, 18,002 of 2..20001.  It keeps sums, not points, so
+        its traced peak stays within 64 kB of the window 2..2009, whose ten
+        usable sizes are enough to write a fit (2..2001 has two and exits 4
+        before the JSON writer runs).  Holding the records and points peaked
+        at 10.2 MB."""
         argv = self.converge_argv("0.4999999375", fmt, "--fit")
-        assert _FIXED_BYTES + _RECORD_BYTES * 20000 >= self.traced_peak(argv)
+        long = self.traced_peak(argv)
+        assert long - self.traced_peak(self.converge_argv("0.4999999375", fmt, "--fit", n_max=2009)) <= 64 * 1024
         code, out, err = run_cli(capsys, *argv)
         fit = json.loads(out)["payload"]["fit"] if fmt == "json" else json.loads(err)
         assert (code, fit["n_points"]) == (0, 18002)
 
-    def test_json_converge_rows_are_streamed(self):
-        """JSON ``converge`` holds what CSV holds, the sweep's records, and
-        writes its rows as they are encoded: at 20,000 sizes its traced peak is
-        within 1.1 times CSV's (it was 1.35 times while the envelope was
-        encoded whole)."""
-        csv = self.traced_peak(self.converge_argv("0.4", "csv"))
-        assert self.traced_peak(self.converge_argv("0.4", "json")) <= 1.1 * csv
+    def test_json_converge_rows_are_streamed(self, capsys):
+        """JSON ``converge`` holds no output text: at 20,000 sizes its traced
+        peak is below a tenth of the 2.5 MB it writes (while the sweep held
+        its records it peaked at 9 MB)."""
+        argv = self.converge_argv("0.4", "json")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and self.traced_peak(argv) <= len(out) / 10
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("riemann", [[], ["--riemann"]], ids=["lags", "riemann"])
@@ -957,33 +960,21 @@ class TestResourceGuard:
         else:
             assert out.splitlines() == ["k,correlation,limit,gap", "3,0.125,0.125,0"]
 
-    @pytest.mark.parametrize(
-        "n_min, n_max, refused",
-        [("2", "100000000", True), ("-5", "1000000000000", True), ("2", "1001", False), ("5", "3", False)],
-    )
-    def test_converge_window_refused_before_sweeping(self, capsys, monkeypatch, n_min, n_max, refused):
-        """On a machine of 1 GiB a window of 1e8 sizes (about 150 GB of
-        records) exits 6 with one stderr line before ``sweep`` runs; a window
-        is counted from size 1 whatever ``--n-min`` is.  1,000 sizes pass the
-        guard, and so does an empty window, which the sweep rejects itself."""
+    def test_converge_window_is_not_refused(self, capsys, monkeypatch):
+        """On a machine of 1 GiB a window of 1e12 sizes reaches ``sweep``: a
+        pass holds one record at a time, so no window is charged memory."""
         import ggchain.cli as cli_mod
 
         def fake_sweep(kind, i, j, tau, lo, hi):
-            assert not refused, "sweep ran past the guard"
-            raise cli_mod.DomainError("swept")
+            raise cli_mod.DomainError(f"swept {lo}..{hi}")
 
         monkeypatch.setattr(cli_mod, "sweep", fake_sweep)
         monkeypatch.setattr(cli_mod, "_physical_memory", lambda: 2**30)
         code, out, err = run_cli(
             capsys, "converge", "--graph", "open", "--i", "1", "--j", "2", "--tau", "0.4",
-            "--n-min", n_min, "--n-max", n_max,
+            "--n-min", "2", "--n-max", str(10**12),
         )
-        assert out == ""
-        if refused:
-            assert code == 6
-            assert err.startswith("ggchain: resource limit: converge over ") and err.count("\n") == 1
-        else:
-            assert (code, err) == (2, "ggchain: domain error: swept\n")
+        assert (code, out, err) == (2, "", "ggchain: domain error: swept 2..1000000000000\n")
 
     @pytest.mark.parametrize("graph", ["open", "centered", "cycle"])
     def test_sample_refused_before_allocating(self, capsys, monkeypatch, graph):
@@ -1015,8 +1006,8 @@ class TestResourceGuard:
         def unreachable(*args):
             raise AssertionError("an array was built past the guard")
 
-        for name in ("open_chain_correlation_matrix", "centered_chain_correlation_matrix",
-                     "model_correlation", "open_chain_correlation_rows", "cycle_correlation_sequence"):
+        for name in ("open_chain_correlation_matrix", "model_correlation", "open_chain_correlation_rows",
+                     "cycle_correlation_sequence"):
             monkeypatch.setattr(cli_mod, name, unreachable)
         monkeypatch.setattr(cli_mod, "_physical_memory", lambda: 2**40)
         if graph == "cycle" and method == "closed":

@@ -144,6 +144,24 @@ def test_import_compiles_no_record_code():
     assert proc.stdout.strip() == ""
 
 
+def test_exact_fit_loads_no_rational_arithmetic():
+    """``converge --fit`` keeps its exact sums in plain integers: neither the
+    import of the CLI nor the fit loads ``fractions`` or ``decimal``."""
+    script = textwrap.dedent(
+        """
+        import contextlib, io, sys
+        from ggchain.cli import main
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["converge", "--graph", "open", "--i", "1", "--j", "2", "--tau", "0.4",
+                         "--n-min", "3", "--n-max", "30", "--fit"])
+        print(code, *sorted({"fractions", "decimal"} & set(sys.modules)))
+        """
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0"
+
+
 def test_chain_sampling_loads_only_scipy_special():
     """``sample`` needs scipy only for the inverse normal CDF: on a chain and on
     the cycle the factor comes from numpy and the solve is a back-substitution,

@@ -17,7 +17,7 @@ VALUE_RECORDS = {
     "GraphSpec": GraphSpec(GraphKind.CYCLE, 5),
     "DecayParams": gg.decay_params(0.4),
     "GffParams": gg.GffParams(beta=1.0, mass=0.5),
-    "ConvergenceRecord": SWEEP.records[0],
+    "ConvergenceRecord": next(iter(SWEEP)),
     "ConvergenceSweep": SWEEP,
     "RateFit": gg.fit_abs_error_rate(SWEEP),
     "GffRow": gg.gff_table([0.5])[0],
@@ -34,7 +34,7 @@ FIELDS = {
     "DecayParams": ("tau", "rate", "base"),
     "GffParams": ("beta", "mass"),
     "ConvergenceRecord": ("n", "exact", "limit", "abs_err", "rel_err", "scaled_rel"),
-    "ConvergenceSweep": ("kind", "i", "j", "tau", "rate", "records"),
+    "ConvergenceSweep": ("kind", "i", "j", "tau", "rate", "n_min", "n_max"),
     "RateFit": ("slope", "intercept", "r_squared", "expected_slope", "relative_slope_error", "n_points"),
     "GffRow": ("mass", "tau", "rate", "gff_rate", "discrepancy"),
     "CycleCorrelation": ("n", "tau", "covariances", "correlations", "limits"),
@@ -163,7 +163,7 @@ def test_repr():
 def test_sweep_repr_leaves_out_its_records():
     assert repr(SWEEP) == (
         "ConvergenceSweep(kind=<GraphKind.OPEN_CHAIN: 'open'>, i=1, j=2, tau=0.4, "
-        "rate=0.6931471805599453)"
+        "rate=0.6931471805599453, n_min=3, n_max=200)"
     )
 
 
@@ -185,4 +185,7 @@ def test_copies_are_equal_frozen_records(name, round_trip):
 
 
 def test_sweep_iterates_its_records():
-    assert list(SWEEP) == list(SWEEP.records)
+    """Each pass evaluates the records afresh, and every pass yields the same ones."""
+    first, second = list(SWEEP), list(SWEEP)
+    assert [r.n for r in first] == list(range(3, 201))
+    assert first == second and all(a is not b for a, b in zip(first, second))
