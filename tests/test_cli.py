@@ -960,9 +960,15 @@ class TestResourceGuard:
         else:
             assert out.splitlines() == ["k,correlation,limit,gap", "3,0.125,0.125,0"]
 
-    def test_converge_window_is_not_refused(self, capsys, monkeypatch):
-        """On a machine of 1 GiB a window of 1e12 sizes reaches ``sweep``: a
-        pass holds one record at a time, so no window is charged memory."""
+    @pytest.mark.parametrize(
+        "n_min, n_max",
+        [("2", "100000000"), ("-5", "1000000000000"), ("2", "1001"), ("5", "3")],
+        ids=["1e8-sizes", "1e12-sizes-from-minus-5", "1000-sizes", "empty"],
+    )
+    def test_converge_window_is_not_refused(self, capsys, monkeypatch, n_min, n_max):
+        """On a machine of 1 GiB every window reaches ``sweep``, 1e8 and 1e12
+        sizes as well as 1,000 and none: a pass holds one record at a time,
+        so no window is charged memory, and ``sweep`` judges the window."""
         import ggchain.cli as cli_mod
 
         def fake_sweep(kind, i, j, tau, lo, hi):
@@ -972,9 +978,9 @@ class TestResourceGuard:
         monkeypatch.setattr(cli_mod, "_physical_memory", lambda: 2**30)
         code, out, err = run_cli(
             capsys, "converge", "--graph", "open", "--i", "1", "--j", "2", "--tau", "0.4",
-            "--n-min", "2", "--n-max", str(10**12),
+            "--n-min", n_min, "--n-max", n_max,
         )
-        assert (code, out, err) == (2, "", "ggchain: domain error: swept 2..1000000000000\n")
+        assert (code, out, err) == (2, "", f"ggchain: domain error: swept {n_min}..{n_max}\n")
 
     @pytest.mark.parametrize("graph", ["open", "centered", "cycle"])
     def test_sample_refused_before_allocating(self, capsys, monkeypatch, graph):
