@@ -1,17 +1,17 @@
 """Cycle model: method-of-images kernel, spectral inversion as its oracle.
 
 The cycle precision matrix is circulant, and so is its inverse.  The kernel,
-:func:`cycle_correlation_sequence`, wraps the infinite-chain covariance
-``base**|k| / s`` (``s = sqrt(1 - 4 tau^2)``, ``base`` the per-step decay
-factor) around the ring; summing the images ``k + m n`` gives in O(n) work
+:func:`cycle_lags`, wraps the infinite-chain covariance ``base**|k| / s``
+(``s = sqrt(1 - 4 tau^2)``, ``base`` the per-step decay factor) around the
+ring; summing the images ``k + m n`` gives, in O(1) per lag,
 
     cov_k = (base**k + base**(n-k)) / ((1 - base**n) s),
 
 so correlations ``(base**k + base**(n-k)) / (1 + base**n)`` tend to
-``base**k`` from above as n grows.  :func:`cycle_correlation` evaluates one
-lag of it in O(1), with the same bits.  The powers are the same doubles that
-:func:`cycle_correlation_limit` returns, so the finite-size gap is never
-negative by more than the rounding of that quotient.
+``base**k`` from above as n grows.  :func:`cycle_correlation_sequence` holds
+its lags and :func:`cycle_correlation` is one of them.  The powers are the
+same doubles that :func:`cycle_correlation_limit` returns, so the
+finite-size gap is never negative by more than the rounding of that quotient.
 
 The independent oracle is spectral.  The Fourier basis diagonalises the
 precision matrix with eigenvalues ``mu_k = 1 - 2 tau cos(2 pi k / n)``, all
@@ -38,7 +38,6 @@ import math
 from ._record import record
 from .errors import DomainError
 from .model import (
-    DecayParams,
     GraphKind,
     GraphSpec,
     as_index,
@@ -53,6 +52,7 @@ __all__ = [
     "precision_eigenvalues",
     "cycle_inverse_sum",
     "cycle_inverse_sum_imag",
+    "cycle_lags",
     "cycle_correlation_sequence",
     "cycle_correlation",
     "riemann_sum",
@@ -176,57 +176,55 @@ class CycleCorrelation:
     limits: tuple[float, ...]
 
 
-def _covariance_scale(n: int, p: DecayParams) -> float:
-    """``(1 - base**n) * sqrt(1 - 4 tau**2)``, the cycle's covariance denominator.
+def _lags(n: int, tau: float, lags):
+    """(k, covariance, correlation, limit) at each lag k of ``lags``, for a checked n and tau.
 
-    ``1 - base**n`` is ``-expm1(-n rate)``, which keeps full relative
-    precision as tau approaches 1/2.
+    The numerator ``base**k + base**(n-k)`` is symmetric in k <-> n-k and a
+    sum of positive powers, so lags mirror bit-exactly and no entry cancels
+    to zero.  ``1 - base**n`` is ``-expm1(-n rate)``, which keeps full
+    relative precision as tau approaches 1/2.  At tau = 0 the nodes are
+    independent: the unit vector.
     """
-    return -math.expm1(-n * p.rate) * sqrt_one_minus_4tau2(p.tau)
+    if tau == 0.0:
+        for k in lags:
+            unit = 1.0 if k == 0 else 0.0
+            yield k, unit, unit, unit
+        return
+    p = decay_params(tau)
+    scale = -math.expm1(-n * p.rate) * sqrt_one_minus_4tau2(tau)
+    lag_zero = 1.0 + p.base**n
+    for k in lags:
+        limit = p.base**k
+        num = limit + p.base ** (n - k)
+        yield k, num / scale, num / lag_zero, limit
+
+
+def cycle_lags(n, tau: float):
+    """(k, covariance, correlation, limit) of the cycle model at lags 0..n-1, one lag at a time.
+
+    n and tau are checked at the call, before the first lag is read, so a
+    caller writes nothing for arguments that are refused.
+    """
+    n = GraphSpec(GraphKind.CYCLE, n).n
+    return _lags(n, check_tau(tau), range(n))
 
 
 def cycle_correlation_sequence(n, tau: float) -> CycleCorrelation:
-    """Covariance and correlation vectors of the cycle model at every lag.
-
-    Images form: the numerator ``base**k + base**(n-k)`` is symmetric in
-    k <-> n-k and a sum of positive powers, so lags mirror bit-exactly and no
-    entry cancels to zero.  The powers are scalar ``base**j``, bit-identical
-    to :func:`cycle_correlation_limit`.  The covariances divide by
-    :func:`_covariance_scale`.  At tau = 0 the nodes are independent and the
-    exact unit vector is returned.
-    """
+    """Covariance and correlation vectors of the cycle model: :func:`cycle_lags`, held."""
     n = GraphSpec(GraphKind.CYCLE, n).n
     tau = check_tau(tau)
-    if tau == 0.0:
-        unit = (1.0,) + (0.0,) * (n - 1)
-        return CycleCorrelation(n, tau, covariances=unit, correlations=unit, limits=unit)
-    p = decay_params(tau)
-    powers = [p.base**j for j in range(n + 1)]
-    num = [powers[k] + powers[n - k] for k in range(n)]
-    scale = _covariance_scale(n, p)
-    covariances = tuple(x / scale for x in num)
-    correlations = tuple(x / num[0] for x in num)
-    return CycleCorrelation(n, tau, covariances, correlations, limits=tuple(powers[:n]))
+    _, covariances, correlations, limits = zip(*_lags(n, tau, range(n)))
+    return CycleCorrelation(n, tau, covariances, correlations, limits)
 
 
 def cycle_correlation(n, k, tau: float) -> tuple[float, float, float]:
     """Covariance, correlation and limit ``base**k`` of the cycle model at lag k.
 
-    Entry k of the three tuples of :func:`cycle_correlation_sequence`, bit for
-    bit, in O(1): the same powers, sums and quotients, with the lag-0
-    numerator ``base**0 + base**n`` written ``1.0 + base**n``.  The lag
-    runs over 0..n-1.
+    Lag k of :func:`cycle_lags`, bit for bit, in O(1).  The lag runs over 0..n-1.
     """
     n = GraphSpec(GraphKind.CYCLE, n).n
     k = as_index(k, "lag", 0, n - 1)
-    tau = check_tau(tau)
-    if tau == 0.0:
-        unit = 1.0 if k == 0 else 0.0
-        return unit, unit, unit
-    p = decay_params(tau)
-    limit = p.base**k
-    num = limit + p.base ** (n - k)
-    return num / _covariance_scale(n, p), num / (1.0 + p.base**n), limit
+    return next(_lags(n, check_tau(tau), (k,)))[1:]
 
 
 def riemann_sum(n, k, tau: float) -> float:

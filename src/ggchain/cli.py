@@ -17,9 +17,9 @@ matrix text is never held, and every other table streams row by row too.  A
 non-finite value in JSON exits 2 with nothing on stdout: the matrix is checked
 before the first byte.  ``corr`` holds at most one n x n array: under
 ``--method both`` the closed form is compared with the oracle's correlation
-as it is made, in the oracle's buffer.  ``corr``, ``sample`` and
-``circulant`` predict their peak allocation and refuse a run that physical
-memory cannot hold before it starts; ``converge`` holds one record at a time.
+as it is made, in the oracle's buffer.  ``corr`` and ``sample`` predict
+their peak allocation and refuse a run that physical memory cannot hold
+before it starts; ``converge`` and ``circulant`` hold one row at a time.
 
 ``decay``, ``converge``, ``circulant`` and ``corr --graph cycle --method
 closed`` never load numpy: the cycle kernel is pure Python, and numpy is used
@@ -27,9 +27,9 @@ only by the chain matrices and the oracles.
 
 Exit codes: 0 ok, 2 domain error (including a non-finite value in JSON
 output), 3 self-check failure, 4 insufficient data, 5 statistical failure,
-6 resource limit (``corr`` or ``sample`` arrays or a ``circulant`` sequence
-larger than physical memory), 141 (128 + SIGPIPE) the reader closed
-stdout before the output ended.
+6 resource limit (``corr`` or ``sample`` arrays larger than physical
+memory), 141 (128 + SIGPIPE) the reader closed stdout before the output
+ended.
 """
 
 import argparse
@@ -46,7 +46,7 @@ from operator import attrgetter
 from . import __version__
 from .analysis import ConvergenceRecord, fit_abs_error_rate, sweep
 from .chains import open_chain_correlation_matrix, open_chain_correlation_rows
-from .circulant import cycle_correlation, cycle_correlation_sequence
+from .circulant import cycle_correlation, cycle_correlation_sequence, cycle_lags
 from .errors import DomainError, GgchainError, InsufficientDataError, SelfCheckError
 from .model import (
     GffParams,
@@ -425,15 +425,11 @@ def cmd_converge(args) -> int:
 
 
 def cmd_circulant(args) -> int:
-    n = GraphSpec(GraphKind.CYCLE, args.n).n
-    # (k, covariance, correlation, limit) at one lag, or at every lag
+    # (k, covariance, correlation, limit) at one lag, or at every lag one at a time
     if args.k is None:
-        # the rows are streamed: only the sequence is held
-        _check_memory(_FIXED_BYTES + _NODE_BYTES * n, f"circulant on {n} nodes")
-        seq = cycle_correlation_sequence(n, args.tau)
-        lags = zip(range(n), seq.covariances, seq.correlations, seq.limits)
+        lags = cycle_lags(args.n, args.tau)
     else:
-        lags = [(args.k, *cycle_correlation(n, args.k, args.tau))]
+        lags = [(args.k, *cycle_correlation(args.n, args.k, args.tau))]
     if args.riemann:
         # the n-point left Riemann sum of the spectral integrand is exactly 2 pi cov_k,
         # and its limit the integral 2 pi base**k / s

@@ -677,9 +677,9 @@ class TestSelfCheckTolerance:
 
 
 class TestResourceGuard:
-    """``corr``, ``sample`` and ``circulant`` predict the bytes they allocate
-    at their peak and exit 6 before allocating when they exceed physical
-    memory; ``converge`` holds one record at a time.  Nothing large is
+    """``corr`` and ``sample`` predict the bytes they allocate at their peak
+    and exit 6 before allocating when they exceed physical memory;
+    ``converge`` and ``circulant`` hold one row at a time.  Nothing large is
     allocated here: the memory probe is replaced, and so are the builders
     where a failing guard would reach them."""
 
@@ -930,35 +930,53 @@ class TestResourceGuard:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("riemann", [[], ["--riemann"]], ids=["lags", "riemann"])
-    def test_circulant_prediction_covers_traced_peak(self, fmt, riemann):
-        """``circulant`` holds its sequence alone and streams its rows, so
-        ``corr``'s O(n) charge covers its traced peak at 20,000 lags (JSON
-        peaked at 12.6 MB while the envelope was encoded whole)."""
-        from ggchain.cli import _FIXED_BYTES, _NODE_BYTES
+    def test_circulant_peak_does_not_grow_with_n(self, fmt, riemann):
+        """``circulant`` streams its lags one at a time, in either format and
+        with or without ``--riemann``: its traced peak at 20,000 lags is within
+        64 kB of its peak at 2,000.  While it held the whole sequence, the
+        peak grew from 0.32 to 2.94 MB."""
 
-        argv = ["circulant", "--n", "20000", "--tau", "0.4", "--format", fmt, *riemann]
-        assert _FIXED_BYTES + _NODE_BYTES * 20000 >= self.traced_peak(argv)
+        def peak(n):
+            return self.traced_peak(["circulant", "--n", str(n), "--tau", "0.4", "--format", fmt, *riemann])
 
-    @pytest.mark.parametrize("k, code", [([], 6), (["--k", "3"], 0)], ids=["table", "one-lag"])
-    def test_circulant_refused_before_sequence(self, capsys, monkeypatch, k, code):
-        """On a machine of 1 TiB a cycle of 1e12 nodes exits 6 with one stderr
-        line before its sequence is built; ``--k`` evaluates one lag in O(1)
-        and is not refused."""
+        assert peak(20000) - peak(2000) <= 64 * 1024
+
+    @pytest.mark.parametrize(
+        "extra, code, lines",
+        [
+            ([], 141, ["k,correlation,limit,gap", "0,1,1,0", "1,0.5,0.5,0"]),
+            (["--riemann"], 141, ["k,riemann_sum,integral,gap", "0,10.4719755,10.4719755,0",
+                                  "1,5.23598776,5.23598776,0"]),
+            (["--k", "3"], 0, ["k,correlation,limit,gap", "3,0.125,0.125,0"]),
+        ],
+        ids=["table", "riemann", "one-lag"],
+    )
+    def test_circulant_streams_a_huge_cycle(self, capsys, monkeypatch, tmp_path, extra, code, lines):
+        """On a machine of 1 GiB a cycle of 1e12 nodes is not refused: its lags
+        are streamed, so when the reader closes the pipe after three lines the
+        table ends with exit 141 and a quiet stderr, and ``--k`` evaluates its
+        one lag in O(1)."""
+        import io
+
         import ggchain.cli as cli_mod
 
-        def unreachable(*args):
-            raise AssertionError("the sequence was built past the guard")
+        class ThreeLineReader(io.StringIO):
+            """A stdout whose reader closes the pipe once it has read three lines."""
 
-        monkeypatch.setattr(cli_mod, "cycle_correlation_sequence", unreachable)
-        monkeypatch.setattr(cli_mod, "_physical_memory", lambda: 2**40)
-        got, out, err = run_cli(capsys, "circulant", "--n", str(10**12), "--tau", "0.4", *k)
-        assert got == code
-        if code == 6:
-            assert out == ""
-            assert err.startswith("ggchain: resource limit: circulant on 1000000000000 nodes")
-            assert err.count("\n") == 1
-        else:
-            assert out.splitlines() == ["k,correlation,limit,gap", "3,0.125,0.125,0"]
+            def write(self, text):
+                if self.getvalue().count("\n") >= 3:
+                    raise BrokenPipeError(32, "Broken pipe")
+                return super().write(text)
+
+            def fileno(self):  # main points it at the null device after a broken pipe
+                return sink.fileno()
+
+        monkeypatch.setattr(cli_mod, "_physical_memory", lambda: 2**30)
+        with open(tmp_path / "sink", "w") as sink:
+            monkeypatch.setattr(sys, "stdout", ThreeLineReader())
+            got = main(["circulant", "--n", str(10**12), "--tau", "0.4", *extra])
+            assert (got, sys.stdout.getvalue().splitlines()) == (code, lines)
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize(
         "n_min, n_max",
@@ -1225,18 +1243,49 @@ class TestCirculant:
         assert min(float(row.split(",")[1]) for row in rows) >= 0.0
 
     def test_small_cycle_rejected(self, capsys):
-        code, _, _ = run_cli(capsys, "circulant", "--n", "2", "--tau", "0.4")
-        assert code == 2
+        """A cycle of two nodes, or tau = 1/2, exits 2 with nothing on stdout in
+        either format: the lags are checked when they are asked for, before
+        the table's header is written."""
+        for argv in (["--n", "2", "--tau", "0.4"], ["--n", "8", "--tau", "0.5"]):
+            for fmt in ("csv", "json"):
+                code, out, err = run_cli(capsys, "circulant", *argv, "--format", fmt)
+                assert (code, out) == (2, ""), (argv, fmt)
+                assert err.startswith("ggchain: domain error: ") and err.count("\n") == 1
+
+    def test_checks_once_per_table(self, capsys):
+        """The table checks tau and computes the decay parameters once, not
+        at every lag: 2,000 and 20,000 lags make the same number of
+        ``check_tau`` and ``decay_params`` calls, at most two of each."""
+        from ggchain.model import check_tau
+
+        def calls(n):
+            counts = {decay_params.__code__: 0, check_tau.__code__: 0}
+
+            def profile(frame, event, arg):
+                if event == "call" and frame.f_code in counts:
+                    counts[frame.f_code] += 1
+
+            sys.setprofile(profile)
+            try:
+                assert main(["circulant", "--n", str(n), "--tau", "0.4"]) == 0
+            finally:
+                sys.setprofile(None)
+            capsys.readouterr()
+            return list(counts.values())
+
+        short = calls(2000)
+        assert short == calls(20000)
+        assert 1 <= min(short) and max(short) <= 2
 
     @pytest.mark.parametrize("k", ["20000", "-1"])
     def test_lag_checked_before_sequence(self, capsys, monkeypatch, k):
-        """An out-of-range --k fails before the sequence is computed."""
+        """An out-of-range --k fails before any lag is computed."""
         import ggchain.cli as cli_mod
 
         def not_called(n, tau):
-            raise AssertionError("cycle_correlation_sequence ran before --k was checked")
+            raise AssertionError("cycle_lags ran before --k was checked")
 
-        monkeypatch.setattr(cli_mod, "cycle_correlation_sequence", not_called)
+        monkeypatch.setattr(cli_mod, "cycle_lags", not_called)
         code, out, err = run_cli(capsys, "circulant", "--n", "20000", "--tau", "0.4", "--k", k)
         assert code == 2
         assert out == ""
@@ -1477,16 +1526,15 @@ class TestJsonEnvelopes:
     def test_non_finite_circulant_leaves_stdout_empty(self, capsys, monkeypatch, n):
         """A table of at most 64 rows is one item, encoded before the first
         byte: an inf in its last row exits 2 with nothing on stdout.  No
-        admissible tau yields one, so the sequence is forced to hold it."""
+        admissible tau yields one, so the lags are forced to hold it."""
         import ggchain.cli as cli_mod
-        from ggchain.circulant import CycleCorrelation
+        from ggchain import cycle_lags
 
         def with_inf(n, tau):
-            seq = cycle_correlation_sequence(n, tau)
-            correlations = seq.correlations[:-1] + (math.inf,)
-            return CycleCorrelation(n, tau, seq.covariances, correlations, seq.limits)
+            *lags, (k, cov, _, limit) = cycle_lags(n, tau)
+            return iter(lags + [(k, cov, math.inf, limit)])
 
-        monkeypatch.setattr(cli_mod, "cycle_correlation_sequence", with_inf)
+        monkeypatch.setattr(cli_mod, "cycle_lags", with_inf)
         code, out, err = run_cli(capsys, "circulant", "--n", str(n), "--tau", "0.4", "--format", "json")
         assert (code, out) == (2, "")
         assert err.startswith("ggchain: domain error: non-finite value in JSON output")

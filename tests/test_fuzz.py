@@ -8,6 +8,15 @@ are drawn, and ``tau`` log-uniform down to 5e-324 or within 2**-54 of 1/2.
 Every run exits 0, 2 or 4, writes nothing on stdout unless it exits 0, and
 writes strict JSON; its CSV rows are its JSON records at 9 digits, and its fit
 is the exact least-squares fit of those records, rounded once per field.
+
+``circulant`` and ``decay``: ``tau`` is drawn as for ``converge`` and also at
+0, 1/2, nan and below 0; ``circulant`` draws n (2 and below included), ``--k``
+(-1 and n included) and ``--riemann``, and ``decay`` draws ``--tau`` or a
+field's ``--mass`` and ``--beta``, one of them or both.  Every run exits 0 or
+2, writes nothing on stdout when it exits 2 and strict JSON otherwise, and its
+CSV rows are its JSON records at 9 digits.  ``circulant``'s correlations and
+limits lie in [0, 1], and its sampled rows are ``cycle_correlation``'s values
+bit for bit; ``decay``'s row is ``decay_params``' bit for bit.
 """
 
 import contextlib
@@ -19,7 +28,7 @@ from fractions import Fraction
 
 import pytest
 
-from ggchain import ERROR_CEILING, ERROR_FLOOR, decay_params
+from ggchain import ERROR_CEILING, ERROR_FLOOR, cycle_correlation, decay_params, sqrt_one_minus_4tau2
 from ggchain.analysis import FIT_MIN_SIZE_RATE
 from ggchain.cli import main
 
@@ -132,3 +141,92 @@ def test_converge_contract(seed):
         else:
             assert code == 0, (argv, err)
     assert codes == {0, 2, 4}
+
+
+def draw_any_tau(rng: random.Random) -> float:
+    """A tau from the whole input domain: inside it, on its edges or outside.
+
+    Commands take it as ``--tau=VALUE``: before Python 3.13 argparse reads a
+    separate "-1e-05" as an option, not as a value.
+    """
+    return rng.choice(6 * [draw_tau(rng)] + [0.0, 0.5, math.nan, -draw_tau(rng)])
+
+
+def csv_rows(records: list[dict], columns: list[str]) -> list[str]:
+    """The CSV lines of JSON records: integers as they are, floats at 9 digits."""
+    return [",".join("%s" % r[c] if isinstance(r[c], int) else "%.9g" % r[c] for c in columns) for r in records]
+
+
+def run_both(argv) -> tuple:
+    """Run ``argv`` in CSV and in JSON, check the contract both share, and
+    return the exit code and the JSON records (None on exit 2)."""
+    code, out, err = run(argv)
+    json_code, json_out, json_err = run(argv + ["--format", "json", "--deterministic"])
+    assert (code, err) == (json_code, json_err), argv
+    assert code in (0, 2), (argv, err)
+    if code:
+        assert out == json_out == "" and err.startswith("ggchain: domain error: ") and err.count("\n") == 1, argv
+        return code, None
+    records = strict_json(json_out)["payload"]
+    lines = out.splitlines()
+    assert lines[1:] == csv_rows(records, lines[0].split(",")), argv
+    return code, records
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_circulant_contract(seed):
+    rng = random.Random(seed)
+    codes = set()
+    for _ in range(150):
+        tau = draw_any_tau(rng)
+        n = rng.choice([rng.randint(-1, 2)] + 6 * [rng.randint(3, 20)] + 3 * [rng.randint(21, 2000)])
+        argv = ["circulant", f"--n={n}", f"--tau={tau!r}"]
+        k = rng.choice([None, None, -1, n, rng.randint(0, max(n - 1, 0))])
+        argv += [] if k is None else [f"--k={k}"]
+        riemann = rng.random() < 0.5
+        argv += ["--riemann"] if riemann else []
+        code, records = run_both(argv)
+        codes.add(code)
+        if code:
+            continue
+        assert [r["k"] for r in records] == (list(range(n)) if k is None else [k]), argv
+        for r in rng.sample(records, min(len(records), 5)):
+            cov, corr, limit = cycle_correlation(n, r["k"], tau)
+            if riemann:
+                two_pi = 2.0 * math.pi
+                want = (two_pi * cov, two_pi * (limit / sqrt_one_minus_4tau2(tau)))
+                got = (r["riemann_sum"], r["integral"])
+            else:
+                want, got = (corr, limit), (r["correlation"], r["limit"])
+            assert got == want and r["gap"] == want[0] - want[1], (argv, r)
+        if not riemann:
+            assert all(0.0 <= r[c] <= 1.0 for r in records for c in ("correlation", "limit")), argv
+    assert codes == {0, 2}
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_decay_contract(seed):
+    rng = random.Random(seed)
+    codes = set()
+    for _ in range(150):
+        by_tau = rng.random() < 0.5
+        if by_tau:
+            tau = draw_any_tau(rng)
+            argv = ["decay", f"--tau={tau!r}"]
+        else:
+            # each of mass and beta log-uniform over the positive doubles, or invalid, or left out
+            given = rng.choice(3 * [("--mass", "--beta")] + [("--mass",), ("--beta",), ()])
+            invalid = [0.0, -1.0, math.inf, math.nan]
+            argv = ["decay"] + [f"{name}={rng.choice(3 * [2.0 ** rng.uniform(-1074, 1023)] + invalid)!r}"
+                                for name in given]
+        code, records = run_both(argv)
+        codes.add(code)
+        if code:
+            continue
+        (row,) = records
+        assert 0.0 < row["rate"] < math.inf and row["base"] == math.exp(-row["rate"]), argv
+        assert math.isfinite(row["gff_rate"]), argv
+        if by_tau:
+            p = decay_params(tau)
+            assert (row["tau"], row["rate"], row["base"]) == (p.tau, p.rate, p.base), argv
+    assert codes == {0, 2}

@@ -33,7 +33,7 @@ PUBLIC_NAMES = {
     "rel_error_coefficient_open", "rel_error_coefficient_centered",
     # circulant
     "CycleCorrelation", "circulant_matrix", "precision_eigenvalues", "cycle_inverse_sum",
-    "cycle_inverse_sum_imag", "cycle_correlation_sequence", "cycle_correlation", "riemann_sum", "limit_integral", "cycle_correlation_limit",
+    "cycle_inverse_sum_imag", "cycle_lags", "cycle_correlation_sequence", "cycle_correlation", "riemann_sum", "limit_integral", "cycle_correlation_limit",
     # oracle
     "CorrelationResult", "SampleBatch", "invert_tridiagonal",
     "correlation_transform", "model_correlation", "sample", "fisher_z_discrepancies",
@@ -45,7 +45,7 @@ PUBLIC_NAMES = {
 
 
 def test_exported_names():
-    assert len(gg.__all__) == len(set(gg.__all__)) == 56
+    assert len(gg.__all__) == len(set(gg.__all__)) == 57
     assert set(gg.__all__) == PUBLIC_NAMES
 
 
