@@ -213,15 +213,17 @@ def cycle_correlation_sequence(n, tau: float) -> CycleCorrelation:
     """Covariance and correlation vectors of the cycle model: :func:`cycle_lags`, held."""
     n = GraphSpec(GraphKind.CYCLE, n).n
     tau = check_tau(tau)
-    _, covariances, correlations, limits = zip(*_lags(n, tau, range(n)))
-    return CycleCorrelation(n, tau, covariances, correlations, limits)
+    # appended one lag at a time: zip(*lags) would hold every lag's tuple at once
+    covariances, correlations, limits = [], [], []
+    for _, cov, corr, limit in _lags(n, tau, range(n)):
+        covariances.append(cov)
+        correlations.append(corr)
+        limits.append(limit)
+    return CycleCorrelation(n, tau, tuple(covariances), tuple(correlations), tuple(limits))
 
 
 def cycle_correlation(n, k, tau: float) -> tuple[float, float, float]:
-    """Covariance, correlation and limit ``base**k`` of the cycle model at lag k.
-
-    Lag k of :func:`cycle_lags`, bit for bit, in O(1).  The lag runs over 0..n-1.
-    """
+    """Lag k (0..n-1) of :func:`cycle_lags` in O(1): covariance, correlation and limit ``base**k``."""
     n = GraphSpec(GraphKind.CYCLE, n).n
     k = as_index(k, "lag", 0, n - 1)
     return next(_lags(n, check_tau(tau), (k,)))[1:]
